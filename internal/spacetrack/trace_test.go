@@ -1,15 +1,20 @@
 package spacetrack
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cosmicdance/internal/obs"
+	"cosmicdance/internal/testkit"
+	"cosmicdance/internal/tle"
 )
 
 // TestTraceHeaderPropagation pins the trace plumbing end to end: an arriving
@@ -65,6 +70,73 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	if events[1].Trace != minted {
 		t.Fatalf("second flight event trace %q, want minted %q", events[1].Trace, minted)
 	}
+}
+
+// stepClock is a deterministic clock that moves forward by step on every
+// read, so each span boundary the server records lands on a distinct,
+// reproducible instant.
+type stepClock struct {
+	mu   sync.Mutex
+	now  time.Time
+	step time.Duration
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(c.step)
+	return c.now
+}
+
+// TestFlightRecorderGolden pins the flight recorder's JSON dump after one
+// group fetch, one history window and one ingest batch: every event's
+// spans, their names and order, and their start_ns/end_ns on a clock that
+// ticks a millisecond per read.
+func TestFlightRecorderGolden(t *testing.T) {
+	archive, _, end := buildArchive(t, 5)
+	cat := NewCatalog(archive, end)
+	srv := NewServer(cat, end)
+	clock := &stepClock{now: end, step: time.Millisecond}
+	srv.Now = clock.Now
+	srv.Trace = obs.NewIDStream(42, 0)
+	srv.Flight = obs.NewFlightRecorder(64, srv.Now)
+	var ingested obs.TraceID
+	srv.OnIngest = func(_ string, _ []*tle.TLE, _ int, trace obs.TraceID) { ingested = trace }
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if resp, _ := doGet(t, ts, "/NORAD/elements/gp.php?GROUP=starlink&FORMAT=tle", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("group: status %d", resp.StatusCode)
+	}
+	from := end.Add(-48 * time.Hour).Format(time.RFC3339)
+	sats := archive.GroupLatest("starlink", end)
+	history := fmt.Sprintf("/history?catalog=%d&from=%s&to=%s", sats[0].CatalogNumber, from, end.Format(time.RFC3339))
+	if resp, _ := doGet(t, ts, history, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("history: status %d", resp.StatusCode)
+	}
+	var buf bytes.Buffer
+	if err := tle.Write(&buf, []*tle.TLE{cloneSet(sats[0], 91000, end.Add(-time.Minute))}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/ingest?group=starlink", "text/plain", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	if want := obs.ParseTraceID(resp.Header.Get(obs.TraceHeader)); ingested != want || want == 0 {
+		t.Fatalf("OnIngest saw trace %s, want the request's %s", ingested, want)
+	}
+
+	var dump bytes.Buffer
+	if err := srv.Flight.WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	testkit.Golden(t, "flight_recorder.golden", dump.Bytes())
 }
 
 // TestRejectsCarryTraces pins the storm post-mortem's primary key: requests
