@@ -1,9 +1,9 @@
 // Command cosmicdance is the end-to-end CLI: it ingests solar-activity data
 // (a WDC-format file or a built-in synthetic scenario) and satellite
-// trajectory data (a TLE archive file, a live simulated Space-Track service,
-// or a built-in fleet simulation), runs the CosmicDance pipeline, and prints
-// the storm catalog, the cleaning report, and the happens-closely-after
-// analysis.
+// trajectory data (a TLE text file such as tlegen's output, a live simulated
+// Space-Track service, or a built-in fleet simulation), runs the CosmicDance
+// pipeline, and prints the storm catalog, the cleaning report, and the
+// happens-closely-after analysis.
 //
 // Usage:
 //
@@ -258,8 +258,7 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	dstFile := fs.String("dst", "", "WDC-format Dst file (default: synthetic scenario)")
 	scenario := fs.String("scenario", "paper", "synthetic scenario when -dst is absent")
-	tleFile := fs.String("tles", "", "TLE archive file")
-	archiveFile := fs.String("archive", "", "binary COSM archive (tlegen -format binary)")
+	tleFile := fs.String("tles", "", "TLE archive file (e.g. tlegen's output)")
 	server := fs.String("server", "", "tracking-service base URL (spacetrackd)")
 	fleet := fs.String("fleet", "paper", "built-in fleet when neither -tles nor -server is given")
 	seed := fs.Int64("seed", 42, "simulation seed")
@@ -285,7 +284,7 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = *parallelism
 	var d *core.Dataset
-	if *dstFile == "" && *tleFile == "" && *server == "" && *archiveFile == "" {
+	if *dstFile == "" && *tleFile == "" && *server == "" {
 		// Fully synthetic run: every input is a (config, seed) pair, so the
 		// whole substrate is cacheable content-addressed.
 		weatherCfg, err := scenarioConfig(*scenario)
@@ -314,19 +313,7 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 			return err
 		}
 		b := core.NewBuilder(cfg, weather)
-		if *archiveFile != "" {
-			f, err := os.Open(*archiveFile)
-			if err != nil {
-				return err
-			}
-			res, err := constellation.Load(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("loading %s: %w", *archiveFile, err)
-			}
-			logger.Info("loaded archive", "stage", "ingest", "satellites", len(res.Sats), "samples", len(res.Samples), "file", *archiveFile)
-			b.AddSamples(res.Samples)
-		} else if err := loadTrajectories(ctx, b, weather, *tleFile, *server, *fleet, *seed, *parallelism); err != nil {
+		if err := loadTrajectories(ctx, b, weather, *tleFile, *server, *fleet, *seed, *parallelism); err != nil {
 			return err
 		}
 		sp.End()

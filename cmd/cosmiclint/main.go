@@ -12,14 +12,12 @@
 // Usage:
 //
 //	cosmiclint [-rules nondet,maporder,...] [-json] [-list]
-//	           [-fix] [-baseline file] [-write-baseline file] [patterns]
+//	           [-fix] [patterns]
 //
 // -fix applies the mechanical rewrites (sort-before-range, errors.As,
 // checked Close) and re-runs the analysis on the rewritten tree; the
 // remaining findings — including allow directives the fixes made stale —
-// are what gets reported. -write-baseline records the current findings;
-// -baseline suppresses exactly those, failing only on new ones (stale
-// entries are flagged on stderr so the baseline shrinks monotonically).
+// are what gets reported.
 //
 // Exit status is 0 when clean, 1 when findings were reported, 2 when the
 // tree could not be loaded.
@@ -61,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonFlag := fs.Bool("json", false, "emit findings as a JSON array")
 	listFlag := fs.Bool("list", false, "list the rules and exit")
 	fixFlag := fs.Bool("fix", false, "apply suggested fixes, then re-run the analysis")
-	baselineFlag := fs.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaselineFlag := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -119,28 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if code != 0 {
 				return code
 			}
-		}
-	}
-
-	if *writeBaselineFlag != "" {
-		if err := lint.WriteBaseline(*writeBaselineFlag, root, findings); err != nil {
-			fmt.Fprintf(stderr, "cosmiclint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "cosmiclint: wrote %d baseline entries to %s\n", len(findings), *writeBaselineFlag)
-		return 0
-	}
-
-	if *baselineFlag != "" {
-		bl, err := lint.ReadBaseline(*baselineFlag)
-		if err != nil {
-			fmt.Fprintf(stderr, "cosmiclint: %v\n", err)
-			return 2
-		}
-		var stale []lint.BaselineEntry
-		findings, stale = bl.Filter(root, findings)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "cosmiclint: stale baseline entry (finding no longer occurs): %s %s: %s\n", e.File, e.Rule, e.Message)
 		}
 	}
 

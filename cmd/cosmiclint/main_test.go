@@ -252,48 +252,6 @@ func TestTransitiveJSON(t *testing.T) {
 	}
 }
 
-// TestBaselineFlow covers -write-baseline and -baseline through the
-// driver: recording the debt exits 0, a baselined re-run exits 0, fixing
-// the debt turns the entry stale (reported on stderr, still exit 0).
-func TestBaselineFlow(t *testing.T) {
-	dir := tmpModule(t, map[string]string{"helper.go": `package tmpmod
-
-import "os"
-
-func classify(err error) string {
-	if pe, ok := err.(*os.PathError); ok {
-		return pe.Path
-	}
-	return ""
-}
-`})
-	baseline := filepath.Join(dir, "lint-baseline.json")
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-write-baseline", baseline, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-write-baseline exit = %d (stderr %q)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "wrote 1 baseline entries") {
-		t.Errorf("stderr = %q, want a wrote-1-entries line", errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", baseline, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0 (stdout %q)", code, out.String())
-	}
-
-	// Pay the debt (apply the errors.As fix); the entry is now stale.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-fix", "-baseline", baseline, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("post-fix baselined run exit = %d, want 0 (stdout %q stderr %q)", code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "stale baseline entry") {
-		t.Errorf("stderr = %q, want a stale-entry report", errb.String())
-	}
-}
-
 // TestWholeTreeClean is the dogfood gate in miniature: the repository at
 // HEAD must lint clean. (verify.sh runs the same check from the shell;
 // this keeps `go test ./...` sufficient to catch regressions.)

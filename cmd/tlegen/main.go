@@ -1,6 +1,7 @@
 // Command tlegen runs the constellation simulator against a synthetic solar
 // activity scenario and writes the resulting tracking archive as standard
-// 2LE/3LE text.
+// 2LE/3LE text — the trajectory file format `cosmicdance analyze -tles`
+// reads.
 //
 // Usage:
 //
@@ -35,7 +36,6 @@ func main() {
 	fleet := flag.String("fleet", "small", "fleet preset: paper (4.5 y, ~2000 sats), may2024 (1 month, 5900 sats) or small (6 months, 40 sats)")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	names := flag.Bool("names", false, "emit 3LE name lines")
-	format := flag.String("format", "tle", "output format: tle (text archive) or binary (compact COSM archive)")
 	out := flag.String("out", "", "write to this file instead of stdout")
 	flag.Parse()
 
@@ -75,17 +75,8 @@ func main() {
 		w = f
 		closeOut = f.Close
 	}
-	switch *format {
-	case "tle":
-		if err := res.WriteTLEs(w, *names); err != nil {
-			fatal(err)
-		}
-	case "binary":
-		if err := res.Save(w); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+	if err := res.WriteTLEs(w, *names); err != nil {
+		fatal(err)
 	}
 	if err := closeOut(); err != nil {
 		fatal(err)

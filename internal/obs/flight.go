@@ -13,17 +13,18 @@ import (
 // FlightEvent is one entry in the flight recorder: a request outcome, an
 // ingest batch, a feed delta, or an SSE resync. AtNS is nanoseconds on the
 // recorder's injected clock since its epoch, so dumps from same-seed runs
-// are byte-identical. Seq orders events globally even when AtNS ties.
+// are byte-identical. Seq orders events globally even when AtNS ties. Spans
+// is the flat view of the request's Tracer.
 type FlightEvent struct {
-	Seq        uint64    `json:"seq"`
-	AtNS       int64     `json:"at_ns"`
-	Kind       string    `json:"kind"` // request | reject | ingest | delta | resync
-	Trace      string    `json:"trace,omitempty"`
-	Endpoint   string    `json:"endpoint,omitempty"`
-	Status     int       `json:"status,omitempty"`
-	DurationNS int64     `json:"duration_ns,omitempty"`
-	Detail     string    `json:"detail,omitempty"`
-	Spans      []ReqSpan `json:"spans,omitempty"`
+	Seq        uint64       `json:"seq"`
+	AtNS       int64        `json:"at_ns"`
+	Kind       string       `json:"kind"` // request | reject | ingest | delta | resync
+	Trace      string       `json:"trace,omitempty"`
+	Endpoint   string       `json:"endpoint,omitempty"`
+	Status     int          `json:"status,omitempty"`
+	DurationNS int64        `json:"duration_ns,omitempty"`
+	Detail     string       `json:"detail,omitempty"`
+	Spans      []SpanRecord `json:"spans,omitempty"`
 }
 
 // FlightRecorder is a fixed-size ring of recent FlightEvents — the black box

@@ -368,7 +368,7 @@ func traceString(t obs.TraceID) string {
 // admit wraps a data-plane handler with the three admission layers and the
 // per-endpoint telemetry. It is also where a request's trace begins: the
 // Cosmic-Trace header is honoured when present (and echoed on the response),
-// s.Trace mints an ID otherwise, and the resulting ReqTrace rides the
+// s.Trace mints an ID otherwise, and a traced request's obs.Tracer rides the
 // request context so handlers can mark their catalog-read/gzip/feed-append
 // phases. Shed requests (503/429) land in the flight recorder with their
 // trace IDs — the storm post-mortem's primary key.
@@ -384,11 +384,11 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		if trace != 0 {
 			w.Header().Set(obs.TraceHeader, trace.String())
 		}
-		var tr *obs.ReqTrace
+		var tr *obs.Tracer
 		if trace != 0 {
-			tr = obs.NewReqTrace(trace, s.now)
+			tr = obs.NewTracer(s.now)
 		}
-		tr.StartSpan("admission")
+		admission := tr.Start("admission")
 		if s.MaxInFlight > 0 {
 			if n := s.inflight.Add(1); n > s.MaxInFlight {
 				s.inflight.Add(-1)
@@ -421,12 +421,12 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			s.SLO.Record(endpoint, 0, true)
 			return
 		}
-		tr.EndSpan()
+		admission.End()
 		s.served.Add(1)
 		served.Inc()
 		metricAdmitted["accepted"].Inc()
 		if tr != nil {
-			r = r.WithContext(obs.WithReqTrace(r.Context(), tr))
+			r = r.WithContext(obs.WithTracer(r.Context(), tr))
 		}
 		sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := s.now()
@@ -523,15 +523,14 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	tr := obs.ReqTraceFrom(r.Context())
-	tr.StartSpan("catalog_read")
+	tr := obs.TracerFrom(r.Context())
+	read := tr.Start("catalog_read")
 	sets := s.archive.GroupLatest(group, s.now())
-	tr.EndSpan()
+	read.End()
 	if format == "json" {
 		// Space-Track's OMM JSON shape.
 		w.Header().Set("Content-Type", "application/json")
-		tr.StartSpan("gzip")
-		defer tr.EndSpan()
+		defer tr.Start("gzip").End()
 		out, finish := compressed(w, r)
 		if err := tle.WriteOMM(out, sets); err != nil {
 			return
@@ -546,8 +545,7 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		sets = stripNames(sets)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	tr.StartSpan("gzip")
-	defer tr.EndSpan()
+	defer tr.Start("gzip").End()
 	out, finish := compressed(w, r)
 	if err := tle.Write(out, sets); err != nil {
 		// Too late for a status change; the client will see a short read.
@@ -582,14 +580,13 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "to precedes from", http.StatusBadRequest)
 		return
 	}
-	tr := obs.ReqTraceFrom(r.Context())
+	tr := obs.TracerFrom(r.Context())
 	if q.Get("format") == "json" {
-		tr.StartSpan("catalog_read")
+		read := tr.Start("catalog_read")
 		sets := s.archive.History(catalog, from, to)
-		tr.EndSpan()
+		read.End()
 		w.Header().Set("Content-Type", "application/json")
-		tr.StartSpan("gzip")
-		defer tr.EndSpan()
+		defer tr.Start("gzip").End()
 		out, finish := compressed(w, r)
 		if err := tle.WriteOMM(out, sets); err != nil {
 			return
@@ -600,8 +597,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	tr.StartSpan("catalog_read")
-	defer tr.EndSpan()
+	defer tr.Start("catalog_read").End()
 	out, finish := compressed(w, r)
 	if sa, ok := s.archive.(StreamingArchive); ok {
 		one := make([]*tle.TLE, 1)
@@ -655,14 +651,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("%d unparseable element sets", reader.Skipped()), http.StatusBadRequest)
 		return
 	}
-	tr := obs.ReqTraceFrom(r.Context())
-	tr.StartSpan("catalog_read")
+	tr := obs.TracerFrom(r.Context())
+	read := tr.Start("catalog_read")
 	applied := ia.Ingest(group, sets, s.now())
-	tr.EndSpan()
+	read.End()
 	if s.OnIngest != nil {
-		tr.StartSpan("feed_append")
-		s.OnIngest(group, sets, applied, tr.ID())
-		tr.EndSpan()
+		feed := tr.Start("feed_append")
+		// admit echoed the request's trace ID (if any) on the response.
+		s.OnIngest(group, sets, applied, obs.ParseTraceID(w.Header().Get(obs.TraceHeader)))
+		feed.End()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"received\":%d,\"applied\":%d}\n", len(sets), applied)

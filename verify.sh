@@ -30,7 +30,11 @@
 #  10. the benchdiff gate against the pinned BENCH_PR9.json baseline,
 #      including the O(delta) ratio: one incremental append must stay
 #      under 1% of a cold rebuild at 100k satellites,
-#  11. every fuzz target, seeds + 10s of new coverage each.
+#  11. the benchmark module (bench/, its own go.mod): vet plus its tests,
+#      which compile it against obs, spacetrack, artifact and
+#      constellation — the root `go test ./...` never reaches it (the
+#      short tier skips its end-to-end smoke run),
+#  12. every fuzz target, seeds + 10s of new coverage each.
 #
 # Pass -short as $1 to run the fast tier (skips the year-long substrate
 # builds and the fuzz sessions).
@@ -71,6 +75,9 @@ cmp "$cold" "$warm" || {
     echo "verify: warm-cache analyze output differs from the cold build" >&2
     exit 1
 }
+
+echo "== benchmark module: go vet + go test $SHORT (bench/)"
+(cd bench && go vet ./... && go test $SHORT ./...)
 
 if [ -n "$SHORT" ]; then
     # The full floor-pooling gate needs the long tier; the short tier still
