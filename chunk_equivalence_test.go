@@ -44,7 +44,8 @@ func analyzeDataset(t testing.TB, d *core.Dataset) pipelineRun {
 // fleet streamed through the chunked pipeline produces a dataset,
 // deviation list, and decay-onset set byte-identical to the monolithic
 // materialize-everything path — at every (chunk size × worker width × seed)
-// combination, through both the in-memory and the spilled segment store.
+// combination, through both the in-memory segment store and a disk round
+// trip through a fresh cache.
 func TestChunkEquivalenceMatrix(t *testing.T) {
 	for _, seed := range []int64{7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -77,16 +78,20 @@ func TestChunkEquivalenceMatrix(t *testing.T) {
 			for _, chunkSize := range []int{1024, 4096, 16384} {
 				for wi, width := range []int{1, 4, 8} {
 					name := fmt.Sprintf("chunk=%d width=%d", chunkSize, width)
-					opts := artifact.ChunkedOptions{ChunkSize: chunkSize, InMemory: true}
+					pipe := artifact.NewPipeline(nil)
 					if wi%2 == 1 {
 						// Alternate the segment store so the matrix also diffs
-						// in-memory against spilled execution.
-						opts.InMemory = false
-						opts.SpillDir = t.TempDir()
+						// in-memory execution against segments written to and
+						// read back from disk.
+						cache, err := artifact.Open(t.TempDir())
+						if err != nil {
+							t.Fatal(err)
+						}
+						pipe = artifact.NewPipeline(cache)
 					}
 					fcfg := scale.FleetConfig(spec)
 					fcfg.Parallelism = width
-					d, err := artifact.NewPipeline(nil).ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts)
+					d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

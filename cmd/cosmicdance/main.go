@@ -13,7 +13,7 @@
 //	                    [-ptile 95] [-window 30] [-top 10] [-parallel W]
 //	cosmicdance fetch   -server URL [-cache DIR] [-from RFC3339] [-to RFC3339]
 //	cosmicdance scale   [-sats N] [-days D] [-seed S] [-chunk N] [-parallel W]
-//	                    [-cache DIR] [-spill DIR]
+//	                    [-cache DIR]
 package main
 
 import (
@@ -78,7 +78,7 @@ func usage() {
   cosmicdance storms  [-dst FILE | -scenario paper|fiftyyears|may2024]
   cosmicdance analyze [-dst FILE | -scenario ...] [-tles FILE | -server URL | -fleet paper|small] [-ptile P] [-window D] [-top N] [-parallel W] [-cache DIR | -no-cache] [-trace] [-metrics-json FILE]
   cosmicdance fetch   -server URL [-cache DIR] [-from T] [-to T]
-  cosmicdance scale   [-sats N] [-days D] [-seed S] [-chunk N] [-parallel W] [-cache DIR] [-spill DIR]`)
+  cosmicdance scale   [-sats N] [-days D] [-seed S] [-chunk N] [-parallel W] [-cache DIR]`)
 }
 
 // loadWeather reads the Dst index from a WDC-style HTTP service, a WDC file,
@@ -428,7 +428,6 @@ func cmdScale(ctx context.Context, args []string) error {
 	chunk := fs.Int("chunk", 0, "satellites per chunk (0 = default)")
 	parallelism := fs.Int("parallel", 0, "chunk-level worker width (0 = one per CPU)")
 	cacheDir := fs.String("cache", "", "artifact cache directory (segments become resume points)")
-	spillDir := fs.String("spill", "", "spill segments to ephemeral files under DIR (ignored with -cache)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -439,7 +438,6 @@ func cmdScale(ctx context.Context, args []string) error {
 		ChunkSize:   *chunk,
 		Parallelism: *parallelism,
 		CacheDir:    *cacheDir,
-		SpillDir:    *spillDir,
 	}
 	rep, err := scale.Run(ctx, spec)
 	if err != nil {

@@ -41,8 +41,10 @@ import (
 // a bump invalidates every existing cache entry at once.
 // Version history: 2 canonicalized the dataset's raw-altitude order (sorted
 // by IEEE total order instead of ingest order) so chunked and monolithic
-// builds share one byte representation, and introduced KindSegment.
-const SchemaVersion = 2
+// builds share one byte representation, and introduced KindSegment. 3 made
+// KindDataset the weather sections plus one KindSegment body (chunk index 0)
+// and dropped its stored cleaned-altitude column.
+const SchemaVersion = 3
 
 // Kind identifies which intermediate a snapshot holds.
 type Kind uint16
@@ -53,11 +55,12 @@ const (
 	KindWeather Kind = 1
 	// KindArchive is a simulated constellation run (constellation.Result).
 	KindArchive Kind = 2
-	// KindDataset is a built, cleaned dataset (core.Dataset), with its
-	// weather series embedded so the snapshot is self-contained.
+	// KindDataset is a built, cleaned dataset (core.Dataset): its weather
+	// series, so the snapshot is self-contained, then the whole dataset as
+	// one segment body.
 	KindDataset Kind = 3
 	// KindSegment is one chunk's share of a dataset build (core.ChunkPartial)
-	// — the spillable unit of the chunked streaming pipeline.
+	// — the stored unit of the chunked streaming pipeline.
 	KindSegment Kind = 4
 	// KindIncremental is a live incremental engine's resumable state
 	// (incremental.EngineState): the raw ingest streams plus stream cursors,

@@ -181,8 +181,20 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.State(), d.State()) {
+	if !reflect.DeepEqual(got.Partial(), d.Partial()) {
 		t.Fatal("dataset state changed across the round trip")
+	}
+	// Cleaned altitudes are not stored; reassembly must rederive them.
+	gotClean, err := got.CleanAltitudeCDF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClean, err := d.CleanAltitudeCDF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotClean, wantClean) {
+		t.Fatal("cleaned-altitude distribution changed across the round trip")
 	}
 	if !reflect.DeepEqual(got.Weather().Hourly().Values(), d.Weather().Hourly().Values()) {
 		t.Fatal("embedded weather changed across the round trip")
@@ -346,7 +358,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	if !bytes.Equal(encodeDatasetBytes(t, warm), encodeDatasetBytes(t, cold)) {
 		t.Fatal("cache hit is not bit-identical to the cold build")
 	}
-	if !reflect.DeepEqual(warm.State(), cold.State()) {
+	if !reflect.DeepEqual(warm.Partial(), cold.Partial()) {
 		t.Fatal("cache hit state differs from the cold build")
 	}
 }

@@ -3,10 +3,8 @@ package artifact
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"cosmicdance/internal/constellation"
@@ -18,13 +16,13 @@ import (
 
 // The chunked pipeline streams a fleet through the dataset build one
 // satellite chunk at a time: simulate chunk → clean into a partial → encode
-// as a segment → spill → merge-read in catalog order. Peak memory is
+// as a segment → store → merge-read in catalog order. Peak memory is
 // O(chunk × workers) above the final product, not O(fleet), which is what
-// lets a 100k-satellite run fit the same box as a 6k one. With a disk cache
-// attached the spilled segments double as incremental cache entries: a
-// rerun skips straight past every chunk whose segment is already present,
-// and an input change re-keys (and therefore rebuilds) every segment at
-// once.
+// lets a 100k-satellite run fit the same box as a 6k one. Without a disk
+// cache the segments wait in memory for the consumer; with one they are
+// written to the cache and double as incremental cache entries: a rerun
+// skips straight past every chunk whose segment is already present, and an
+// input change re-keys (and therefore rebuilds) every segment at once.
 
 // metricSegmentBuilds counts segments actually built (cache hits excluded) —
 // the observable that proves incremental resume in tests and traces.
@@ -34,23 +32,6 @@ var metricSegmentBuilds = obs.Default().Counter("artifact_segment_builds_total")
 // large enough to amortize per-chunk overhead, small enough that a chunk's
 // archive and partial stay a few megabytes.
 const DefaultChunkSize = 4096
-
-// ChunkedOptions tunes a chunked streaming run.
-type ChunkedOptions struct {
-	// ChunkSize is the satellites-per-chunk partition size (default
-	// DefaultChunkSize). The output is byte-identical at every value; only
-	// memory and cache granularity change.
-	ChunkSize int
-	// SpillDir, when set and no disk cache is attached, spills segments to
-	// ephemeral files under this directory instead of holding them in
-	// memory. Ignored when the pipeline has a cache (the cache is better:
-	// persistent and fingerprint-keyed).
-	SpillDir string
-	// InMemory forces the in-memory segment store even when a cache or
-	// SpillDir is available (the equivalence suites use this to diff
-	// in-memory vs spilled execution).
-	InMemory bool
-}
 
 // segmentStore is where encoded segments live between the produce and
 // consume ends of the stream. Implementations must support concurrent put
@@ -66,11 +47,9 @@ type segmentStore interface {
 	get(i int) ([]byte, bool)
 	// evict drops a damaged entry so it cannot be served again.
 	evict(i int)
-	// done releases index i after successful consumption (temp stores free
-	// the bytes; persistent stores keep them for the next run).
+	// done releases index i after successful consumption (the memory store
+	// frees the bytes; the cache keeps them for the next run).
 	done(i int)
-	// close releases the store.
-	close()
 }
 
 // cacheStore keeps segments as fingerprint-keyed entries in the disk cache —
@@ -111,51 +90,6 @@ func (s *cacheStore) evict(i int) {
 }
 
 func (s *cacheStore) done(int) {}
-func (s *cacheStore) close()   {}
-
-// dirStore spills segments to ephemeral files under a private subdirectory —
-// flat memory without a cache, nothing trusted or kept across runs.
-type dirStore struct {
-	dir string
-}
-
-func newDirStore(parent string) (*dirStore, error) {
-	if err := os.MkdirAll(parent, 0o755); err != nil {
-		return nil, fmt.Errorf("artifact: create spill dir: %w", err)
-	}
-	dir, err := os.MkdirTemp(parent, "segments-*")
-	if err != nil {
-		return nil, fmt.Errorf("artifact: create spill dir: %w", err)
-	}
-	return &dirStore{dir: dir}, nil
-}
-
-func (s *dirStore) path(i int) string { return filepath.Join(s.dir, fmt.Sprintf("seg-%d.cda", i)) }
-
-// has always misses: a spill area holds bytes in flight, never state a
-// later run may trust.
-func (s *dirStore) has(int) bool { return false }
-
-func (s *dirStore) put(i int, blob []byte) error {
-	if err := os.WriteFile(s.path(i), blob, 0o644); err != nil {
-		return fmt.Errorf("artifact: spill segment %d: %w", i, err)
-	}
-	metricBytesWritten.Add(int64(len(blob)))
-	return nil
-}
-
-func (s *dirStore) get(i int) ([]byte, bool) {
-	blob, err := os.ReadFile(s.path(i))
-	if err != nil {
-		return nil, false
-	}
-	metricBytesRead.Add(int64(len(blob)))
-	return blob, true
-}
-
-func (s *dirStore) evict(i int) { _ = os.Remove(s.path(i)) }
-func (s *dirStore) done(i int)  { _ = os.Remove(s.path(i)) }
-func (s *dirStore) close()      { _ = os.RemoveAll(s.dir) }
 
 // memStore holds in-flight segments in memory. The consumer trails the
 // producers by at most the worker window and done frees each entry, so the
@@ -190,35 +124,20 @@ func (s *memStore) evict(i int) {
 }
 
 func (s *memStore) done(i int) { s.evict(i) }
-func (s *memStore) close()     {}
-
-// segmentStoreFor picks the store a chunked run spills through.
-func (p *Pipeline) segmentStoreFor(opts ChunkedOptions) (segmentStore, error) {
-	switch {
-	case opts.InMemory:
-		return newMemStore(), nil
-	case p.cache != nil:
-		return &cacheStore{cache: p.cache}, nil
-	case opts.SpillDir != "":
-		return newDirStore(opts.SpillDir)
-	default:
-		return newMemStore(), nil
-	}
-}
 
 // EachSegment runs the chunked streaming pipeline and hands every chunk's
-// partial to consume in chunk (catalog) order. Producers fan out across
-// fleetCfg.Parallelism workers; each chunk is simulated, cleaned, encoded,
-// and spilled, then decoded back on the consuming side — the spilled bytes
-// are the hand-off, so the segment codec is exercised on every chunk of
-// every run, and a persistent store turns completed chunks into resume
-// points. A damaged or unwritable segment degrades to an inline rebuild:
-// corruption can cost time, never correctness.
+// partial to consume in chunk (catalog) order. chunkSize is the
+// satellites-per-chunk partition (DefaultChunkSize when ≤ 0). Producers fan
+// out across fleetCfg.Parallelism workers; each chunk is simulated, cleaned,
+// encoded, and stored, then decoded back on the consuming side — the encoded
+// bytes are the hand-off, so the segment codec is exercised on every chunk
+// of every run, and the cache (when the pipeline has one) turns completed
+// chunks into resume points. A damaged or unwritable segment degrades to an
+// inline rebuild: corruption can cost time, never correctness.
 //
-// The output stream is invariant under ChunkSize, Parallelism, and store
-// choice — the chunk-equivalence suites prove all three.
-func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config, coreCfg core.Config, opts ChunkedOptions, consume func(chunk int, part *core.ChunkPartial) error) error {
-	chunkSize := opts.ChunkSize
+// The output stream is invariant under chunkSize, Parallelism, and store
+// (memory or cache) — the chunk-equivalence suites prove all three.
+func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config, coreCfg core.Config, chunkSize int, consume func(chunk int, part *core.ChunkPartial) error) error {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -232,18 +151,15 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 	}
 	n := plan.NumChunks()
 
-	store, err := p.segmentStoreFor(opts)
-	if err != nil {
-		return err
-	}
-	defer store.close()
-	if cs, ok := store.(*cacheStore); ok {
+	var store segmentStore = newMemStore()
+	if p.cache != nil {
 		datasetFP := FingerprintDataset(FingerprintFleet(FingerprintWeather(weatherCfg), fleetCfg), coreCfg)
-		cs.fps = make([]Fingerprint, n)
-		for i := range cs.fps {
+		fps := make([]Fingerprint, n)
+		for i := range fps {
 			lo, hi := plan.ChunkBounds(i)
-			cs.fps[i] = FingerprintSegment(datasetFP, i, lo, hi)
+			fps[i] = FingerprintSegment(datasetFP, i, lo, hi)
 		}
+		store = &cacheStore{cache: p.cache, fps: fps}
 	}
 
 	// Each chunk is cleaned sequentially; the parallelism budget is spent
@@ -270,14 +186,14 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 
 	produce := func(i int) (struct{}, error) {
 		if store.has(i) {
-			return struct{}{}, nil // incremental resume: segment already spilled
+			return struct{}{}, nil // incremental resume: segment already cached
 		}
 		blob, err := build(i)
 		if err != nil {
 			return struct{}{}, err
 		}
 		if err := store.put(i, blob); err != nil {
-			// A failed spill is a warning, not a failure: the consumer
+			// A failed store is a warning, not a failure: the consumer
 			// rebuilds on miss.
 			p.warn(err)
 		}
@@ -295,7 +211,7 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 			}
 		}
 		if part == nil {
-			// Miss (spill failed) or damage (evicted above): rebuild inline.
+			// Miss (store failed) or damage (evicted above): rebuild inline.
 			// The rebuilt bytes still round-trip through the codec so every
 			// consumed partial took the same decode path.
 			blob, err := build(i)
@@ -325,13 +241,13 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 // the chunked path's unit of caching and invalidation is the segment, so a
 // rerun resumes chunk by chunk instead of all-or-nothing. Callers that want
 // the final dataset cached use Dataset for mid-scale fleets.
-func (p *Pipeline) ChunkedDataset(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config, coreCfg core.Config, opts ChunkedOptions) (*core.Dataset, error) {
+func (p *Pipeline) ChunkedDataset(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config, coreCfg core.Config, chunkSize int) (*core.Dataset, error) {
 	weather, err := p.Weather(ctx, weatherCfg)
 	if err != nil {
 		return nil, err
 	}
 	asm := core.NewPartialAssembler(coreCfg, weather)
-	err = p.EachSegment(ctx, weatherCfg, fleetCfg, coreCfg, opts, func(_ int, part *core.ChunkPartial) error {
+	err = p.EachSegment(ctx, weatherCfg, fleetCfg, coreCfg, chunkSize, func(_ int, part *core.ChunkPartial) error {
 		return asm.Add(part)
 	})
 	if err != nil {

@@ -29,31 +29,25 @@ func TestChunkedDatasetEquivalence(t *testing.T) {
 	wcfg, ccfg := testWeatherCfg(), core.DefaultConfig()
 	ref := chunkedRef(t)
 
-	stores := map[string]func(t *testing.T) (*Pipeline, ChunkedOptions){
-		"memory": func(t *testing.T) (*Pipeline, ChunkedOptions) {
-			return NewPipeline(nil), ChunkedOptions{InMemory: true}
-		},
-		"spill": func(t *testing.T) (*Pipeline, ChunkedOptions) {
-			return NewPipeline(nil), ChunkedOptions{SpillDir: t.TempDir()}
-		},
-		"cache": func(t *testing.T) (*Pipeline, ChunkedOptions) {
+	stores := map[string]func(t *testing.T) *Pipeline{
+		"memory": func(t *testing.T) *Pipeline { return NewPipeline(nil) },
+		"cache": func(t *testing.T) *Pipeline {
 			cache, err := Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewPipeline(cache), ChunkedOptions{}
+			return NewPipeline(cache)
 		},
 	}
 	for name, mk := range stores {
 		t.Run(name, func(t *testing.T) {
 			for _, chunkSize := range []int{1, 3, 5, 64} {
 				for _, width := range []int{1, 4} {
-					pipe, opts := mk(t)
+					pipe := mk(t)
 					pipe.Log = failLogger(t)
-					opts.ChunkSize = chunkSize
 					fcfg := testFleetCfg()
 					fcfg.Parallelism = width
-					d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts)
+					d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -75,7 +69,7 @@ func TestEachSegmentOrdered(t *testing.T) {
 	fcfg.Parallelism = 4
 	next, lastCat := 0, -1
 	err := pipe.EachSegment(context.Background(), testWeatherCfg(), fcfg, core.DefaultConfig(),
-		ChunkedOptions{ChunkSize: 2}, func(chunk int, p *core.ChunkPartial) error {
+		2, func(chunk int, p *core.ChunkPartial) error {
 			if chunk != next {
 				t.Fatalf("chunk %d delivered, want %d", chunk, next)
 			}
@@ -106,12 +100,12 @@ func TestChunkedIncrementalResume(t *testing.T) {
 	}
 	wcfg, ccfg := testWeatherCfg(), core.DefaultConfig()
 	fcfg := testFleetCfg()
-	opts := ChunkedOptions{ChunkSize: 3}
+	const chunkSize = 3
 
 	run := func() []byte {
 		pipe := NewPipeline(cache)
 		pipe.Log = failLogger(t)
-		d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts)
+		d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +154,7 @@ func TestChunkedIncrementalResume(t *testing.T) {
 	fcfg.Seed++
 	pipe := NewPipeline(cache)
 	pipe.Log = failLogger(t)
-	if _, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts); err != nil {
+	if _, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize); err != nil {
 		t.Fatal(err)
 	}
 	if n := metricSegmentBuilds.Value() - before; n != built {
@@ -177,11 +171,11 @@ func TestChunkedDamagedSegmentRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	wcfg, fcfg, ccfg := testWeatherCfg(), testFleetCfg(), core.DefaultConfig()
-	opts := ChunkedOptions{ChunkSize: 3}
+	const chunkSize = 3
 
 	pipe := NewPipeline(cache)
 	pipe.Log = failLogger(t)
-	cold, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts)
+	cold, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +198,7 @@ func TestChunkedDamagedSegmentRebuilds(t *testing.T) {
 
 	pipe = NewPipeline(cache)
 	pipe.Log = failLogger(t)
-	healed, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts)
+	healed, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +209,7 @@ func TestChunkedDamagedSegmentRebuilds(t *testing.T) {
 	before := metricSegmentBuilds.Value()
 	pipe = NewPipeline(cache)
 	pipe.Log = failLogger(t)
-	if _, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, opts); err != nil {
+	if _, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize); err != nil {
 		t.Fatal(err)
 	}
 	if n := metricSegmentBuilds.Value() - before; n != 0 {
@@ -234,7 +228,7 @@ func TestChunkedCancelStopsCleanly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
 	err := pipe.EachSegment(ctx, testWeatherCfg(), fcfg, core.DefaultConfig(),
-		ChunkedOptions{ChunkSize: 1, InMemory: true}, func(chunk int, _ *core.ChunkPartial) error {
+		1, func(chunk int, _ *core.ChunkPartial) error {
 			delivered++
 			if delivered == 2 {
 				cancel()

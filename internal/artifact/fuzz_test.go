@@ -8,8 +8,8 @@ import (
 	"cosmicdance/internal/core"
 )
 
-// FuzzSnapshotRoundTrip feeds arbitrary bytes to all three decoders. The
-// properties under test:
+// FuzzSnapshotRoundTrip feeds arbitrary bytes to the weather, archive,
+// dataset and engine-state decoders. The properties under test:
 //
 //  1. No input panics a decoder — damage is an error, never a crash.
 //  2. Any input that decodes successfully is in canonical form: re-encoding
@@ -27,6 +27,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(encodeDatasetBytes(f, d))
 	f.Add([]byte{})
 	f.Add([]byte("CDAS"))
+	st := testEngine(f).State()
+	f.Add(encodeEngineStateBytes(f, &st))
 
 	cfg := core.DefaultConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -57,14 +59,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				t.Fatal("accepted dataset snapshot is not canonical")
 			}
 		}
+		if st, err := DecodeEngineState(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := EncodeEngineState(&buf, st); err != nil {
+				t.Fatalf("re-encode engine state: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatal("accepted engine-state snapshot is not canonical")
+			}
+		}
 	})
 }
 
 // FuzzSegmentRoundTrip feeds arbitrary bytes to the segment decoder — the
-// spill/cache unit of the chunked streaming pipeline. Same properties as the
+// stored unit of the chunked streaming pipeline. Same properties as the
 // snapshot fuzzer: no input may panic, and any accepted input must be
 // canonical (decode → re-encode reproduces it byte for byte, which is what
-// guarantees a damaged spill file can degrade only to a rebuild, never to
+// guarantees a damaged segment can degrade only to a rebuild, never to
 // wrong data).
 func FuzzSegmentRoundTrip(f *testing.F) {
 	w := testWeather(f)

@@ -105,6 +105,11 @@ func DecodeEngineState(r io.Reader) (*incremental.EngineState, error) {
 	if total < 0 || gross < 0 || dups < 0 {
 		return nil, fmt.Errorf("%w: negative funnel counter in engine state", ErrCorrupt)
 	}
+	// Strict canonical form: a flag is 0 or 1. Any other value would decode
+	// as true and re-encode as 1, breaking bit-identity.
+	if trigActive > 1 || trigCleared > 1 {
+		return nil, fmt.Errorf("%w: non-canonical trigger flag in engine state", ErrCorrupt)
+	}
 	st.TotalObservations = int(total)
 	st.GrossErrors = int(gross)
 	st.Duplicates = int(dups)

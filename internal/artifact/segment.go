@@ -3,32 +3,57 @@ package artifact
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"cosmicdance/internal/core"
 )
 
 // --- segment (core.ChunkPartial) ---
 //
-// A segment is one chunk's share of a dataset build, spilled through the
-// same section/CRC container as every other snapshot kind. Unlike a dataset
-// it carries no weather (the pipeline holds one weather series for every
-// chunk) and no cleaned altitudes (they are derivable from the track points,
-// so storing them would only create a corruption channel).
+// A segment is one chunk's share of a dataset build, stored through the
+// same section/CRC container as every other snapshot kind. It carries no
+// weather (the pipeline holds one weather series for every chunk) and no
+// cleaned altitudes (they are derivable from the track points, so storing
+// them would only create a corruption channel).
 //
-// Sections: 0 = meta (chunk index, counts, cleaning stats), 1 = track
-// directory, 2..5 = one column per TrackPoint field over all tracks
-// concatenated, 6 = raw altitudes in canonical total order.
+// A segment is exactly one partial body (writePartial): sections 0 = meta
+// (chunk index, counts, cleaning stats), 1 = track directory, 2..5 = one
+// column per TrackPoint field over all tracks concatenated, 6 = raw
+// altitudes in canonical total order. A dataset snapshot carries the same
+// body after its weather sections.
 //
-// The decoder enforces canonical form — strictly catalog-ascending non-empty
-// tracks, raw altitudes in canonical order — so any decoded segment
-// re-encodes to the identical bytes and a forged or damaged segment can
-// never smuggle a non-canonical partial into an assembly.
+// The reader enforces canonical form — strictly catalog-ascending non-empty
+// tracks, raw altitudes in canonical order — so any decoded body re-encodes
+// to the identical bytes and a forged or damaged one can never smuggle a
+// non-canonical partial into an assembly.
 
-// EncodeSegment writes one chunk partial as a spillable segment snapshot.
+// EncodeSegment writes one chunk partial as a segment snapshot.
 func EncodeSegment(w io.Writer, chunk int, p *core.ChunkPartial) error {
 	sw := newSectionWriter(w, KindSegment)
+	writePartial(sw, 0, chunk, p)
+	return sw.close()
+}
 
+// DecodeSegment reads a segment snapshot, failing closed on any damage or
+// non-canonical content. It returns the chunk index the segment was encoded
+// for alongside the partial.
+func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
+	sr, err := newSectionReader(r, KindSegment)
+	if err != nil {
+		return 0, nil, err
+	}
+	chunk, p, err := readPartial(sr, 0)
+	if err != nil {
+		return 0, nil, err
+	}
+	if err := sr.closeTrailer(); err != nil {
+		return 0, nil, err
+	}
+	return chunk, p, nil
+}
+
+// writePartial writes p, tagged with its chunk index, as the seven partial
+// sections starting at id base.
+func writePartial(sw *sectionWriter, base uint32, chunk int, p *core.ChunkPartial) {
 	nPoints := 0
 	for _, tr := range p.Tracks {
 		nPoints += len(tr.Points)
@@ -44,7 +69,7 @@ func EncodeSegment(w io.Writer, chunk int, p *core.ChunkPartial) error {
 	meta.i64(int64(p.Stats.RaisingRemoved))
 	meta.i64(int64(p.Stats.NonOperational))
 	meta.i64(int64(p.Stats.Duplicates))
-	sw.section(0, meta.buf)
+	sw.section(base, meta.buf)
 
 	var dir recordBuf
 	for _, tr := range p.Tracks {
@@ -53,7 +78,7 @@ func EncodeSegment(w io.Writer, chunk int, p *core.ChunkPartial) error {
 		dir.f64(tr.OperationalAltKm)
 		dir.u32(uint32(tr.RaisingRemoved))
 	}
-	sw.section(1, dir.buf)
+	sw.section(base+1, dir.buf)
 
 	epochs := make([]int64, nPoints)
 	alts := make([]float32, nPoints)
@@ -69,23 +94,18 @@ func EncodeSegment(w io.Writer, chunk int, p *core.ChunkPartial) error {
 			i++
 		}
 	}
-	sw.section(2, packI64(epochs))
-	sw.section(3, packF32(alts))
-	sw.section(4, packF32(bstars))
-	sw.section(5, packF32(incls))
-	sw.section(6, packF64(p.RawAlts))
-	return sw.close()
+	sw.section(base+2, packI64(epochs))
+	sw.section(base+3, packF32(alts))
+	sw.section(base+4, packF32(bstars))
+	sw.section(base+5, packF32(incls))
+	sw.section(base+6, packF64(p.RawAlts))
 }
 
-// DecodeSegment reads a segment snapshot, failing closed on any damage or
-// non-canonical content. It returns the chunk index the segment was encoded
-// for alongside the partial.
-func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
-	sr, err := newSectionReader(r, KindSegment)
-	if err != nil {
-		return 0, nil, err
-	}
-	meta, err := sr.section(0)
+// readPartial reads the partial body writePartial wrote at base, returning
+// its chunk index and the partial. It fails closed on any damage or
+// non-canonical content.
+func readPartial(sr *sectionReader, base uint32) (int, *core.ChunkPartial, error) {
+	meta, err := sr.section(base)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -115,7 +135,7 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 	}
 	nPoints, nRaw := counts[0], counts[1]
 	if chunk < 0 || chunk > 1<<31 || nTracks > 1<<24 || nPoints < 0 || nPoints > 1<<31 || nRaw < 0 || nRaw > 1<<31 {
-		return 0, nil, fmt.Errorf("%w: segment claims chunk %d, %d tracks, %d points", ErrCorrupt, chunk, nTracks, nPoints)
+		return 0, nil, fmt.Errorf("%w: partial claims chunk %d, %d tracks, %d points", ErrCorrupt, chunk, nTracks, nPoints)
 	}
 	p := &core.ChunkPartial{Stats: core.CleaningStats{
 		TotalObservations: int(statFields[0]),
@@ -125,7 +145,7 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 		Duplicates:        int(statFields[4]),
 	}}
 
-	dirPayload, err := sr.section(1)
+	dirPayload, err := sr.section(base + 1)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -151,10 +171,10 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 			return 0, nil, err
 		}
 		if int64(dir[i].catalog) <= prevCat {
-			return 0, nil, fmt.Errorf("%w: segment tracks out of catalog order", ErrCorrupt)
+			return 0, nil, fmt.Errorf("%w: partial tracks out of catalog order", ErrCorrupt)
 		}
 		if dir[i].nPoints == 0 {
-			return 0, nil, fmt.Errorf("%w: segment track %d is empty", ErrCorrupt, dir[i].catalog)
+			return 0, nil, fmt.Errorf("%w: partial track %d is empty", ErrCorrupt, dir[i].catalog)
 		}
 		prevCat = int64(dir[i].catalog)
 		total += int64(dir[i].nPoints)
@@ -163,26 +183,26 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 		return 0, nil, err
 	}
 	if total != nPoints {
-		return 0, nil, fmt.Errorf("%w: segment directory sums to %d points, meta claims %d", ErrCorrupt, total, nPoints)
+		return 0, nil, fmt.Errorf("%w: partial directory sums to %d points, meta claims %d", ErrCorrupt, total, nPoints)
 	}
 
-	epochs, err := readI64Col(sr, 2, int(nPoints))
+	epochs, err := readI64Col(sr, base+2, int(nPoints))
 	if err != nil {
 		return 0, nil, err
 	}
-	alts, err := readF32Col(sr, 3, int(nPoints))
+	alts, err := readF32Col(sr, base+3, int(nPoints))
 	if err != nil {
 		return 0, nil, err
 	}
-	bstars, err := readF32Col(sr, 4, int(nPoints))
+	bstars, err := readF32Col(sr, base+4, int(nPoints))
 	if err != nil {
 		return 0, nil, err
 	}
-	incls, err := readF32Col(sr, 5, int(nPoints))
+	incls, err := readF32Col(sr, base+5, int(nPoints))
 	if err != nil {
 		return 0, nil, err
 	}
-	rawPayload, err := sr.section(6)
+	rawPayload, err := sr.section(base + 6)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -190,15 +210,14 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 		return 0, nil, err
 	}
 	if len(p.RawAlts) != int(nRaw) {
-		return 0, nil, fmt.Errorf("%w: segment raw-altitude column disagrees with meta", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: partial raw-altitude column disagrees with meta", ErrCorrupt)
 	}
-	if !segmentRawAltsCanonical(p.RawAlts) {
-		return 0, nil, fmt.Errorf("%w: segment raw altitudes not in canonical order", ErrCorrupt)
-	}
-	if err := sr.closeTrailer(); err != nil {
-		return 0, nil, err
+	if !core.RawAltsCanonical(p.RawAlts) {
+		return 0, nil, fmt.Errorf("%w: partial raw altitudes not in canonical order", ErrCorrupt)
 	}
 
+	// One flat point arena, sliced per track: a single allocation for the
+	// whole body.
 	points := make([]core.TrackPoint, nPoints)
 	for i := range points {
 		points[i] = core.TrackPoint{Epoch: epochs[i], AltKm: alts[i], BStar: bstars[i], Incl: incls[i]}
@@ -215,22 +234,4 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 		off += int(de.nPoints)
 	}
 	return int(chunk), p, nil
-}
-
-// segmentRawAltsCanonical mirrors core's canonical raw-altitude order check
-// (IEEE total order, ascending) for the decoder's fail-closed validation.
-func segmentRawAltsCanonical(alts []float64) bool {
-	key := func(v float64) uint64 {
-		b := math.Float64bits(v)
-		if b>>63 == 1 {
-			return ^b
-		}
-		return b | 1<<63
-	}
-	for i := 1; i < len(alts); i++ {
-		if key(alts[i-1]) > key(alts[i]) {
-			return false
-		}
-	}
-	return true
 }

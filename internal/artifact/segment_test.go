@@ -6,12 +6,14 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"cosmicdance/internal/core"
+	"cosmicdance/internal/dst"
 )
 
 // testPartial builds a real chunk partial from the shared archive fixture —
-// the same cleaning path the chunked pipeline spills.
+// the same cleaning path the chunked pipeline stores.
 func testPartial(t testing.TB) *core.ChunkPartial {
 	t.Helper()
 	w := testWeather(t)
@@ -88,20 +90,59 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentEveryByteFlipFailsClosed corrupts each byte of a small segment
-// in turn; every flip must fail decoding with ErrCorrupt or ErrVersionSkew —
-// never a panic, never silently wrong data.
+// encodeBody frames partial p as a snapshot of kind: a segment, or a
+// dataset (a three-hour weather series, then p as its body). Writing the
+// dataset through the section helpers lets the tables below forge dataset
+// bodies EncodeDataset would never produce.
+func encodeBody(t testing.TB, kind Kind, chunk int, p *core.ChunkPartial) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := newSectionWriter(&buf, kind)
+	base := uint32(0)
+	if kind == KindDataset {
+		writeWeather(sw, dst.FromValues(time.Date(2024, 5, 10, 0, 0, 0, 0, time.UTC), []float64{-20, -150, -90}))
+		base = datasetPartialBase
+	}
+	writePartial(sw, base, chunk, p)
+	if err := sw.close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeBody decodes a snapshot of kind, segment or dataset.
+func decodeBody(kind Kind, data []byte) error {
+	if kind == KindDataset {
+		_, err := DecodeDataset(bytes.NewReader(data), core.DefaultConfig())
+		return err
+	}
+	_, _, err := DecodeSegment(bytes.NewReader(data))
+	return err
+}
+
+// bodyKinds are the snapshot kinds that carry a partial body.
+var bodyKinds = []Kind{KindSegment, KindDataset}
+
+// TestSegmentEveryByteFlipFailsClosed corrupts each byte of a small segment,
+// and of a small dataset carrying the same body, in turn; every flip must
+// fail decoding with ErrCorrupt or ErrVersionSkew — never a panic, never
+// silently wrong data.
 func TestSegmentEveryByteFlipFailsClosed(t *testing.T) {
-	enc := encodeSegmentBytes(t, 0, tinyPartial())
-	for i := range enc {
-		bad := bytes.Clone(enc)
-		bad[i] ^= 0x5a
-		_, _, err := DecodeSegment(bytes.NewReader(bad))
-		if err == nil {
-			t.Fatalf("flip at byte %d/%d decoded successfully", i, len(enc))
+	for _, kind := range bodyKinds {
+		enc := encodeBody(t, kind, 0, tinyPartial())
+		if err := decodeBody(kind, enc); err != nil {
+			t.Fatalf("%s: unflipped snapshot rejected: %v", kind, err)
 		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersionSkew) {
-			t.Fatalf("flip at byte %d: unexpected error class: %v", i, err)
+		for i := range enc {
+			bad := bytes.Clone(enc)
+			bad[i] ^= 0x5a
+			err := decodeBody(kind, bad)
+			if err == nil {
+				t.Fatalf("%s: flip at byte %d/%d decoded successfully", kind, i, len(enc))
+			}
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersionSkew) {
+				t.Fatalf("%s: flip at byte %d: unexpected error class: %v", kind, i, err)
+			}
 		}
 	}
 }
@@ -128,29 +169,38 @@ func TestSegmentTruncationFailsClosed(t *testing.T) {
 }
 
 // TestSegmentNonCanonicalRejected encodes partials that violate the
-// assembler's invariants; the decoder must refuse each one so a forged or
-// damaged segment can never smuggle a non-canonical partial into a build.
+// assembler's invariants, as segments and as dataset bodies; the decoders
+// must refuse each one so a forged or damaged snapshot can never smuggle a
+// non-canonical partial into a build.
 func TestSegmentNonCanonicalRejected(t *testing.T) {
-	cases := map[string]func(p *core.ChunkPartial){
-		"tracks out of catalog order": func(p *core.ChunkPartial) {
+	cases := []struct {
+		name   string
+		kinds  []Kind
+		chunk  int
+		mutate func(p *core.ChunkPartial)
+	}{
+		{"tracks out of catalog order", bodyKinds, 0, func(p *core.ChunkPartial) {
 			p.Tracks[0], p.Tracks[1] = p.Tracks[1], p.Tracks[0]
-		},
-		"duplicate catalog": func(p *core.ChunkPartial) {
+		}},
+		{"duplicate catalog", bodyKinds, 0, func(p *core.ChunkPartial) {
 			p.Tracks[1].Catalog = p.Tracks[0].Catalog
-		},
-		"empty track": func(p *core.ChunkPartial) {
+		}},
+		{"empty track", bodyKinds, 0, func(p *core.ChunkPartial) {
 			p.Tracks[1].Points = nil
-		},
-		"raw altitudes out of canonical order": func(p *core.ChunkPartial) {
+		}},
+		{"raw altitudes out of canonical order", bodyKinds, 0, func(p *core.ChunkPartial) {
 			p.RawAlts[0], p.RawAlts[1] = p.RawAlts[1], p.RawAlts[0]
-		},
+		}},
+		// A segment may carry any chunk index; a dataset is the one chunk 0.
+		{"chunk index not 0", []Kind{KindDataset}, 3, func(*core.ChunkPartial) {}},
 	}
-	for name, mutate := range cases {
-		p := tinyPartial()
-		mutate(p)
-		enc := encodeSegmentBytes(t, 0, p)
-		if _, _, err := DecodeSegment(bytes.NewReader(enc)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
+	for _, c := range cases {
+		for _, kind := range c.kinds {
+			p := tinyPartial()
+			c.mutate(p)
+			if err := decodeBody(kind, encodeBody(t, kind, c.chunk, p)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s %s: got %v, want ErrCorrupt", kind, c.name, err)
+			}
 		}
 	}
 }

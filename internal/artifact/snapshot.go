@@ -13,16 +13,12 @@ import (
 // --- weather (dst.Index) ---
 //
 // Sections: 0 = meta (start, length), 1 = hourly readings as a float64-bits
-// column.
+// column. A dataset snapshot opens with the same two sections.
 
 // EncodeWeather writes an hourly Dst series snapshot.
 func EncodeWeather(w io.Writer, x *dst.Index) error {
 	sw := newSectionWriter(w, KindWeather)
-	var meta recordBuf
-	meta.i64(x.Start().Unix())
-	meta.u32(uint32(x.Len()))
-	sw.section(0, meta.buf)
-	sw.section(1, packF64(x.Hourly().Values()))
+	writeWeather(sw, x)
 	return sw.close()
 }
 
@@ -32,6 +28,28 @@ func DecodeWeather(r io.Reader) (*dst.Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	x, err := readWeather(sr)
+	if err != nil {
+		return nil, err
+	}
+	if err := sr.closeTrailer(); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// writeWeather writes the two weather sections, ids 0 and 1.
+func writeWeather(sw *sectionWriter, x *dst.Index) {
+	var meta recordBuf
+	meta.i64(x.Start().Unix())
+	meta.u32(uint32(x.Len()))
+	sw.section(0, meta.buf)
+	sw.section(1, packF64(x.Hourly().Values()))
+}
+
+// readWeather reads the two weather sections writeWeather wrote, failing
+// closed on any damage.
+func readWeather(sr *sectionReader) (*dst.Index, error) {
 	meta, err := sr.section(0)
 	if err != nil {
 		return nil, err
@@ -61,9 +79,6 @@ func DecodeWeather(r io.Reader) (*dst.Index, error) {
 	}
 	if len(values) == 0 {
 		return nil, fmt.Errorf("%w: empty weather series", ErrCorrupt)
-	}
-	if err := sr.closeTrailer(); err != nil {
-		return nil, err
 	}
 	return dst.FromValues(time.Unix(startUnix, 0).UTC(), values), nil
 }
@@ -276,70 +291,23 @@ func DecodeArchive(r io.Reader) (*constellation.Result, error) {
 
 // --- dataset (core.Dataset) ---
 //
-// The snapshot is self-contained: the weather series rides along (sections
-// 1), so a decoded dataset needs nothing but the pipeline Config — which the
-// cache key pins to the one that built it.
-//
-// Sections: 0 = meta, 1 = weather readings, 2 = track directory, 3..6 = one
-// column per TrackPoint field over all tracks concatenated, 7 = raw
-// altitudes, 8 = cleaned altitudes.
+// A dataset snapshot is the weather series (sections 0–1, as in a weather
+// snapshot) followed by the whole dataset as one partial body with chunk
+// index 0 (sections 2–8, as in a segment). It is self-contained: a decoded
+// dataset needs nothing but the pipeline Config, which the cache key pins to
+// the one that built it. Decoding folds the body through the same
+// PartialAssembler every other dataset comes from, so the cleaned
+// altitudes are rederived rather than stored.
+
+// datasetPartialBase is the section id of a dataset snapshot's partial body,
+// right after the two weather sections.
+const datasetPartialBase = 2
 
 // EncodeDataset writes a built-dataset snapshot.
 func EncodeDataset(w io.Writer, d *core.Dataset) error {
 	sw := newSectionWriter(w, KindDataset)
-	st := d.State()
-	weather := d.Weather()
-
-	nPoints := 0
-	for _, tr := range st.Tracks {
-		nPoints += len(tr.Points)
-	}
-
-	var meta recordBuf
-	meta.i64(weather.Start().Unix())
-	meta.u32(uint32(weather.Len()))
-	meta.u32(uint32(len(st.Tracks)))
-	meta.i64(int64(nPoints))
-	meta.i64(int64(len(st.RawAlts)))
-	meta.i64(int64(len(st.CleanAlts)))
-	meta.i64(int64(st.Stats.TotalObservations))
-	meta.i64(int64(st.Stats.GrossErrors))
-	meta.i64(int64(st.Stats.RaisingRemoved))
-	meta.i64(int64(st.Stats.NonOperational))
-	meta.i64(int64(st.Stats.Duplicates))
-	sw.section(0, meta.buf)
-
-	sw.section(1, packF64(weather.Hourly().Values()))
-
-	var dir recordBuf
-	for _, tr := range st.Tracks {
-		dir.u32(uint32(tr.Catalog))
-		dir.u32(uint32(len(tr.Points)))
-		dir.f64(tr.OperationalAltKm)
-		dir.u32(uint32(tr.RaisingRemoved))
-	}
-	sw.section(2, dir.buf)
-
-	epochs := make([]int64, nPoints)
-	alts := make([]float32, nPoints)
-	bstars := make([]float32, nPoints)
-	incls := make([]float32, nPoints)
-	i := 0
-	for _, tr := range st.Tracks {
-		for _, pt := range tr.Points {
-			epochs[i] = pt.Epoch
-			alts[i] = pt.AltKm
-			bstars[i] = pt.BStar
-			incls[i] = pt.Incl
-			i++
-		}
-	}
-	sw.section(3, packI64(epochs))
-	sw.section(4, packF32(alts))
-	sw.section(5, packF32(bstars))
-	sw.section(6, packF32(incls))
-	sw.section(7, packF64(st.RawAlts))
-	sw.section(8, packF64(st.CleanAlts))
+	writeWeather(sw, d.Weather())
+	writePartial(sw, datasetPartialBase, 0, d.Partial())
 	return sw.close()
 }
 
@@ -351,153 +319,29 @@ func DecodeDataset(r io.Reader, cfg core.Config) (*core.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta, err := sr.section(0)
+	weather, err := readWeather(sr)
 	if err != nil {
 		return nil, err
 	}
-	p := &recordParser{buf: meta}
-	startUnix, err := p.i64()
+	chunk, p, err := readPartial(sr, datasetPartialBase)
 	if err != nil {
 		return nil, err
 	}
-	nHours, err := p.u32()
-	if err != nil {
-		return nil, err
-	}
-	nTracks, err := p.u32()
-	if err != nil {
-		return nil, err
-	}
-	var counts [3]int64 // points, raw, clean
-	for k := range counts {
-		if counts[k], err = p.i64(); err != nil {
-			return nil, err
-		}
-	}
-	var st core.DatasetState
-	var statFields [5]int64
-	for k := range statFields {
-		if statFields[k], err = p.i64(); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
-	nPoints := counts[0]
-	if nTracks > 1<<24 || nPoints < 0 || nPoints > 1<<31 || counts[1] < 0 || counts[2] < 0 {
-		return nil, fmt.Errorf("%w: dataset claims %d tracks, %d points", ErrCorrupt, nTracks, nPoints)
-	}
-	st.Stats = core.CleaningStats{
-		TotalObservations: int(statFields[0]),
-		GrossErrors:       int(statFields[1]),
-		RaisingRemoved:    int(statFields[2]),
-		NonOperational:    int(statFields[3]),
-		Duplicates:        int(statFields[4]),
-	}
-
-	weatherCol, err := sr.section(1)
-	if err != nil {
-		return nil, err
-	}
-	values, err := unpackF64(weatherCol)
-	if err != nil {
-		return nil, err
-	}
-	if len(values) != int(nHours) || len(values) == 0 {
-		return nil, fmt.Errorf("%w: dataset weather claims %d hours, column has %d", ErrCorrupt, nHours, len(values))
-	}
-	weather := dst.FromValues(time.Unix(startUnix, 0).UTC(), values)
-
-	dirPayload, err := sr.section(2)
-	if err != nil {
-		return nil, err
-	}
-	dp := &recordParser{buf: dirPayload}
-	type dirEntry struct {
-		catalog, nPoints, raisingRemoved uint32
-		opAlt                            float64
-	}
-	dir := make([]dirEntry, nTracks)
-	total := int64(0)
-	for i := range dir {
-		if dir[i].catalog, err = dp.u32(); err != nil {
-			return nil, err
-		}
-		if dir[i].nPoints, err = dp.u32(); err != nil {
-			return nil, err
-		}
-		if dir[i].opAlt, err = dp.f64(); err != nil {
-			return nil, err
-		}
-		if dir[i].raisingRemoved, err = dp.u32(); err != nil {
-			return nil, err
-		}
-		total += int64(dir[i].nPoints)
-	}
-	if err := dp.done(); err != nil {
-		return nil, err
-	}
-	if total != nPoints {
-		return nil, fmt.Errorf("%w: track directory sums to %d points, meta claims %d", ErrCorrupt, total, nPoints)
-	}
-
-	epochs, err := readI64Col(sr, 3, int(nPoints))
-	if err != nil {
-		return nil, err
-	}
-	alts, err := readF32Col(sr, 4, int(nPoints))
-	if err != nil {
-		return nil, err
-	}
-	bstars, err := readF32Col(sr, 5, int(nPoints))
-	if err != nil {
-		return nil, err
-	}
-	incls, err := readF32Col(sr, 6, int(nPoints))
-	if err != nil {
-		return nil, err
-	}
-	rawPayload, err := sr.section(7)
-	if err != nil {
-		return nil, err
-	}
-	if st.RawAlts, err = unpackF64(rawPayload); err != nil {
-		return nil, err
-	}
-	cleanPayload, err := sr.section(8)
-	if err != nil {
-		return nil, err
-	}
-	if st.CleanAlts, err = unpackF64(cleanPayload); err != nil {
-		return nil, err
-	}
-	if len(st.RawAlts) != int(counts[1]) || len(st.CleanAlts) != int(counts[2]) {
-		return nil, fmt.Errorf("%w: altitude columns disagree with meta", ErrCorrupt)
+	if chunk != 0 {
+		return nil, fmt.Errorf("%w: dataset body carries chunk index %d, want 0", ErrCorrupt, chunk)
 	}
 	if err := sr.closeTrailer(); err != nil {
 		return nil, err
 	}
-
-	// One flat point arena, sliced per track — a single allocation for the
-	// whole history, exactly like a fresh Build's per-track slices except
-	// contiguous.
-	points := make([]core.TrackPoint, nPoints)
-	for i := range points {
-		points[i] = core.TrackPoint{Epoch: epochs[i], AltKm: alts[i], BStar: bstars[i], Incl: incls[i]}
+	asm := core.NewPartialAssembler(cfg, weather)
+	if err := asm.Add(p); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	st.Tracks = make([]*core.Track, nTracks)
-	off := 0
-	for i, de := range dir {
-		st.Tracks[i] = &core.Track{
-			Catalog:          int(de.catalog),
-			Points:           points[off : off+int(de.nPoints) : off+int(de.nPoints)],
-			OperationalAltKm: de.opAlt,
-			RaisingRemoved:   int(de.raisingRemoved),
-		}
-		off += int(de.nPoints)
+	d, err := asm.Finish()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return core.DatasetFromState(cfg, weather, st)
+	return d, nil
 }
 
 // --- shared column readers ---

@@ -16,7 +16,7 @@ import (
 // Build itself is one partial fed through the same assembler, so the chunked
 // and monolithic paths share every line of cleaning logic and produce
 // identical datasets by construction. Partials are self-contained value
-// bags (no weather, no config) precisely so they can be spilled to disk via
+// bags (no weather, no config) precisely so they can be written to disk via
 // the artifact segment codec and re-read later.
 
 // ChunkPartial is one chunk's share of a dataset build: the cleaned tracks
@@ -33,9 +33,9 @@ type ChunkPartial struct {
 	Stats CleaningStats
 }
 
-// BuildChunkPartial cleans one chunk's samples into a spillable partial.
-// The samples must cover a contiguous catalog range so partials can later be
-// assembled in catalog order.
+// BuildChunkPartial cleans one chunk's samples into a partial. The samples
+// must cover a contiguous catalog range so partials can later be assembled
+// in catalog order.
 func BuildChunkPartial(ctx context.Context, cfg Config, samples []constellation.Sample) (*ChunkPartial, error) {
 	b := Builder{cfg: cfg}
 	b.AddSamples(samples)
@@ -61,7 +61,7 @@ func BuildChunkPartial(ctx context.Context, cfg Config, samples []constellation.
 // partial — the monolithic Build, which feeds one pre-sorted partial through
 // the assembler — O(n) instead of a second full sort.
 func canonicalizeRawAlts(alts []float64) {
-	if rawAltsCanonical(alts) {
+	if RawAltsCanonical(alts) {
 		return
 	}
 	keys := make([]uint64, len(alts))
@@ -132,15 +132,33 @@ func f64FromOrderKey(k uint64) float64 {
 	return math.Float64frombits(^k)
 }
 
-// rawAltsCanonical reports whether alts is in canonical order — the segment
-// decoder's cheap structural check that guarantees canonical re-encode.
-func rawAltsCanonical(alts []float64) bool {
-	for i := 1; i < len(alts); i++ {
-		if f64OrderKey(alts[i-1]) > f64OrderKey(alts[i]) {
+// RawAltsCanonical reports whether alts is in the canonical raw-altitude
+// order, ascending by IEEE-754 total order — the artifact decoders' cheap
+// structural check that guarantees canonical re-encode.
+func RawAltsCanonical(alts []float64) bool {
+	if len(alts) == 0 {
+		return true
+	}
+	// Carry the previous key: every cache load runs this check twice over
+	// the whole column (in the decoder, then in Finish).
+	prev := f64OrderKey(alts[0])
+	for _, v := range alts[1:] {
+		k := f64OrderKey(v)
+		if prev > k {
 			return false
 		}
+		prev = k
 	}
 	return true
+}
+
+// Partial returns the dataset's build state as one ChunkPartial: the tracks,
+// the raw altitudes in canonical order, and the cleaning stats. Feeding it
+// through a PartialAssembler with the same Config and weather reproduces the
+// dataset exactly, which is how the artifact codec persists a dataset. The
+// partial shares the dataset's slices; callers must not modify them.
+func (d *Dataset) Partial() *ChunkPartial {
+	return &ChunkPartial{Tracks: d.tracks, RawAlts: d.rawAlts, Stats: d.stats}
 }
 
 // PartialAssembler folds ChunkPartials, added in catalog order, into one

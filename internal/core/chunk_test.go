@@ -11,11 +11,11 @@ import (
 	"cosmicdance/internal/dst"
 )
 
-// diffDatasetState fails the test unless a and b are identical in every
-// exported field.
+// diffDatasetState fails the test unless a and b carry identical build
+// state: stats, tracks, and raw altitudes.
 func diffDatasetState(t *testing.T, label string, a, b *Dataset) {
 	t.Helper()
-	sa, sb := a.State(), b.State()
+	sa, sb := a.Partial(), b.Partial()
 	if sa.Stats != sb.Stats {
 		t.Fatalf("%s: stats differ: %+v vs %+v", label, sa.Stats, sb.Stats)
 	}
@@ -39,7 +39,6 @@ func diffDatasetState(t *testing.T, label string, a, b *Dataset) {
 		}
 	}
 	diffF64s(t, label+": rawAlts", sa.RawAlts, sb.RawAlts)
-	diffF64s(t, label+": cleanAlts", sa.CleanAlts, sb.CleanAlts)
 }
 
 func diffF64s(t *testing.T, label string, a, b []float64) {
@@ -93,7 +92,7 @@ func TestChunkedBuildEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rawAltsCanonical(p.RawAlts) {
+			if !RawAltsCanonical(p.RawAlts) {
 				t.Fatalf("chunk %d: partial rawAlts not canonical", i)
 			}
 			if err := asm.Add(p); err != nil {
@@ -173,7 +172,7 @@ func TestAssemblerEmptyCases(t *testing.T) {
 func TestCanonicalRawAltsOrder(t *testing.T) {
 	alts := []float64{550, math.NaN(), -5, 0, math.Inf(1), 120, math.Inf(-1), 40000, 550}
 	canonicalizeRawAlts(alts)
-	if !rawAltsCanonical(alts) {
+	if !RawAltsCanonical(alts) {
 		t.Fatalf("canonicalize did not produce canonical order: %v", alts)
 	}
 	for i := 1; i < len(alts); i++ {
@@ -182,10 +181,10 @@ func TestCanonicalRawAltsOrder(t *testing.T) {
 			t.Fatalf("numeric order broken at %d: %v > %v", i, a, b)
 		}
 	}
-	if !rawAltsCanonical(nil) || !rawAltsCanonical([]float64{1}) {
+	if !RawAltsCanonical(nil) || !RawAltsCanonical([]float64{1}) {
 		t.Error("trivial slices not canonical")
 	}
-	if rawAltsCanonical([]float64{2, 1}) {
+	if RawAltsCanonical([]float64{2, 1}) {
 		t.Error("descending slice reported canonical")
 	}
 }

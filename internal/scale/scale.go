@@ -42,8 +42,8 @@ const (
 )
 
 // Spec sizes a scale run. The (Sats, Days, Seed) triple fully determines the
-// report; ChunkSize, Parallelism, CacheDir and SpillDir only shape how the
-// run executes.
+// report; ChunkSize, Parallelism and CacheDir only shape how the run
+// executes.
 type Spec struct {
 	// Sats is the fleet size spread across the mega-constellation shells.
 	Sats int
@@ -59,9 +59,6 @@ type Spec struct {
 	// CacheDir, when set, attaches a persistent artifact cache so segments
 	// become incremental resume points.
 	CacheDir string
-	// SpillDir, when set (and CacheDir is not), spills segments to ephemeral
-	// files instead of holding the in-flight window in memory.
-	SpillDir string
 }
 
 // WeatherConfig returns the run's space-weather scenario: the calibrated
@@ -184,8 +181,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		RawMin: math.Inf(1), RawMax: math.Inf(-1),
 	}
 	digest := sha256.New()
-	opts := artifact.ChunkedOptions{ChunkSize: spec.ChunkSize, SpillDir: spec.SpillDir}
-	err = pipe.EachSegment(ctx, wcfg, fcfg, ccfg, opts, func(_ int, p *core.ChunkPartial) error {
+	err = pipe.EachSegment(ctx, wcfg, fcfg, ccfg, spec.ChunkSize, func(_ int, p *core.ChunkPartial) error {
 		rep.reduce(digest, ccfg, events, p)
 		return nil
 	})

@@ -29,7 +29,7 @@ func runReport(t *testing.T, spec Spec) string {
 
 // TestReportInvariantUnderExecutionShape is the harness-level equivalence
 // gate: the report must be identical across chunk sizes, worker widths, and
-// segment stores (in-memory, spill files, persistent cache).
+// segment stores (in-memory, persistent cache).
 func TestReportInvariantUnderExecutionShape(t *testing.T) {
 	ref := runReport(t, testSpec())
 	if !strings.Contains(ref, "digest ") || strings.Contains(ref, "digest \n") {
@@ -45,9 +45,6 @@ func TestReportInvariantUnderExecutionShape(t *testing.T) {
 	wide := testSpec()
 	wide.Parallelism = 8
 	variants["width-8"] = wide
-	spill := testSpec()
-	spill.SpillDir = t.TempDir()
-	variants["spill"] = spill
 	cached := testSpec()
 	cached.CacheDir = t.TempDir()
 	variants["cache"] = cached
@@ -120,7 +117,7 @@ func TestReportMatchesMaterializedDataset(t *testing.T) {
 	if rep.Onsets != len(onsets) {
 		t.Fatalf("onsets %d, dataset has %d", rep.Onsets, len(onsets))
 	}
-	raw := d.State().RawAlts
+	raw := d.Partial().RawAlts
 	if rep.RawCount != int64(len(raw)) {
 		t.Fatalf("raw count %d, dataset has %d", rep.RawCount, len(raw))
 	}

@@ -61,7 +61,7 @@ echo "bench: figures cold ${cold}s, warm ${warm}s (${speedup}x)"
 
 # Mega-constellation scale sweep: the chunked streaming pipeline end to
 # end at three fleet sizes, no cache (every chunk is simulated, cleaned,
-# encoded, spilled, and merge-read). Peak RSS must stay flat as the fleet
+# encoded, stored, and merge-read). Peak RSS must stay flat as the fleet
 # grows — that is the scale-out claim, and benchdiff gates on it.
 scalebin="$(mktemp -t cosmicdance-bench-scale.XXXXXX)"
 scalejson=""

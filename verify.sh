@@ -22,8 +22,9 @@
 #      COSMICDANCE_OBS=off run (the short tier smoke-runs the serving
 #      quartet; the long tier enforces the bound),
 #   8. the chunk-equivalence gate: a 30k-satellite chunked run must print
-#      byte-identical reports at two different chunk sizes (the scale-out
-#      refactor may not change a single output bit),
+#      byte-identical reports at two different chunk sizes and through the
+#      disk cache (the scale-out refactor may not change a single output
+#      bit),
 #   9. the flat-RSS gate: a 100k-satellite run must peak under 128 MiB of
 #      resident memory — the streaming pipeline holds O(chunk), not
 #      O(fleet),
@@ -103,15 +104,22 @@ if [ -z "$SHORT" ]; then
     echo "== telemetry overhead gate (<= 2% on the hot paths)"
     ./scripts/obs_overhead.sh
 
-    echo "== chunk equivalence at 30k satellites (chunk 4096 vs 2048, byte-identical)"
+    echo "== chunk equivalence at 30k satellites (chunk 4096 vs 2048 vs 4096 through a cache, byte-identical)"
     scale_a="$(mktemp -t cosmicdance-scale-a.XXXXXX)"
     scale_b="$(mktemp -t cosmicdance-scale-b.XXXXXX)"
+    scale_c="$(mktemp -t cosmicdance-scale-c.XXXXXX)"
+    scale_cache="$(mktemp -d -t cosmicdance-scale-cache.XXXXXX)"
     scale_rss="$(mktemp -t cosmicdance-scale-rss.XXXXXX)"
-    trap 'rm -rf "$cachedir" "$cold" "$warm" "$load_a" "$load_b" "$scale_a" "$scale_b" "$scale_rss"' EXIT
+    trap 'rm -rf "$cachedir" "$cold" "$warm" "$load_a" "$load_b" "$scale_a" "$scale_b" "$scale_c" "$scale_cache" "$scale_rss"' EXIT
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 4096 > "$scale_a" 2> /dev/null
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 2048 > "$scale_b" 2> /dev/null
+    go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 4096 -cache "$scale_cache" > "$scale_c" 2> /dev/null
     cmp "$scale_a" "$scale_b" || {
         echo "verify: 30k scale reports differ between chunk sizes 4096 and 2048" >&2
+        exit 1
+    }
+    cmp "$scale_a" "$scale_c" || {
+        echo "verify: 30k scale report through the cache differs from the in-memory run" >&2
         exit 1
     }
 
