@@ -44,8 +44,8 @@ func analyzeDataset(t testing.TB, d *core.Dataset) pipelineRun {
 // fleet streamed through the chunked pipeline produces a dataset,
 // deviation list, and decay-onset set byte-identical to the monolithic
 // materialize-everything path — at every (chunk size × worker width × seed)
-// combination, through both the in-memory segment store and a disk round
-// trip through a fresh cache.
+// combination, without a cache and through a fresh cache, cold and then
+// warm.
 func TestChunkEquivalenceMatrix(t *testing.T) {
 	for _, seed := range []int64{7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -77,36 +77,40 @@ func TestChunkEquivalenceMatrix(t *testing.T) {
 
 			for _, chunkSize := range []int{1024, 4096, 16384} {
 				for wi, width := range []int{1, 4, 8} {
-					name := fmt.Sprintf("chunk=%d width=%d", chunkSize, width)
 					pipe := artifact.NewPipeline(nil)
+					passes := []string{"no cache"}
 					if wi%2 == 1 {
-						// Alternate the segment store so the matrix also diffs
-						// in-memory execution against segments written to and
-						// read back from disk.
+						// Every other width runs twice through a fresh cache:
+						// the cold pass decodes the segments it has just built,
+						// and only the warm pass reads them back from disk.
 						cache, err := artifact.Open(t.TempDir())
 						if err != nil {
 							t.Fatal(err)
 						}
 						pipe = artifact.NewPipeline(cache)
+						passes = []string{"cold cache", "warm cache"}
 					}
 					fcfg := scale.FleetConfig(spec)
 					fcfg.Parallelism = width
-					d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					got := chunkMatrixRun{analyzeDataset(t, d), encodeDataset(t, d)}
-					if msg := testkit.DiffDatasets(ref.dataset, got.dataset); msg != "" {
-						t.Errorf("%s: dataset diverged: %s", name, msg)
-					}
-					if msg := testkit.DiffDeviations(ref.devs, got.devs); msg != "" {
-						t.Errorf("%s: deviations diverged: %s", name, msg)
-					}
-					if msg := diffOnsets(ref.onsets, got.onsets); msg != "" {
-						t.Errorf("%s: decay onsets diverged: %s", name, msg)
-					}
-					if !bytes.Equal(ref.encoded, got.encoded) {
-						t.Errorf("%s: encoded dataset is not byte-identical to the unchunked build", name)
+					for _, pass := range passes {
+						name := fmt.Sprintf("chunk=%d width=%d %s", chunkSize, width, pass)
+						d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						got := chunkMatrixRun{analyzeDataset(t, d), encodeDataset(t, d)}
+						if msg := testkit.DiffDatasets(ref.dataset, got.dataset); msg != "" {
+							t.Errorf("%s: dataset diverged: %s", name, msg)
+						}
+						if msg := testkit.DiffDeviations(ref.devs, got.devs); msg != "" {
+							t.Errorf("%s: deviations diverged: %s", name, msg)
+						}
+						if msg := diffOnsets(ref.onsets, got.onsets); msg != "" {
+							t.Errorf("%s: decay onsets diverged: %s", name, msg)
+						}
+						if !bytes.Equal(ref.encoded, got.encoded) {
+							t.Errorf("%s: encoded dataset is not byte-identical to the unchunked build", name)
+						}
 					}
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"io"
 	"os"
-	"sync"
 
 	"cosmicdance/internal/constellation"
 	"cosmicdance/internal/core"
@@ -16,13 +15,12 @@ import (
 
 // The chunked pipeline streams a fleet through the dataset build one
 // satellite chunk at a time: simulate chunk → clean into a partial → encode
-// as a segment → store → merge-read in catalog order. Peak memory is
-// O(chunk × workers) above the final product, not O(fleet), which is what
-// lets a 100k-satellite run fit the same box as a 6k one. Without a disk
-// cache the segments wait in memory for the consumer; with one they are
-// written to the cache and double as incremental cache entries: a rerun
-// skips straight past every chunk whose segment is already present, and an
-// input change re-keys (and therefore rebuilds) every segment at once.
+// as a segment → decode in catalog order. Peak memory is O(chunk × workers)
+// above the final product, not O(fleet), which is what lets a
+// 100k-satellite run fit the same box as a 6k one. With a disk cache the
+// segments double as incremental cache entries: a rerun skips straight past
+// every chunk whose segment is already present, and an input change re-keys
+// (and therefore rebuilds) every segment at once.
 
 // metricSegmentBuilds counts segments actually built (cache hits excluded) —
 // the observable that proves incremental resume in tests and traces.
@@ -33,110 +31,19 @@ var metricSegmentBuilds = obs.Default().Counter("artifact_segment_builds_total")
 // archive and partial stay a few megabytes.
 const DefaultChunkSize = 4096
 
-// segmentStore is where encoded segments live between the produce and
-// consume ends of the stream. Implementations must support concurrent put
-// (workers) against get/evict/done (the consumer); distinct indices never
-// alias.
-type segmentStore interface {
-	// has reports whether index i is already present (an incremental-resume
-	// hit). Stores that cannot trust prior contents return false.
-	has(i int) bool
-	// put stores index i's encoded segment.
-	put(i int, blob []byte) error
-	// get returns index i's encoded segment, if present.
-	get(i int) ([]byte, bool)
-	// evict drops a damaged entry so it cannot be served again.
-	evict(i int)
-	// done releases index i after successful consumption (the memory store
-	// frees the bytes; the cache keeps them for the next run).
-	done(i int)
-}
-
-// cacheStore keeps segments as fingerprint-keyed entries in the disk cache —
-// the persistent store that makes chunked runs incrementally resumable.
-type cacheStore struct {
-	cache *Cache
-	fps   []Fingerprint
-}
-
-func (s *cacheStore) path(i int) string { return s.cache.Path(KindSegment, s.fps[i]) }
-
-func (s *cacheStore) has(i int) bool {
-	_, err := os.Stat(s.path(i))
-	return err == nil
-}
-
-func (s *cacheStore) put(i int, blob []byte) error {
-	return s.cache.store(KindSegment, s.fps[i], func(w io.Writer) error {
-		_, err := w.Write(blob)
-		return err
-	})
-}
-
-func (s *cacheStore) get(i int) ([]byte, bool) {
-	blob, err := os.ReadFile(s.path(i))
-	if err != nil {
-		countKind(metricMisses, KindSegment)
-		return nil, false
-	}
-	metricBytesRead.Add(int64(len(blob)))
-	countKind(metricHits, KindSegment)
-	return blob, true
-}
-
-func (s *cacheStore) evict(i int) {
-	_ = os.Remove(s.path(i))
-	countKind(metricEvictions, KindSegment)
-}
-
-func (s *cacheStore) done(int) {}
-
-// memStore holds in-flight segments in memory. The consumer trails the
-// producers by at most the worker window and done frees each entry, so the
-// store never holds more than O(workers) segments.
-type memStore struct {
-	mu    sync.Mutex
-	blobs map[int][]byte
-}
-
-func newMemStore() *memStore { return &memStore{blobs: make(map[int][]byte)} }
-
-func (s *memStore) has(int) bool { return false }
-
-func (s *memStore) put(i int, blob []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs[i] = blob
-	return nil
-}
-
-func (s *memStore) get(i int) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	blob, ok := s.blobs[i]
-	return blob, ok
-}
-
-func (s *memStore) evict(i int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.blobs, i)
-}
-
-func (s *memStore) done(i int) { s.evict(i) }
-
 // EachSegment runs the chunked streaming pipeline and hands every chunk's
 // partial to consume in chunk (catalog) order. chunkSize is the
 // satellites-per-chunk partition (DefaultChunkSize when ≤ 0). Producers fan
-// out across fleetCfg.Parallelism workers; each chunk is simulated, cleaned,
-// encoded, and stored, then decoded back on the consuming side — the encoded
-// bytes are the hand-off, so the segment codec is exercised on every chunk
-// of every run, and the cache (when the pipeline has one) turns completed
-// chunks into resume points. A damaged or unwritable segment degrades to an
-// inline rebuild: corruption can cost time, never correctness.
+// out across fleetCfg.Parallelism workers; each returns its chunk's encoded
+// segment — read from the cache on a hit, otherwise simulated, cleaned,
+// encoded and (with a cache) stored — and the consumer decodes it. The
+// encoded bytes are the hand-off, so the segment codec is exercised on every
+// chunk of every run, and the cache turns completed chunks into resume
+// points. A damaged cache entry is evicted and rebuilt inline, and a failed
+// store is only a warning: corruption can cost time, never correctness.
 //
-// The output stream is invariant under chunkSize, Parallelism, and store
-// (memory or cache) — the chunk-equivalence suites prove all three.
+// The output stream is invariant under chunkSize, Parallelism, and the
+// cache — the chunk-equivalence suites prove all three.
 func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config, coreCfg core.Config, chunkSize int, consume func(chunk int, part *core.ChunkPartial) error) error {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
@@ -151,15 +58,14 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 	}
 	n := plan.NumChunks()
 
-	var store segmentStore = newMemStore()
+	var fps []Fingerprint
 	if p.cache != nil {
 		datasetFP := FingerprintDataset(FingerprintFleet(FingerprintWeather(weatherCfg), fleetCfg), coreCfg)
-		fps := make([]Fingerprint, n)
+		fps = make([]Fingerprint, n)
 		for i := range fps {
 			lo, hi := plan.ChunkBounds(i)
 			fps[i] = FingerprintSegment(datasetFP, i, lo, hi)
 		}
-		store = &cacheStore{cache: p.cache, fps: fps}
 	}
 
 	// Each chunk is cleaned sequentially; the parallelism budget is spent
@@ -167,6 +73,9 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 	chunkCfg := coreCfg
 	chunkCfg.Parallelism = 1
 
+	// build simulates, cleans and encodes chunk i, storing the segment when
+	// there is a cache. A failed store is a warning, not a failure: the
+	// bytes are in hand, and the next run rebuilds the chunk.
 	build := func(i int) ([]byte, error) {
 		res, err := plan.RunChunk(ctx, i, weather)
 		if err != nil {
@@ -181,51 +90,46 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 		if err := EncodeSegment(&buf, i, part); err != nil {
 			return nil, err
 		}
+		if p.cache != nil {
+			p.warn(p.cache.store(KindSegment, fps[i], func(w io.Writer) error {
+				_, err := w.Write(buf.Bytes())
+				return err
+			}))
+		}
 		return buf.Bytes(), nil
 	}
 
-	produce := func(i int) (struct{}, error) {
-		if store.has(i) {
-			return struct{}{}, nil // incremental resume: segment already cached
+	// The producer decides hit or miss: a segment read from the cache is a
+	// hit, one it has to build is a miss.
+	produce := func(i int) ([]byte, error) {
+		if p.cache != nil {
+			if blob, err := os.ReadFile(p.cache.Path(KindSegment, fps[i])); err == nil {
+				metricBytesRead.Add(int64(len(blob)))
+				countKind(metricHits, KindSegment)
+				return blob, nil
+			}
+			countKind(metricMisses, KindSegment)
 		}
-		blob, err := build(i)
-		if err != nil {
-			return struct{}{}, err
-		}
-		if err := store.put(i, blob); err != nil {
-			// A failed store is a warning, not a failure: the consumer
-			// rebuilds on miss.
-			p.warn(err)
-		}
-		return struct{}{}, nil
+		return build(i)
 	}
 
-	consumeSeg := func(i int, _ struct{}) error {
-		var part *core.ChunkPartial
-		if blob, ok := store.get(i); ok {
-			chunk, decoded, err := DecodeSegment(bytes.NewReader(blob))
-			if err == nil && chunk == i {
-				part = decoded
-			} else {
-				store.evict(i) // damaged or mislabeled: never serve it again
+	consumeSeg := func(i int, blob []byte) error {
+		chunk, part, err := DecodeSegment(bytes.NewReader(blob))
+		if err != nil || chunk != i {
+			// A damaged or mislabeled cache entry: never serve it again, and
+			// rebuild inline. The rebuilt bytes still go through the codec so
+			// every consumed partial took the same decode path.
+			if p.cache != nil {
+				_ = os.Remove(p.cache.Path(KindSegment, fps[i]))
+				countKind(metricEvictions, KindSegment)
 			}
-		}
-		if part == nil {
-			// Miss (store failed) or damage (evicted above): rebuild inline.
-			// The rebuilt bytes still round-trip through the codec so every
-			// consumed partial took the same decode path.
-			blob, err := build(i)
-			if err != nil {
+			if blob, err = build(i); err != nil {
 				return err
 			}
 			if _, part, err = DecodeSegment(bytes.NewReader(blob)); err != nil {
 				return err
 			}
-			if err := store.put(i, blob); err != nil {
-				p.warn(err)
-			}
 		}
-		store.done(i)
 		return consume(i, part)
 	}
 

@@ -90,9 +90,10 @@ func TestEachSegmentOrdered(t *testing.T) {
 	}
 }
 
-// TestChunkedIncrementalResume proves segment-level caching: a second run
-// over a warm cache builds zero segments, and a run missing exactly one
-// segment rebuilds exactly one.
+// TestChunkedIncrementalResume proves segment-level caching: a cold run
+// misses (and builds) every segment, a second run over the warm cache hits
+// every segment and builds none, and a run missing exactly one segment
+// misses and rebuilds exactly one.
 func TestChunkedIncrementalResume(t *testing.T) {
 	cache, err := Open(t.TempDir())
 	if err != nil {
@@ -102,63 +103,60 @@ func TestChunkedIncrementalResume(t *testing.T) {
 	fcfg := testFleetCfg()
 	const chunkSize = 3
 
-	run := func() []byte {
+	// run builds the dataset and reports the segments it built, hit and
+	// missed.
+	run := func() (out []byte, built, hits, misses int64) {
+		b0, h0, m0 := metricSegmentBuilds.Value(), metricHits[KindSegment].Value(), metricMisses[KindSegment].Value()
 		pipe := NewPipeline(cache)
 		pipe.Log = failLogger(t)
 		d, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return encodeDatasetBytes(t, d)
+		return encodeDatasetBytes(t, d), metricSegmentBuilds.Value() - b0,
+			metricHits[KindSegment].Value() - h0, metricMisses[KindSegment].Value() - m0
 	}
 
-	before := metricSegmentBuilds.Value()
-	cold := run()
-	built := metricSegmentBuilds.Value() - before
-	if built == 0 {
+	cold, n, hits, misses := run()
+	if n == 0 {
 		t.Fatal("cold run built no segments")
+	}
+	if hits != 0 || misses != n {
+		t.Fatalf("cold run: %d hits, %d misses, want 0 and %d", hits, misses, n)
 	}
 	segs, err := filepath.Glob(filepath.Join(cache.Dir(), "segment-*.cda"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(segs)) != built {
-		t.Fatalf("%d segment files for %d builds", len(segs), built)
+	if int64(len(segs)) != n {
+		t.Fatalf("%d segment files for %d builds", len(segs), n)
 	}
 
 	// Warm: every segment is a cache hit, nothing rebuilds.
-	before = metricSegmentBuilds.Value()
-	warm := run()
-	if n := metricSegmentBuilds.Value() - before; n != 0 {
-		t.Fatalf("warm run rebuilt %d segments", n)
+	warm, built, hits, misses := run()
+	if built != 0 || hits != n || misses != 0 {
+		t.Fatalf("warm run: %d built, %d hits, %d misses, want 0, %d, 0", built, hits, misses, n)
 	}
 	if !bytes.Equal(warm, cold) {
 		t.Fatal("warm chunked dataset differs from cold")
 	}
 
-	// Drop one segment: exactly one rebuild, same bytes.
+	// Drop one segment: exactly one miss and one rebuild, same bytes.
 	if err := os.Remove(segs[len(segs)/2]); err != nil {
 		t.Fatal(err)
 	}
-	before = metricSegmentBuilds.Value()
-	resumed := run()
-	if n := metricSegmentBuilds.Value() - before; n != 1 {
-		t.Fatalf("resume rebuilt %d segments, want 1", n)
+	resumed, built, hits, misses := run()
+	if built != 1 || hits != n-1 || misses != 1 {
+		t.Fatalf("resume: %d built, %d hits, %d misses, want 1, %d, 1", built, hits, misses, n-1)
 	}
 	if !bytes.Equal(resumed, cold) {
 		t.Fatal("resumed chunked dataset differs from cold")
 	}
 
 	// A config change re-keys every segment: full rebuild, no stale reuse.
-	before = metricSegmentBuilds.Value()
 	fcfg.Seed++
-	pipe := NewPipeline(cache)
-	pipe.Log = failLogger(t)
-	if _, err := pipe.ChunkedDataset(context.Background(), wcfg, fcfg, ccfg, chunkSize); err != nil {
-		t.Fatal(err)
-	}
-	if n := metricSegmentBuilds.Value() - before; n != built {
-		t.Fatalf("re-seeded run rebuilt %d segments, want %d", n, built)
+	if _, built, hits, _ := run(); built != n || hits != 0 {
+		t.Fatalf("re-seeded run: %d built, %d hits, want %d and 0", built, hits, n)
 	}
 }
 

@@ -3,138 +3,58 @@ package constellation
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"cosmicdance/internal/dst"
-	"cosmicdance/internal/parallel"
-	"cosmicdance/internal/units"
 )
 
 // Chunked execution slices a fleet into fixed-size satellite chunks and
 // simulates each chunk independently, so a 100k-satellite run never has to
-// hold the whole fleet (or its archive) in memory at once. The partition is
-// sound because the simulator was built for it: every satellite draws from
-// its own splitmix64 child stream keyed by catalog number, stepSat touches
-// only its own satellite, and the archive's sample order within an hour is
-// creation order — so a chunk, which owns a contiguous catalog range, can be
-// simulated alone and its hourly emissions spliced back in chunk order to
-// reproduce Run's output byte for byte. RunChunked proves that claim; the
-// streaming dataset build in internal/artifact consumes chunks one at a time
-// without ever merging the archives.
-
-// rosterEntry pins down one satellite's creation: which helper creates it,
-// at which processing hour, and with which resolved batch parameters. The
-// roster is the run's creation schedule flattened to per-satellite rows in
-// catalog order, which is what makes an arbitrary contiguous slice of it
-// independently simulable.
-type rosterEntry struct {
-	initial     bool
-	initialIdx  int     // global initial-fleet ordinal (fixes the shell)
-	shellIdx    int     // resolved launch shell (launched sats only)
-	launchHour  int     // processing hour; -1 for initial-fleet sats
-	stagingAlt  float64 // resolved staging altitude (launched sats only)
-	stagingDays float64
-}
+// hold the whole fleet (or its archive) in memory at once. A chunk is Run
+// restricted to a contiguous catalog window: the same hourly driver walks
+// the same creation schedule but creates only the window's satellites. The
+// partition is sound because every satellite draws from its own splitmix64
+// child stream keyed by catalog number, stepSat touches only its own
+// satellite, and the archive's sample order within an hour is creation
+// order — so splicing chunk archives back hour by hour in chunk order
+// reproduces Run's output byte for byte. The streaming dataset build in
+// internal/artifact consumes chunks one at a time without ever merging the
+// archives.
 
 // ChunkPlan is a fleet's creation schedule partitioned into fixed-size
-// chunks. Plans are immutable after construction; RunChunk may be called
-// for different chunks concurrently.
+// catalog windows. Plans are immutable after construction; RunChunk may be
+// called for different chunks concurrently.
 type ChunkPlan struct {
-	cfg       Config
-	start     time.Time
-	roster    []rosterEntry
-	scripts   map[int][]ScriptedEvent
+	*schedule
 	chunkSize int
-	firstCat  int
 }
 
-// PlanChunks validates cfg and flattens its launch schedule into a
-// chunk-partitioned roster. chunkSize is the number of satellites per chunk
-// (the last chunk may be short).
+// PlanChunks validates cfg and partitions the satellites its run creates
+// into chunks of chunkSize (the last chunk may be short).
 func PlanChunks(cfg Config, chunkSize int) (*ChunkPlan, error) {
-	if err := validateConfig(cfg); err != nil {
+	sc, err := newSchedule(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if chunkSize <= 0 {
 		return nil, fmt.Errorf("constellation: chunk size must be positive, got %d", chunkSize)
 	}
-	start := cfg.Start.UTC().Truncate(time.Hour)
-
-	launches := append([]Launch(nil), cfg.Launches...)
-	slices.SortStableFunc(launches, func(a, b Launch) int { return a.At.Compare(b.At) })
-
-	scripts := make(map[int][]ScriptedEvent)
-	for _, ev := range cfg.Scripted {
-		scripts[ev.Catalog] = append(scripts[ev.Catalog], ev)
-	}
-	for _, evs := range scripts {
-		slices.SortStableFunc(evs, func(a, b ScriptedEvent) int { return a.At.Compare(b.At) })
-	}
-
-	//cosmiclint:allow fleetalloc the roster is O(fleet) by design: one small value entry per satellite, built once per plan and shared by every chunk
-	roster := make([]rosterEntry, 0, cfg.InitialFleet)
-	for i := 0; i < cfg.InitialFleet; i++ {
-		roster = append(roster, rosterEntry{initial: true, initialIdx: i, launchHour: -1})
-	}
-	for _, l := range launches {
-		h := launchHourFor(start, l.At)
-		if h >= cfg.Hours {
-			// Run's hourly loop never reaches this launch: it creates no
-			// satellites and consumes no catalog numbers. Launches are sorted
-			// by At, so every later launch is excluded too — exclusions form
-			// a suffix and catalog numbers stay contiguous.
-			break
-		}
-		shellIdx, stagingAlt, stagingDays := resolveLaunch(&cfg, l)
-		for i := 0; i < l.Count; i++ {
-			roster = append(roster, rosterEntry{
-				shellIdx: shellIdx, launchHour: h,
-				stagingAlt: stagingAlt, stagingDays: stagingDays,
-			})
-		}
-	}
-
-	firstCat := cfg.FirstCatalog
-	if firstCat == 0 {
-		firstCat = 44713
-	}
-	return &ChunkPlan{
-		cfg: cfg, start: start, roster: roster,
-		scripts: scripts, chunkSize: chunkSize, firstCat: firstCat,
-	}, nil
-}
-
-// launchHourFor returns the hourly step at which Run processes a launch
-// scheduled at `at`: the smallest h ≥ 0 with start+h·hour ≥ at (launches are
-// handled at the top of each hourly step, before the physics).
-func launchHourFor(start, at time.Time) int {
-	if !at.After(start) {
-		return 0
-	}
-	d := at.Sub(start)
-	h := int(d / time.Hour)
-	if start.Add(time.Duration(h) * time.Hour).Before(at) {
-		h++
-	}
-	return h
+	return &ChunkPlan{schedule: sc, chunkSize: chunkSize}, nil
 }
 
 // TotalSats returns the number of satellites the run will ever create.
-func (p *ChunkPlan) TotalSats() int { return len(p.roster) }
+func (p *ChunkPlan) TotalSats() int { return p.total }
 
-// NumChunks returns the number of chunks the roster partitions into.
+// NumChunks returns the number of chunks the fleet partitions into.
 func (p *ChunkPlan) NumChunks() int {
-	return (len(p.roster) + p.chunkSize - 1) / p.chunkSize
+	return (p.total + p.chunkSize - 1) / p.chunkSize
 }
 
-// ChunkBounds returns the half-open roster range [lo, hi) chunk i covers.
+// ChunkBounds returns the half-open creation-order range [lo, hi) chunk i
+// covers: catalogs [firstCat+lo, firstCat+hi).
 func (p *ChunkPlan) ChunkBounds(i int) (lo, hi int) {
 	lo = i * p.chunkSize
-	hi = lo + p.chunkSize
-	if hi > len(p.roster) {
-		hi = len(p.roster)
-	}
+	hi = min(lo+p.chunkSize, p.total)
 	return lo, hi
 }
 
@@ -143,107 +63,13 @@ func (p *ChunkPlan) Start() time.Time { return p.start }
 
 // RunChunk simulates chunk i alone and returns its slice of the archive:
 // the satellites with catalogs [firstCat+lo, firstCat+hi) and exactly the
-// samples they would emit in the full run, in the full run's relative order.
+// samples they emit in the full run, in the full run's relative order.
 // Safe to call concurrently for distinct chunks.
 func (p *ChunkPlan) RunChunk(ctx context.Context, chunk int, weather *dst.Index) (*Result, error) {
 	if chunk < 0 || chunk >= p.NumChunks() {
 		return nil, fmt.Errorf("constellation: chunk %d out of range [0, %d)", chunk, p.NumChunks())
 	}
 	lo, hi := p.ChunkBounds(chunk)
-	st := &simState{
-		cfg:     p.cfg,
-		pool:    parallel.NewRunner(1), // parallelism lives at the chunk level
-		start:   p.start,
-		scripts: p.scripts,
-		result:  &Result{Start: p.start, Hours: p.cfg.Hours},
-	}
-	defer st.pool.Flush()
-	st.nextCatalog = p.firstCat + lo
-	st.stepFn = func(i int) error {
-		st.stepSat(st.sats[i], st.stepNow, st.stepD, st.stepStorm, st.stepDuck, st.stepIntensity)
-		return nil
-	}
-
-	// Initial-fleet entries precede all launched entries in roster order, so
-	// the catalog counter stays aligned with the global sequence.
-	cursor := lo
-	for cursor < hi && p.roster[cursor].initial {
-		st.seedInitialSat(p.roster[cursor].initialIdx)
-		cursor++
-	}
-	for h := 0; h < p.cfg.Hours; h++ {
-		now := p.start.Add(time.Duration(h) * time.Hour)
-		d := units.NanoTesla(-10) // quiet default outside the index
-		if v, ok := weather.At(now); ok {
-			d = v
-		}
-		for cursor < hi && p.roster[cursor].launchHour == h {
-			e := p.roster[cursor]
-			st.launchSat(e.shellIdx, e.stagingAlt, e.stagingDays, now)
-			cursor++
-		}
-		if err := st.step(ctx, now, d); err != nil {
-			return nil, fmt.Errorf("constellation: chunk %d step at %s: %w", chunk, now.Format(time.RFC3339), err)
-		}
-	}
-	st.finalize()
-	return st.result, nil
-}
-
-// RunChunked is Run decomposed into chunks of chunkSize satellites fanned
-// out across cfg.Parallelism workers, with the per-chunk archives merged
-// back into one Result. The output is byte-identical to Run(cfg, weather)
-// at every (chunkSize, Parallelism) combination — that equivalence is the
-// contract the chunked streaming pipeline rests on, and the test matrix in
-// chunk_test.go enforces it.
-func RunChunked(ctx context.Context, cfg Config, weather *dst.Index, chunkSize int) (*Result, error) {
-	plan, err := PlanChunks(cfg, chunkSize)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.NumChunks()
-	results := make([]*Result, 0, n)
-	err = parallel.Stream(ctx, cfg.Parallelism, n,
-		func(i int) (*Result, error) { return plan.RunChunk(ctx, i, weather) },
-		func(i int, r *Result) error { results = append(results, r); return nil })
-	if err != nil {
-		return nil, err
-	}
-	out := plan.merge(results)
-	metricSimRuns.Inc()
-	metricSimSats.Add(int64(len(out.Sats)))
-	metricSimSamples.Add(int64(len(out.Samples)))
-	return out, nil
-}
-
-// merge splices per-chunk archives back into Run's global layout. Within an
-// hour Run emits samples in creation (catalog) order; each chunk owns a
-// contiguous catalog range, so walking the hours and draining each chunk's
-// samples for that hour in chunk order reproduces the global order exactly.
-func (p *ChunkPlan) merge(results []*Result) *Result {
-	out := &Result{Start: p.start, Hours: p.cfg.Hours}
-	nSats, nSamples := 0, 0
-	for _, r := range results {
-		nSats += len(r.Sats)
-		nSamples += len(r.Samples)
-	}
-	//cosmiclint:allow fleetalloc merge materializes the whole-fleet Result by contract (byte-identical to Run); the streaming pipeline bypasses merge entirely
-	out.Sats = make([]SatInfo, 0, nSats)
-	if nSamples > 0 {
-		out.Samples = make([]Sample, 0, nSamples)
-	}
-	ptr := make([]int, len(results))
-	for h := 0; h < p.cfg.Hours; h++ {
-		epoch := p.start.Add(time.Duration(h) * time.Hour).Unix()
-		for c, r := range results {
-			for ptr[c] < len(r.Samples) && r.Samples[ptr[c]].Epoch == epoch {
-				out.Samples = append(out.Samples, r.Samples[ptr[c]])
-				ptr[c]++
-			}
-		}
-	}
-	for _, r := range results {
-		out.Sats = append(out.Sats, r.Sats...)
-	}
-	return out
+	// Parallelism lives at the chunk level: a chunk steps on one worker.
+	return p.simulate(ctx, weather, lo, hi, 1)
 }

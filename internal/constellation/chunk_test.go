@@ -3,9 +3,11 @@ package constellation
 import (
 	"context"
 	"errors"
-	"runtime"
+	"fmt"
 	"testing"
 	"time"
+
+	"cosmicdance/internal/dst"
 )
 
 // diffResults fails the test unless a and b are identical field for field.
@@ -29,6 +31,47 @@ func diffResults(t *testing.T, label string, a, b *Result) {
 		if a.Samples[i] != b.Samples[i] {
 			t.Fatalf("%s: sample %d differs:\n  %+v\n  %+v", label, i, a.Samples[i], b.Samples[i])
 		}
+	}
+}
+
+// restrict cuts r down to the satellites with catalogs in [lo, hi) and
+// their samples, keeping r's order: what a chunk over that window returns.
+func restrict(r *Result, lo, hi int) *Result {
+	out := &Result{Start: r.Start, Hours: r.Hours}
+	for _, s := range r.Sats {
+		if s.Catalog >= lo && s.Catalog < hi {
+			out.Sats = append(out.Sats, s)
+		}
+	}
+	for _, s := range r.Samples {
+		if int(s.Catalog) >= lo && int(s.Catalog) < hi {
+			out.Samples = append(out.Samples, s)
+		}
+	}
+	return out
+}
+
+// diffChunks runs every chunk of cfg at chunkSize and fails the test unless
+// each equals want (Run's result) restricted to the chunk's catalog window
+// and the chunks together create exactly want's satellites.
+func diffChunks(t *testing.T, label string, cfg Config, weather *dst.Index, chunkSize int, want *Result) {
+	t.Helper()
+	plan, err := PlanChunks(cfg, chunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := 0
+	for i := 0; i < plan.NumChunks(); i++ {
+		got, err := plan.RunChunk(context.Background(), i, weather)
+		if err != nil {
+			t.Fatalf("%s chunk %d of size %d: %v", label, i, chunkSize, err)
+		}
+		lo, hi := plan.ChunkBounds(i)
+		diffResults(t, fmt.Sprintf("%s chunk %d of size %d", label, i, chunkSize), restrict(want, plan.firstCat+lo, plan.firstCat+hi), got)
+		created += len(got.Sats)
+	}
+	if created != len(want.Sats) {
+		t.Fatalf("%s chunk size %d: chunks created %d satellites, Run %d", label, chunkSize, created, len(want.Sats))
 	}
 }
 
@@ -65,8 +108,8 @@ func chunkTestConfig(seed int64, hours int) Config {
 }
 
 // TestRunChunkedEquivalence is the core partition-soundness proof: for every
-// chunk size, RunChunked reproduces Run exactly, samples and ground truth
-// both.
+// chunk size, each chunk reproduces Run restricted to its catalog window
+// exactly, samples and ground truth both.
 func TestRunChunkedEquivalence(t *testing.T) {
 	hours := 24 * 20
 	weather := stormIndex(hours, 24*10, -250)
@@ -77,33 +120,8 @@ func TestRunChunkedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, chunkSize := range []int{1, 7, 16, 37, 64, 1000} {
-			got, err := RunChunked(context.Background(), cfg, weather, chunkSize)
-			if err != nil {
-				t.Fatalf("seed %d chunk %d: %v", seed, chunkSize, err)
-			}
-			diffResults(t, "chunked", want, got)
+			diffChunks(t, fmt.Sprintf("seed %d", seed), cfg, weather, chunkSize, want)
 		}
-	}
-}
-
-// TestRunChunkedWidthInvariance proves the worker width cannot reach the
-// merged output.
-func TestRunChunkedWidthInvariance(t *testing.T) {
-	hours := 24 * 10
-	weather := quietIndex(hours)
-	cfg := chunkTestConfig(42, hours)
-	var want *Result
-	for _, workers := range []int{1, 4, 8} {
-		cfg.Parallelism = workers
-		got, err := RunChunked(context.Background(), cfg, weather, 16)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		diffResults(t, "width", want, got)
 	}
 }
 
@@ -119,16 +137,13 @@ func TestRunChunkedResearchFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, chunkSize := range []int{13, 50} {
-		got, err := RunChunked(context.Background(), cfg, weather, chunkSize)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunkSize, err)
-		}
-		diffResults(t, "research", want, got)
+		diffChunks(t, "research", cfg, weather, chunkSize, want)
 	}
 }
 
-// TestPlanChunksRoster checks the plan's accounting: catalog contiguity,
-// bounds arithmetic, and exclusion of never-processed launches.
+// TestPlanChunksRoster checks the plan's accounting of the satellites the
+// run creates: catalog contiguity, bounds arithmetic, and exclusion of
+// never-processed launches.
 func TestPlanChunksRoster(t *testing.T) {
 	cfg := chunkTestConfig(1, 24*20)
 	plan, err := PlanChunks(cfg, 16)
@@ -159,7 +174,7 @@ func TestPlanChunksRoster(t *testing.T) {
 	}
 }
 
-// TestPlanChunksValidation covers the error paths.
+// TestPlanChunksValidation covers the error paths, cancellation included.
 func TestPlanChunksValidation(t *testing.T) {
 	if _, err := PlanChunks(chunkTestConfig(1, 24), 0); err == nil {
 		t.Error("chunk size 0 accepted")
@@ -168,9 +183,6 @@ func TestPlanChunksValidation(t *testing.T) {
 	bad.Hours = 0
 	if _, err := PlanChunks(bad, 16); err == nil {
 		t.Error("Hours=0 accepted")
-	}
-	if _, err := RunChunked(context.Background(), bad, quietIndex(24), 16); err == nil {
-		t.Error("RunChunked accepted invalid config")
 	}
 	plan, err := PlanChunks(chunkTestConfig(1, 24), 16)
 	if err != nil {
@@ -182,31 +194,15 @@ func TestPlanChunksValidation(t *testing.T) {
 	if _, err := plan.RunChunk(context.Background(), plan.NumChunks(), quietIndex(24)); err == nil {
 		t.Error("out-of-range chunk accepted")
 	}
-}
-
-// TestRunChunkedCancel proves cancelling mid-run returns the context error
-// and leaks no goroutines.
-func TestRunChunkedCancel(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cfg := chunkTestConfig(1, 24*30)
-	cfg.Parallelism = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunChunked(ctx, cfg, quietIndex(cfg.Hours), 8)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && runtime.NumGoroutine() > before {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	if _, err := plan.RunChunk(ctx, 0, quietIndex(24)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled chunk: err = %v, want context.Canceled", err)
 	}
 }
 
 // TestMegaFleetPreset sanity-checks the multi-constellation preset: all four
-// constellations populated and the chunked run equivalent to the direct one.
+// constellations populated and every chunk equivalent to the direct run.
 func TestMegaFleetPreset(t *testing.T) {
 	cfg := MegaFleet(7, 600, simStart, 4)
 	if got, want := len(cfg.Shells), len(StarlinkShells())+len(StarlinkGen2Shells())+len(KuiperShells())+len(OneWebShells()); got != want {
@@ -226,9 +222,5 @@ func TestMegaFleetPreset(t *testing.T) {
 			t.Errorf("shell %d (%s) unpopulated", i, cfg.Shells[i].Name)
 		}
 	}
-	got, err := RunChunked(context.Background(), cfg, weather, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffResults(t, "mega", want, got)
+	diffChunks(t, "mega", cfg, weather, 128, want)
 }

@@ -123,49 +123,105 @@ type Result struct {
 // worker count and every goroutine schedule: determinism is a property of
 // the decomposition, not of the scheduler.
 func Run(ctx context.Context, cfg Config, weather *dst.Index) (*Result, error) {
+	sc, err := newSchedule(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sc.simulate(ctx, weather, 0, sc.total, cfg.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	metricSimRuns.Inc()
+	metricSimSats.Add(int64(len(res.Sats)))
+	metricSimSamples.Add(int64(len(res.Samples)))
+	return res, nil
+}
+
+// schedule is a run's creation schedule, resolved once: the initial fleet
+// takes the first catalogs, then each launch batch takes the next ones as
+// the hourly loop reaches it. Run walks it over the whole fleet; every chunk
+// of a ChunkPlan walks the same schedule over its own catalog window.
+type schedule struct {
+	cfg      Config
+	start    time.Time // hour-truncated UTC
+	launches []Launch  // sorted by At
+	scripts  map[int][]ScriptedEvent
+	firstCat int
+	initial  int // initial-fleet satellites
+	total    int // satellites the run creates
+}
+
+// newSchedule validates cfg and resolves its creation schedule.
+func newSchedule(cfg Config) (*schedule, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	start := cfg.Start.UTC().Truncate(time.Hour)
-
-	launches := append([]Launch(nil), cfg.Launches...)
-	slices.SortStableFunc(launches, func(a, b Launch) int { return a.At.Compare(b.At) })
-
-	scripts := make(map[int][]ScriptedEvent)
-	for _, ev := range cfg.Scripted {
-		scripts[ev.Catalog] = append(scripts[ev.Catalog], ev)
+	sc := &schedule{
+		cfg:      cfg,
+		start:    cfg.Start.UTC().Truncate(time.Hour),
+		launches: append([]Launch(nil), cfg.Launches...),
+		scripts:  make(map[int][]ScriptedEvent),
+		firstCat: cfg.FirstCatalog,
+		initial:  max(cfg.InitialFleet, 0),
 	}
-	for _, evs := range scripts {
+	slices.SortStableFunc(sc.launches, func(a, b Launch) int { return a.At.Compare(b.At) })
+	for _, ev := range cfg.Scripted {
+		sc.scripts[ev.Catalog] = append(sc.scripts[ev.Catalog], ev)
+	}
+	for _, evs := range sc.scripts {
 		slices.SortStableFunc(evs, func(a, b ScriptedEvent) int { return a.At.Compare(b.At) })
 	}
+	if sc.firstCat == 0 {
+		sc.firstCat = 44713
+	}
+	// The hourly loop reaches exactly the launches at or before its last
+	// hour; the rest create no satellites and take no catalogs.
+	last := sc.start.Add(time.Duration(cfg.Hours-1) * time.Hour)
+	sc.total = sc.initial
+	for _, l := range sc.launches {
+		if l.At.After(last) {
+			break
+		}
+		sc.total += max(l.Count, 0)
+	}
+	return sc, nil
+}
 
+// simulate is the hourly loop, the one simulation driver: it walks the
+// whole creation schedule but creates only the satellites whose catalogs
+// fall in the window [firstCat+lo, firstCat+hi), and steps them on width
+// workers. Satellites outside the window only advance the catalog counter,
+// by arithmetic rather than iteration. Because every satellite draws from
+// its own catalog-keyed stream and stepSat touches only its own satellite,
+// a window's result is the whole run's restricted to its catalogs, samples
+// in the same relative order.
+func (sc *schedule) simulate(ctx context.Context, weather *dst.Index, lo, hi, width int) (*Result, error) {
 	st := &simState{
-		cfg:     cfg,
-		pool:    parallel.NewRunner(cfg.Parallelism),
-		start:   start,
-		scripts: scripts,
-		result:  &Result{Start: start, Hours: cfg.Hours},
+		schedule: *sc,
+		pool:     parallel.NewRunner(width),
+		lo:       sc.firstCat + lo,
+		hi:       sc.firstCat + hi,
+		result:   &Result{Start: sc.start, Hours: sc.cfg.Hours},
 	}
 	defer st.pool.Flush() // publish pool telemetry even on a failed run
-	st.nextCatalog = cfg.FirstCatalog
-	if st.nextCatalog == 0 {
-		st.nextCatalog = 44713
-	}
 	st.stepFn = func(i int) error {
 		st.stepSat(st.sats[i], st.stepNow, st.stepD, st.stepStorm, st.stepDuck, st.stepIntensity)
 		return nil
 	}
-	st.seedInitialFleet()
 
+	next := sc.firstCat + sc.initial // catalog of the first launched satellite
+	for cat := st.lo; cat < min(next, st.hi); cat++ {
+		st.seedInitialSat(cat)
+	}
 	launchIdx := 0
-	for h := 0; h < cfg.Hours; h++ {
-		now := start.Add(time.Duration(h) * time.Hour)
+	for h := 0; h < sc.cfg.Hours; h++ {
+		now := sc.start.Add(time.Duration(h) * time.Hour)
 		d := units.NanoTesla(-10) // quiet default outside the index
 		if v, ok := weather.At(now); ok {
 			d = v
 		}
-		for launchIdx < len(launches) && !launches[launchIdx].At.After(now) {
-			st.launch(launches[launchIdx], now)
+		for launchIdx < len(sc.launches) && !sc.launches[launchIdx].At.After(now) {
+			next = st.launch(sc.launches[launchIdx], now, next)
 			launchIdx++
 		}
 		if err := st.step(ctx, now, d); err != nil {
@@ -173,13 +229,10 @@ func Run(ctx context.Context, cfg Config, weather *dst.Index) (*Result, error) {
 		}
 	}
 	st.finalize()
-	metricSimRuns.Inc()
-	metricSimSats.Add(int64(len(st.result.Sats)))
-	metricSimSamples.Add(int64(len(st.result.Samples)))
 	return st.result, nil
 }
 
-// validateConfig is the shared precondition check for Run and PlanChunks.
+// validateConfig is the precondition check behind Run and PlanChunks.
 func validateConfig(cfg Config) error {
 	if cfg.Hours <= 0 {
 		return fmt.Errorf("constellation: Hours must be positive, got %d", cfg.Hours)
@@ -204,20 +257,18 @@ func childSeed(seed int64, catalog int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// simState carries the mutable run state.
+// simState carries the mutable state of one run over its schedule.
 type simState struct {
-	cfg Config
+	schedule
 	// pool amortizes the per-hour fan-out's telemetry: one tally per
 	// step, one registry flush per run (the step itself is ~µs-scale,
 	// where per-call atomics are measurable).
-	pool        *parallel.Runner
-	start       time.Time
-	scripts     map[int][]ScriptedEvent
-	sats        []*sat
-	nextCatalog int
-	result      *Result
+	pool   *parallel.Runner
+	lo, hi int // catalog window [lo, hi): the satellites this run creates
+	sats   []*sat
+	result *Result
 
-	// stepFn is the per-satellite worker body, built once in Run. The
+	// stepFn is the per-satellite worker body, built once per run. The
 	// hourly fan-out reuses it so the hot loop does not allocate a fresh
 	// closure every step; the step parameters travel via the step* fields,
 	// which the coordinator writes before the fan-out and workers only read.
@@ -229,21 +280,12 @@ type simState struct {
 	stepIntensity float64
 }
 
-// seedInitialFleet creates cfg.InitialFleet satellites already on station.
-func (st *simState) seedInitialFleet() {
-	for i := 0; i < st.cfg.InitialFleet; i++ {
-		st.seedInitialSat(i)
-	}
-}
-
-// seedInitialSat creates the i-th initial-fleet satellite (i is the global
-// initial-fleet ordinal, which fixes the shell assignment). The chunked
-// runner calls this for exactly the ordinals its chunk owns, so the creation
-// draws replay identically in both paths.
-func (st *simState) seedInitialSat(i int) {
-	shellIdx := i % len(st.cfg.Shells)
+// seedInitialSat creates initial-fleet satellite cat already on station.
+// Its initial-fleet ordinal fixes its shell.
+func (st *simState) seedInitialSat(cat int) {
+	shellIdx := (cat - st.firstCat) % len(st.cfg.Shells)
 	shell := st.cfg.Shells[shellIdx]
-	s := st.newSat(shellIdx, st.start, st.cfg.StagingAltKm)
+	s := st.newSat(cat, shellIdx, st.start, st.cfg.StagingAltKm)
 	// Stagger ages so decommissioning is spread out. The age draw comes
 	// after newSat so it rides the satellite's own stream, but the launch
 	// time and lifespan must reflect it.
@@ -256,53 +298,39 @@ func (st *simState) seedInitialSat(i int) {
 	st.sats = append(st.sats, s)
 }
 
-// resolveLaunch applies the zero-means-default rules a Launch carries. Both
-// Run and the chunk planner resolve through this one function so the two
-// paths can never drift.
-func resolveLaunch(cfg *Config, l Launch) (shellIdx int, stagingAlt, stagingDays float64) {
-	stagingAlt = l.StagingAltKm
+// launch inserts the window's share of one batch at the staging orbit. The
+// batch takes the catalogs from first on; launch returns the next free one.
+func (st *simState) launch(l Launch, now time.Time, first int) int {
+	stagingAlt := l.StagingAltKm
 	if stagingAlt == 0 {
-		stagingAlt = cfg.StagingAltKm
+		stagingAlt = st.cfg.StagingAltKm
 	}
-	shellIdx = l.Shell
-	if shellIdx < 0 || shellIdx >= len(cfg.Shells) {
+	shellIdx := l.Shell
+	if shellIdx < 0 || shellIdx >= len(st.cfg.Shells) {
 		shellIdx = 0
 	}
-	stagingDays = l.StagingDays
+	stagingDays := l.StagingDays
 	if stagingDays == 0 {
-		stagingDays = cfg.StagingDays
+		stagingDays = st.cfg.StagingDays
 	}
-	return shellIdx, stagingAlt, stagingDays
-}
-
-// launch inserts one batch at the staging orbit.
-func (st *simState) launch(l Launch, now time.Time) {
-	shellIdx, stagingAlt, stagingDays := resolveLaunch(&st.cfg, l)
-	for i := 0; i < l.Count; i++ {
-		st.launchSat(shellIdx, stagingAlt, stagingDays, now)
+	end := first + max(l.Count, 0)
+	for cat := max(first, st.lo); cat < min(end, st.hi); cat++ {
+		s := st.newSat(cat, shellIdx, now, stagingAlt)
+		s.phase = PhaseStaging
+		s.altKm = stagingAlt
+		s.stagedUntil = now.Add(time.Duration(stagingDays*24) * time.Hour)
+		s.nextSample = now.Add(time.Duration(s.rng.Float64()*st.cfg.MeanTLEIntervalHours) * time.Hour)
+		st.sats = append(st.sats, s)
 	}
+	return end
 }
 
-// launchSat creates one launched satellite at the staging orbit with
-// already-resolved batch parameters — the per-satellite creation unit shared
-// by Run and the chunked runner.
-func (st *simState) launchSat(shellIdx int, stagingAlt, stagingDays float64, now time.Time) {
-	s := st.newSat(shellIdx, now, stagingAlt)
-	s.phase = PhaseStaging
-	s.altKm = stagingAlt
-	s.stagedUntil = now.Add(time.Duration(stagingDays*24) * time.Hour)
-	s.nextSample = now.Add(time.Duration(s.rng.Float64()*st.cfg.MeanTLEIntervalHours) * time.Hour)
-	st.sats = append(st.sats, s)
-}
-
-// newSat builds a satellite with randomized plane geometry and drag factor.
-// Catalog numbers are assigned sequentially by the coordinator; every random
+// newSat builds satellite cat with randomized plane geometry and drag
+// factor. Catalog numbers follow the creation schedule; every random
 // property is drawn from the satellite's own child stream so creation order
 // and fleet composition cannot couple satellites to each other.
-func (st *simState) newSat(shellIdx int, launchedAt time.Time, stagingAlt float64) *sat {
+func (st *simState) newSat(cat, shellIdx int, launchedAt time.Time, stagingAlt float64) *sat {
 	shell := st.cfg.Shells[shellIdx]
-	cat := st.nextCatalog
-	st.nextCatalog++
 	rng := rand.New(rand.NewSource(childSeed(st.cfg.Seed, cat)))
 	info := SatInfo{
 		Catalog:      cat,

@@ -67,10 +67,10 @@ func TestPromtextConformance(t *testing.T) {
 	testkit.Golden(t, "promtext_escaping.golden", buf.Bytes())
 
 	for series, want := range map[string]string{
-		`fetch_total{path="C:\\tle\\starlink"}`:  "1",
-		`fetch_total{path="say \"cheese\""}`:     "2",
-		`fetch_total{path="line\nbreak"}`:        "3",
-		"fetch_total{path=\"tab\there\"}":        "4", // raw tab inside the quotes
+		`fetch_total{path="C:\\tle\\starlink"}`:         "1",
+		`fetch_total{path="say \"cheese\""}`:            "2",
+		`fetch_total{path="line\nbreak"}`:               "3",
+		"fetch_total{path=\"tab\there\"}":               "4", // raw tab inside the quotes
 		`latency_ms_bucket{endpoint="group",le="+Inf"}`: "2",
 		`latency_ms_count{endpoint="group"}`:            "2",
 		`latency_ms_sum{endpoint="group"}`:              "503",
@@ -198,7 +198,7 @@ func TestHistogramExemplars(t *testing.T) {
 	h := r.Histogram("latency_ms", []float64{1, 10})
 	h.ObserveExemplar(0.5, obs.TraceID(0xaa))
 	h.ObserveExemplar(700, obs.TraceID(0xbb))
-	h.ObserveExemplar(5, 0) // no trace: counted, not pinned
+	h.ObserveExemplar(5, 0)                   // no trace: counted, not pinned
 	h.ObserveExemplar(0.7, obs.TraceID(0xcc)) // last writer wins in bucket 0
 
 	snap := r.Snapshot()

@@ -164,7 +164,7 @@ func TestFlightRecorderRejectedTraces(t *testing.T) {
 	f.RecordReject(obs.FlightEvent{Trace: "000000000000000c", Status: 503})
 	f.RecordReject(obs.FlightEvent{Trace: "000000000000000a", Status: 429})
 	f.RecordReject(obs.FlightEvent{Trace: "000000000000000c", Status: 503}) // dup
-	f.RecordReject(obs.FlightEvent{Status: 503})                           // untraced
+	f.RecordReject(obs.FlightEvent{Status: 503})                            // untraced
 	got := f.RejectedTraces()
 	want := []string{"000000000000000a", "000000000000000c"}
 	if len(got) != len(want) {

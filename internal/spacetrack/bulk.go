@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"cosmicdance/internal/parallel"
 	"cosmicdance/internal/tle"
 )
 
@@ -63,12 +63,14 @@ func Failures(results []BulkResult) []*CatalogError {
 }
 
 // FetchHistories pulls the histories of all catalogs concurrently with at
-// most workers in flight — the shape a real multi-thousand-satellite ingest
-// needs against a rate-limited service (the client's retry handling composes
-// with the bounded parallelism). Results are returned in the order of the
-// input catalogs; the first context error aborts the remainder. Every input
-// catalog gets a result: fetched sets, a typed *CatalogError, or both absent
-// never — no satellite is silently dropped.
+// most workers in flight (4 when workers ≤ 0) — the shape a real
+// multi-thousand-satellite ingest needs against a rate-limited service (the
+// client's retry handling composes with the bounded parallelism). Results
+// are returned in the order of the input catalogs; the first context error
+// aborts the remainder, as does a panicking source, which comes back as a
+// *parallel.PanicError. Every input catalog gets a result: fetched sets, a
+// typed *CatalogError, or both absent never — no satellite is silently
+// dropped.
 func FetchHistories(ctx context.Context, src HistorySource, catalogs []int, from, to time.Time, workers int) ([]BulkResult, error) {
 	if workers <= 0 {
 		workers = 4
@@ -80,33 +82,19 @@ func FetchHistories(ctx context.Context, src HistorySource, catalogs []int, from
 	for i, cat := range catalogs {
 		results[i] = BulkResult{Catalog: cat, Err: &CatalogError{Catalog: cat, Err: ErrNotAttempted}}
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				cat := catalogs[i]
-				sets, err := src.History(ctx, cat, from, to)
-				if err != nil {
-					err = &CatalogError{Catalog: cat, Err: err}
-				}
-				results[i] = BulkResult{Catalog: cat, Sets: sets, Err: err}
-			}
-		}()
-	}
-feed:
-	for i := range catalogs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	err := parallel.ForEach(ctx, workers, len(catalogs), func(i int) error {
+		cat := catalogs[i]
+		sets, err := src.History(ctx, cat, from, to)
+		if err != nil {
+			err = &CatalogError{Catalog: cat, Err: err}
 		}
+		results[i] = BulkResult{Catalog: cat, Sets: sets, Err: err}
+		return nil
+	})
+	if err == nil {
+		err = ctx.Err() // cancelled during the last fetch
 	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return results, fmt.Errorf("spacetrack: bulk fetch aborted: %w", err)
 	}
 	return results, nil

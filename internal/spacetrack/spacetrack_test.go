@@ -11,6 +11,8 @@ import (
 
 	"cosmicdance/internal/constellation"
 	"cosmicdance/internal/dst"
+	"cosmicdance/internal/parallel"
+	"cosmicdance/internal/tle"
 )
 
 var stStart = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -457,6 +459,39 @@ func TestFetchHistoriesCancellation(t *testing.T) {
 	_, err = FetchHistories(ctx, client, catalogs, stStart, stStart.Add(24*time.Hour), 4)
 	if err == nil {
 		t.Fatal("cancelled bulk fetch reported success")
+	}
+}
+
+// panicSource is a HistorySource whose fetch of catalog bad panics.
+type panicSource struct{ bad int }
+
+func (p panicSource) History(_ context.Context, catalog int, _, _ time.Time) ([]*tle.TLE, error) {
+	if catalog == p.bad {
+		panic("history source exploded")
+	}
+	return nil, nil
+}
+
+// TestFetchHistoriesPanickingSource proves a panicking source aborts the
+// bulk fetch with a *parallel.PanicError instead of crashing the process,
+// and that the panicking catalog still carries a result.
+func TestFetchHistoriesPanickingSource(t *testing.T) {
+	catalogs := []int{44713, 44714, 44715, 44716}
+	results, err := FetchHistories(context.Background(), panicSource{bad: 44715}, catalogs, stStart, stStart.Add(24*time.Hour), 2)
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *parallel.PanicError", err)
+	}
+	if len(results) != len(catalogs) {
+		t.Fatalf("results = %d, want %d", len(results), len(catalogs))
+	}
+	for i, r := range results {
+		if r.Catalog != catalogs[i] {
+			t.Fatalf("result %d lost its catalog: %+v", i, r)
+		}
+	}
+	if !errors.Is(results[2].Err, ErrNotAttempted) {
+		t.Fatalf("panicking catalog err = %v, want ErrNotAttempted", results[2].Err)
 	}
 }
 

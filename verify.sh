@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the full local verification gate:
 #
+#   0. gofmt over every tracked Go file,
 #   1. go vet over every package,
 #   2. a clean build,
 #   3. the entire test suite under the race detector,
@@ -23,8 +24,8 @@
 #      quartet; the long tier enforces the bound),
 #   8. the chunk-equivalence gate: a 30k-satellite chunked run must print
 #      byte-identical reports at two different chunk sizes and through the
-#      disk cache (the scale-out refactor may not change a single output
-#      bit),
+#      disk cache, cold and warm (the scale-out refactor may not change a
+#      single output bit),
 #   9. the flat-RSS gate: a 100k-satellite run must peak under 128 MiB of
 #      resident memory — the streaming pipeline holds O(chunk), not
 #      O(fleet),
@@ -48,6 +49,13 @@ if [ "${1:-}" = "-short" ]; then
     SHORT="-short"
     FUZZ=0
 fi
+
+echo "== gofmt -l (every tracked Go file must be gofmt-clean)"
+test -z "$(gofmt -l $(git ls-files '*.go'))" || {
+    echo "verify: gofmt would reformat:" >&2
+    gofmt -l $(git ls-files '*.go') >&2
+    exit 1
+}
 
 echo "== go vet ./..."
 go vet ./...
@@ -104,22 +112,30 @@ if [ -z "$SHORT" ]; then
     echo "== telemetry overhead gate (<= 2% on the hot paths)"
     ./scripts/obs_overhead.sh
 
-    echo "== chunk equivalence at 30k satellites (chunk 4096 vs 2048 vs 4096 through a cache, byte-identical)"
+    echo "== chunk equivalence at 30k satellites (chunk 4096 vs 2048 vs 4096 through a cold, then warm cache, byte-identical)"
     scale_a="$(mktemp -t cosmicdance-scale-a.XXXXXX)"
     scale_b="$(mktemp -t cosmicdance-scale-b.XXXXXX)"
     scale_c="$(mktemp -t cosmicdance-scale-c.XXXXXX)"
+    scale_d="$(mktemp -t cosmicdance-scale-d.XXXXXX)"
     scale_cache="$(mktemp -d -t cosmicdance-scale-cache.XXXXXX)"
     scale_rss="$(mktemp -t cosmicdance-scale-rss.XXXXXX)"
-    trap 'rm -rf "$cachedir" "$cold" "$warm" "$load_a" "$load_b" "$scale_a" "$scale_b" "$scale_c" "$scale_cache" "$scale_rss"' EXIT
+    trap 'rm -rf "$cachedir" "$cold" "$warm" "$load_a" "$load_b" "$scale_a" "$scale_b" "$scale_c" "$scale_d" "$scale_cache" "$scale_rss"' EXIT
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 4096 > "$scale_a" 2> /dev/null
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 2048 > "$scale_b" 2> /dev/null
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 4096 -cache "$scale_cache" > "$scale_c" 2> /dev/null
+    # A cold cached run decodes the segments it has just built; only this
+    # warm rerun reads them back from disk.
+    go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 4096 -cache "$scale_cache" > "$scale_d" 2> /dev/null
     cmp "$scale_a" "$scale_b" || {
         echo "verify: 30k scale reports differ between chunk sizes 4096 and 2048" >&2
         exit 1
     }
     cmp "$scale_a" "$scale_c" || {
-        echo "verify: 30k scale report through the cache differs from the in-memory run" >&2
+        echo "verify: 30k scale report through the cold cache differs from the in-memory run" >&2
+        exit 1
+    }
+    cmp "$scale_a" "$scale_d" || {
+        echo "verify: 30k scale report through the warm cache differs from the in-memory run" >&2
         exit 1
     }
 
