@@ -103,6 +103,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzIndexRoundTrip$$' -fuzztime=10s ./internal/wdc
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=10s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=10s ./internal/artifact
+	$(GO) test -run='^$$' -fuzz='^FuzzDstHandler$$' -fuzztime=10s ./internal/incremental
 
 # The full verification gate: vet + build + race-tested suite + fuzz seeds.
 verify:

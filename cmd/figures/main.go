@@ -166,10 +166,7 @@ func run(ctx context.Context, w io.Writer, figure int, seed int64, parallelism i
 	want := func(n int) bool { return figure == 0 || figure == n }
 
 	// The paper-window substrate is shared by most figures.
-	var (
-		dataset *core.Dataset
-		fleet   *constellation.Result
-	)
+	var dataset *core.Dataset
 	needPaper := false
 	for _, n := range []int{3, 4, 5, 6, 9, 10} {
 		if want(n) {
@@ -192,12 +189,6 @@ func run(ctx context.Context, w io.Writer, figure int, seed int64, parallelism i
 		dataset, err = pipe.Dataset(ctx, weatherCfg, fleetCfg, coreCfg)
 		if err != nil {
 			return err
-		}
-		if want(9) {
-			fleet, err = pipe.Fleet(ctx, weatherCfg, fleetCfg)
-			if err != nil {
-				return err
-			}
 		}
 	}
 
@@ -288,12 +279,16 @@ func run(ctx context.Context, w io.Writer, figure int, seed int64, parallelism i
 	}
 	if want(9) {
 		err := renderSpan(pipe, "render:fig9", func() error {
-			// The L1 cohort: the paper follows 43 satellites of the first launch.
-			cats := make([]int, 0, 43)
-			for c := 44713; c < 44713+43; c++ {
+			cfg := l1CohortFleet(seed, parallelism)
+			cohort, err := pipe.Fleet(ctx, weatherCfg, cfg)
+			if err != nil {
+				return err
+			}
+			cats := make([]int, 0, l1Cohort)
+			for c := cfg.FirstCatalog; c < cfg.FirstCatalog+l1Cohort; c++ {
 				cats = append(cats, c)
 			}
-			return report.Fig9(w, fleet, cats, 54)
+			return report.Fig9(w, cohort, cats, 54)
 		})
 		if err != nil {
 			return err
@@ -322,6 +317,25 @@ func run(ctx context.Context, w io.Writer, figure int, seed int64, parallelism i
 		}
 	}
 	return nil
+}
+
+// l1Cohort is how many satellites of Starlink's first launch Fig 9 follows.
+const l1Cohort = 43
+
+// l1CohortFleet is the paper fleet cut down to Fig 9's cohort: the L1 launch
+// alone, carrying only the satellites the figure plots, and none of the
+// scripted incidents (they target later launches). A satellite draws every
+// random property from a stream keyed by its catalog number, so the cohort's
+// samples are exactly the full run's samples for the same catalogs, at a
+// fraction of the simulation and cache size.
+func l1CohortFleet(seed int64, parallelism int) constellation.Config {
+	cfg := constellation.PaperFleet(seed)
+	cfg.Parallelism = parallelism
+	l1 := cfg.Launches[0]
+	l1.Count = l1Cohort
+	cfg.Launches = []constellation.Launch{l1}
+	cfg.Scripted = nil
+	return cfg
 }
 
 func renderFig56(ctx context.Context, w io.Writer, dataset *core.Dataset, want func(int) bool) error {

@@ -3,12 +3,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cosmicdance/internal/artifact"
+	"cosmicdance/internal/constellation"
+	"cosmicdance/internal/spaceweather"
 	"cosmicdance/internal/testkit"
 )
 
@@ -113,26 +120,73 @@ func TestFiguresGolden(t *testing.T) {
 }
 
 // TestFiguresCacheWarmIdentical proves the tentpole guarantee end to end: a
-// warm render served from the artifact cache is byte-identical to the cold
-// render that populated it.
+// warm render of every figure served from the artifact cache is
+// byte-identical to the cold render that populated it, and reads the cache
+// without adding or rewriting an entry. It also pins what a render stores:
+// the paper and May 2024 datasets, but no whole-fleet archive; Fig 9's L1
+// cohort is the only archive entry.
 func TestFiguresCacheWarmIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet build in -short mode")
 	}
-	cache, err := artifact.Open(t.TempDir())
+	dir := t.TempDir()
+	cache, err := artifact.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cold, warm bytes.Buffer
-	if err := run(context.Background(), &cold, 7, 42, 0, artifact.NewPipeline(cache)); err != nil {
+	if err := run(context.Background(), &cold, 0, 42, 0, artifact.NewPipeline(cache)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), &warm, 7, 42, 0, artifact.NewPipeline(cache)); err != nil {
+	entries := cacheEntries(t, dir)
+	if err := run(context.Background(), &warm, 0, 42, 0, artifact.NewPipeline(cache)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
 		t.Fatal("warm (cached) rendering differs from the cold build")
 	}
+	if after := cacheEntries(t, dir); !maps.Equal(after, entries) {
+		t.Fatalf("warm render changed the cache: %v before, %v after", entries, after)
+	}
+
+	archive := func(wcfg spaceweather.Config, fcfg constellation.Config) string {
+		return cache.Path(artifact.KindArchive, artifact.FingerprintFleet(artifact.FingerprintWeather(wcfg), fcfg))
+	}
+	for name, path := range map[string]string{
+		"PaperFleet(42)":   archive(spaceweather.Paper2020to2024(), constellation.PaperFleet(42)),
+		"May2024Fleet(42)": archive(spaceweather.May2024(), constellation.May2024Fleet(42)),
+	} {
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s archive stored (stat: %v)", name, err)
+		}
+	}
+	archives, err := filepath.Glob(filepath.Join(dir, artifact.KindArchive.String()+"-*.cda"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cohort := archive(spaceweather.Paper2020to2024(), l1CohortFleet(42, 0))
+	if len(archives) != 1 || archives[0] != cohort {
+		t.Fatalf("archive entries %v, want only the L1 cohort %s", archives, cohort)
+	}
+}
+
+// cacheEntries lists a cache directory as name → size and modification
+// time, so a rewritten entry shows up even when its size is unchanged.
+func cacheEntries(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(des))
+	for _, de := range des {
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[de.Name()] = fmt.Sprintf("%d bytes, %s", info.Size(), info.ModTime().Format(time.RFC3339Nano))
+	}
+	return out
 }
 
 // TestWeatherFiguresGolden pins the weather-only figures in the fast tier,

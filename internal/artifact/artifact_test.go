@@ -441,6 +441,11 @@ func TestPipelineWarmEqualsCold(t *testing.T) {
 	if again != cold {
 		t.Fatal("pipeline did not memoize the dataset")
 	}
+	// The dataset snapshot is self-contained: building it stores no archive
+	// of the run it came from.
+	if archives, err := filepath.Glob(filepath.Join(dir, KindArchive.String()+"-*.cda")); err != nil || len(archives) != 0 {
+		t.Fatalf("cold Dataset stored archives %v (glob: %v)", archives, err)
+	}
 
 	// A fresh pipeline over the same cache must load, not rebuild — and the
 	// loaded dataset must be bit-identical. Parallelism differs on purpose:

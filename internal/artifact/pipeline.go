@@ -12,11 +12,11 @@ import (
 	"cosmicdance/internal/spaceweather"
 )
 
-// Pipeline memoizes the generate → simulate → build chain behind the
-// content-addressed cache. Within one process every stage is computed at
-// most once per fingerprint (so ten figures share one substrate build), and
-// across processes the disk cache supplies warm artifacts bit-identical to a
-// cold build.
+// Pipeline memoizes the weather → fleet and weather → dataset chains behind
+// the content-addressed cache. Within one process each artifact is computed
+// at most once per fingerprint (so ten figures share one substrate build),
+// and across processes the disk cache supplies warm artifacts bit-identical
+// to a cold build.
 //
 // A nil *Cache disables the disk layer; the in-memory memoization still
 // applies.
@@ -93,10 +93,6 @@ func (p *Pipeline) weatherLocked(ctx context.Context, cfg spaceweather.Config) (
 func (p *Pipeline) Fleet(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config) (*constellation.Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.fleetLocked(ctx, weatherCfg, fleetCfg)
-}
-
-func (p *Pipeline) fleetLocked(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config) (*constellation.Result, error) {
 	sp := p.Trace.Start("fleet")
 	defer sp.End()
 	fp := FingerprintFleet(FingerprintWeather(weatherCfg), fleetCfg)
@@ -126,8 +122,11 @@ func (p *Pipeline) fleetLocked(ctx context.Context, weatherCfg spaceweather.Conf
 
 // Dataset returns the built dataset for the full chain: memoized, then
 // cached (the snapshot is self-contained, so a hit skips weather generation
-// and simulation entirely), then built from the upstream stages. coreCfg's
-// Parallelism knob is applied to the returned dataset but never hashed.
+// and simulation entirely), then built from its own simulation. The run is
+// keyed into the dataset's fingerprint but neither memoized nor stored: the
+// dataset is all a later reader needs, and a caller that also wants the run
+// asks Fleet, which simulates again on a cold cache. coreCfg's Parallelism
+// knob is applied to the returned dataset but never hashed.
 func (p *Pipeline) Dataset(ctx context.Context, weatherCfg spaceweather.Config, fleetCfg constellation.Config, coreCfg core.Config) (*core.Dataset, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -147,7 +146,9 @@ func (p *Pipeline) Dataset(ctx context.Context, weatherCfg spaceweather.Config, 
 	if err != nil {
 		return nil, err
 	}
-	fleet, err := p.fleetLocked(ctx, weatherCfg, fleetCfg)
+	sim := p.Trace.Start("fleet")
+	fleet, err := constellation.Run(ctx, fleetCfg, weather)
+	sim.End()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -375,7 +376,11 @@ func (f *Feed) after(cursor uint64) ([]Delta, uint64, <-chan struct{}) {
 }
 
 // handleDst ingests hourly Dst readings: whitespace-separated floats in the
-// body, the batch's first hour in ?start=RFC3339.
+// body, the batch's first hour in ?start=RFC3339. A reading is a finite
+// decimal or NaN, a missing hour (as WDC's 9999 decodes). Infinities and hex
+// floats are rejected: a delta carrying ±Inf cannot be encoded as JSON, so
+// stream subscribers would silently lose it. One bad reading rejects the
+// whole batch before anything is applied.
 func (f *Feed) handleDst(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -395,7 +400,7 @@ func (f *Feed) handleDst(w http.ResponseWriter, r *http.Request) {
 	vals := make([]float64, 0, len(fields))
 	for _, s := range fields {
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
+		if err != nil || math.IsInf(v, 0) || strings.ContainsAny(s, "xX") {
 			http.Error(w, fmt.Sprintf("bad reading %q", s), http.StatusBadRequest)
 			return
 		}

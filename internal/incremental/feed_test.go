@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -256,6 +258,104 @@ func TestDstEndpoint(t *testing.T) {
 		t.Fatalf("bad reading got %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// dstStart is where dstFeed's Dst stream begins, and dstNext the hour after
+// its two seeded readings: a batch posted at dstNext extends the stream.
+var (
+	dstStart = time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC)
+	dstNext  = dstStart.Add(2 * time.Hour)
+)
+
+// dstReadings are POST /v1/dst bodies posted at dstNext: whether the
+// endpoint accepts each batch, which it must do whole or not at all.
+var dstReadings = []struct {
+	body string
+	ok   bool
+}{
+	{"-10 -Inf -10", false},
+	{"+Inf", false},
+	{"inf", false},
+	{"-infinity", false},
+	{"INFINITY", false},
+	{"0x1p3", false},
+	{"-10 -0X1P-2", false},
+	{"1e400", false},
+	{"-10 pancake", false},
+	{"NaN", true},
+	{"nan -10 -1e1", true},
+	{"NaN 20 -60", true},
+}
+
+// dstFeed returns a feed whose Dst stream holds an open storm run: two
+// readings below the storm threshold from dstStart.
+func dstFeed(tb testing.TB) *Feed {
+	tb.Helper()
+	f := NewFeed(New(DefaultConfig()), 0)
+	if _, err := f.IngestDst(dstStart, []float64{-60, -70}); err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// postDst drives POST /v1/dst?start=start through the feed's handler.
+func postDst(f *Feed, start, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/dst?start="+url.QueryEscape(start), strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// checkDstState asserts what an accepted batch must leave behind: only
+// finite or NaN Dst hours stored, and a risk view and delta ring that encode
+// as JSON, so no stream subscriber loses a delta.
+func checkDstState(tb testing.TB, f *Feed) {
+	tb.Helper()
+	for i, v := range f.eng.wx {
+		if math.IsInf(v, 0) {
+			tb.Fatalf("stored Dst hour %d is %v", i, v)
+		}
+	}
+	if _, err := json.Marshal(f.Risk()); err != nil {
+		tb.Fatalf("risk view does not encode: %v", err)
+	}
+	for _, d := range f.ring {
+		if _, err := json.Marshal(d); err != nil {
+			tb.Fatalf("delta %d does not encode: %v", d.Seq, err)
+		}
+	}
+}
+
+// TestDstEndpointReadings pins which readings POST /v1/dst accepts. A
+// rejected batch answers 400 and applies nothing, so Version and Seq stay
+// put. NaN is a missing hour: it is applied and ends the open storm run.
+func TestDstEndpointReadings(t *testing.T) {
+	for _, c := range dstReadings {
+		t.Run(c.body, func(t *testing.T) {
+			f := dstFeed(t)
+			before, emitted := f.Risk(), len(f.ring)
+			rec := postDst(f, dstNext.Format(time.RFC3339), c.body)
+			if !c.ok {
+				if rec.Code != http.StatusBadRequest {
+					t.Fatalf("status %d, want 400", rec.Code)
+				}
+				if after := f.Risk(); after.Version != before.Version || after.Seq != before.Seq {
+					t.Fatalf("rejected batch moved version/seq from %d/%d to %d/%d", before.Version, before.Seq, after.Version, after.Seq)
+				}
+				return
+			}
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d (%s), want 200", rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+			if len(f.ring) == emitted {
+				t.Fatal("NaN hour emitted no delta, want the open storm run to close")
+			}
+			if first := f.ring[emitted]; first.Kind != KindStormClose || first.At != dstNext.Unix() || first.PeakNT != -70 {
+				t.Fatalf("first delta %+v, want the storm closing at %s with peak -70", first, dstNext)
+			}
+			checkDstState(t, f)
+		})
 	}
 }
 

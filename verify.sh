@@ -170,6 +170,7 @@ if [ "$FUZZ" = 1 ]; then
     fuzz ./internal/wdc FuzzIndexRoundTrip
     fuzz ./internal/artifact FuzzSnapshotRoundTrip
     fuzz ./internal/artifact FuzzSegmentRoundTrip
+    fuzz ./internal/incremental FuzzDstHandler
 fi
 
 echo "verify: OK"
