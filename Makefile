@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=10s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=10s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz='^FuzzDstHandler$$' -fuzztime=10s ./internal/incremental
+	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=10s ./internal/constellation
 
 # The full verification gate: vet + build + race-tested suite + fuzz seeds.
 verify:

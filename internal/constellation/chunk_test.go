@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,4 +224,35 @@ func TestMegaFleetPreset(t *testing.T) {
 		}
 	}
 	diffChunks(t, "mega", cfg, weather, 128, want)
+}
+
+// TestRunChunkBytesPerSatellite is an exact memory gate on the simulator:
+// one default-size chunk (4,096 satellites) of a week-long storm run
+// allocates under 2 KiB per satellite. None of its streams draws often
+// enough to fill a 4.9 KB register; seeded through rand.NewSource, the same
+// chunk allocated about 9.9 KB per satellite.
+func TestRunChunkBytesPerSatellite(t *testing.T) {
+	const sats = 4096
+	cfg := MegaFleet(42, sats, simStart, 7)
+	plan, err := PlanChunks(cfg, sats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weather := stormIndex(cfg.Hours, cfg.Hours/4, -400)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := plan.RunChunk(context.Background(), 0, weather)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Sats) != sats {
+		t.Fatalf("chunk created %d satellites, want %d", len(res.Sats), sats)
+	}
+	perSat := float64(after.TotalAlloc-before.TotalAlloc) / sats
+	t.Logf("%.0f B and %.2f allocations per satellite", perSat, float64(after.Mallocs-before.Mallocs)/sats)
+	if perSat >= 2048 {
+		t.Fatalf("RunChunk allocated %.0f B per satellite, want < 2048", perSat)
+	}
 }

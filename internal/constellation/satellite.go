@@ -196,6 +196,7 @@ type SatInfo struct {
 // touched by exactly one worker per step, so the struct needs no locking.
 type sat struct {
 	info        SatInfo
+	src         stream // the satellite's own source, behind rng
 	rng         *rand.Rand
 	phase       Phase
 	altKm       float64

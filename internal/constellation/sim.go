@@ -210,6 +210,11 @@ func (sc *schedule) simulate(ctx context.Context, weather *dst.Index, lo, hi, wi
 	}
 
 	next := sc.firstCat + sc.initial // catalog of the first launched satellite
+	// Size the archive for the window's initial fleet at the mean tracking
+	// cadence: growing a chunk's ~57k samples by append re-copies them at
+	// every 1.25× step.
+	initial := max(min(next, st.hi)-st.lo, 0)
+	st.result.Samples = make([]Sample, 0, initial*int(float64(sc.cfg.Hours)/sc.cfg.MeanTLEIntervalHours))
 	for cat := st.lo; cat < min(next, st.hi); cat++ {
 		st.seedInitialSat(cat)
 	}
@@ -331,28 +336,28 @@ func (st *simState) launch(l Launch, now time.Time, first int) int {
 // and fleet composition cannot couple satellites to each other.
 func (st *simState) newSat(cat, shellIdx int, launchedAt time.Time, stagingAlt float64) *sat {
 	shell := st.cfg.Shells[shellIdx]
-	rng := rand.New(rand.NewSource(childSeed(st.cfg.Seed, cat)))
-	info := SatInfo{
-		Catalog:      cat,
-		Name:         fmt.Sprintf("STARSIM-%d", cat),
-		Shell:        shellIdx,
-		LaunchedAt:   launchedAt,
-		StagingAltKm: stagingAlt,
-		TargetAltKm:  shell.AltitudeKm,
-		// Log-normal-ish heterogeneity in ballistic response.
-		DragFactor: 0.8 + rng.Float64()*0.5,
-	}
-	return &sat{
-		info:        info,
-		rng:         rng,
+	s := &sat{
+		info: SatInfo{
+			Catalog:      cat,
+			Name:         fmt.Sprintf("STARSIM-%d", cat),
+			Shell:        shellIdx,
+			LaunchedAt:   launchedAt,
+			StagingAltKm: stagingAlt,
+			TargetAltKm:  shell.AltitudeKm,
+		},
 		scripts:     st.scripts[cat],
 		lifespanEnd: launchedAt.Add(time.Duration(st.cfg.LifespanYears*365.25*24) * time.Hour),
-		incl:        float64(shell.Inclination) + rng.NormFloat64()*0.02,
-		raan:        rng.Float64() * 360,
-		argp:        rng.Float64() * 360,
-		meanAnomaly: rng.Float64() * 360,
-		ecc:         0.0001 + rng.Float64()*0.0002,
 	}
+	s.src.Seed(childSeed(st.cfg.Seed, cat))
+	s.rng = rand.New(&s.src)
+	// Log-normal-ish heterogeneity in ballistic response.
+	s.info.DragFactor = 0.8 + s.rng.Float64()*0.5
+	s.incl = float64(shell.Inclination) + s.rng.NormFloat64()*0.02
+	s.raan = s.rng.Float64() * 360
+	s.argp = s.rng.Float64() * 360
+	s.meanAnomaly = s.rng.Float64() * 360
+	s.ecc = 0.0001 + s.rng.Float64()*0.0002
+	return s
 }
 
 // step advances every satellite by one hour under Dst reading d. Satellites

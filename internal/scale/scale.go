@@ -134,16 +134,21 @@ type Report struct {
 	Digest string
 }
 
-// hashI64/hashF64/hashF32 feed fixed-width little-endian values to the
-// digest so it depends only on the analyzed values.
-func hashI64(h hash.Hash, v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	h.Write(b[:])
+// digest feeds fixed-width little-endian values to the report's SHA-256 so
+// it depends only on the analyzed values. It owns the 8-byte buffer: a
+// local one escapes through hash.Hash.Write and is heap-allocated per value.
+type digest struct {
+	h   hash.Hash
+	buf [8]byte
 }
 
-func hashF64(h hash.Hash, v float64) { hashI64(h, int64(math.Float64bits(v))) }
-func hashF32(h hash.Hash, v float32) { hashI64(h, int64(math.Float32bits(v))) }
+func (d *digest) i64(v int64) {
+	binary.LittleEndian.PutUint64(d.buf[:], uint64(v))
+	d.h.Write(d.buf[:])
+}
+
+func (d *digest) f64(v float64) { d.i64(int64(math.Float64bits(v))) }
+func (d *digest) f32(v float32) { d.i64(int64(math.Float32bits(v))) }
 
 // Run executes a scale run: weather → chunked fleet simulation → per-chunk
 // cleaning → streaming per-track analysis, holding one chunk partial at a
@@ -180,41 +185,41 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		Events: len(events),
 		RawMin: math.Inf(1), RawMax: math.Inf(-1),
 	}
-	digest := sha256.New()
+	dg := &digest{h: sha256.New()}
 	err = pipe.EachSegment(ctx, wcfg, fcfg, ccfg, spec.ChunkSize, func(_ int, p *core.ChunkPartial) error {
-		rep.reduce(digest, ccfg, events, p)
+		rep.reduce(dg, ccfg, events, p)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Digest = hex.EncodeToString(digest.Sum(nil))
+	rep.Digest = hex.EncodeToString(dg.h.Sum(nil))
 	return rep, nil
 }
 
 // reduce folds one chunk partial into the report. Chunks arrive in catalog
 // order and every quantity here is per-track (or order-insensitive for the
 // raw column), so the reduction is invariant under the chunk partition.
-func (r *Report) reduce(digest hash.Hash, ccfg core.Config, events []core.Event, p *core.ChunkPartial) {
+func (r *Report) reduce(dg *digest, ccfg core.Config, events []core.Event, p *core.ChunkPartial) {
 	for _, tr := range p.Tracks {
 		r.Tracks++
 		r.Points += int64(len(tr.Points))
-		hashI64(digest, int64(tr.Catalog))
-		hashI64(digest, int64(len(tr.Points)))
-		hashF64(digest, tr.OperationalAltKm)
-		hashI64(digest, int64(tr.RaisingRemoved))
+		dg.i64(int64(tr.Catalog))
+		dg.i64(int64(len(tr.Points)))
+		dg.f64(tr.OperationalAltKm)
+		dg.i64(int64(tr.RaisingRemoved))
 		for _, pt := range tr.Points {
-			hashI64(digest, pt.Epoch)
-			hashF32(digest, pt.AltKm)
-			hashF32(digest, pt.BStar)
-			hashF32(digest, pt.Incl)
+			dg.i64(pt.Epoch)
+			dg.f32(pt.AltKm)
+			dg.f32(pt.BStar)
+			dg.f32(pt.Incl)
 		}
 		if on, ok := core.TrackDecayOnset(tr, ccfg.DecayFilterKm, minDropKm); ok {
 			r.Onsets++
 			r.MaxDropKm = math.Max(r.MaxDropKm, on.DropKm)
-			hashI64(digest, on.At.Unix())
-			hashF64(digest, on.DropKm)
-			hashF64(digest, on.RateKmPerDay)
+			dg.i64(on.At.Unix())
+			dg.f64(on.DropKm)
+			dg.f64(on.RateKmPerDay)
 		}
 		for _, ev := range events {
 			dv, ok := core.AssociateTrack(ccfg, ev, tr, windowDays)
@@ -223,9 +228,9 @@ func (r *Report) reduce(digest hash.Hash, ccfg core.Config, events []core.Event,
 			}
 			r.Deviations++
 			r.MaxDevKm = math.Max(r.MaxDevKm, dv.MaxDevKm)
-			hashI64(digest, dv.Event.Unix())
-			hashF64(digest, dv.MaxDevKm)
-			hashF64(digest, dv.MaxDrag)
+			dg.i64(dv.Event.Unix())
+			dg.f64(dv.MaxDevKm)
+			dg.f64(dv.MaxDrag)
 		}
 	}
 	for _, v := range p.RawAlts {

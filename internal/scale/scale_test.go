@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cosmicdance/internal/artifact"
+	"cosmicdance/internal/testkit"
 )
 
 func testSpec() Spec {
@@ -58,6 +59,17 @@ func TestReportInvariantUnderExecutionShape(t *testing.T) {
 	if got := runReport(t, cached); got != ref {
 		t.Fatal("warm cached report differs from reference")
 	}
+}
+
+// TestReportGolden pins the report of `cosmicdance scale -sats 2000 -days 7
+// -seed 42` byte for byte. A week-long run draws so little from each
+// satellite's random stream that no stream ever fills its register, a path
+// the figures golden barely reaches (most of the paper fleet's streams
+// fill theirs). Regenerate with -update only after an intended change to
+// simulated output.
+func TestReportGolden(t *testing.T) {
+	got := runReport(t, Spec{Sats: 2000, Days: 7, Seed: 42})
+	testkit.Golden(t, "scale_sats2000_days7_seed42.golden", []byte(got))
 }
 
 // TestReportSeedSensitivity guards against a degenerate digest: different

@@ -10,6 +10,7 @@ package trigger
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"cosmicdance/internal/dst"
@@ -96,8 +97,12 @@ func (e *Engine) emit(ev Event) {
 }
 
 // Feed advances the state machine with one reading. Readings must arrive in
-// time order.
+// time order. A NaN reading is a missing hour and is skipped: it neither
+// opens, escalates nor clears a storm.
 func (e *Engine) Feed(at time.Time, v units.NanoTesla) {
+	if math.IsNaN(float64(v)) {
+		return
+	}
 	switch {
 	case !e.active && v <= e.onset:
 		if e.hasCleared && e.MinGap > 0 && at.Sub(e.clearedAt) < e.MinGap {

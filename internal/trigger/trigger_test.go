@@ -1,6 +1,7 @@
 package trigger
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -54,6 +55,30 @@ func TestOnsetAndClear(t *testing.T) {
 	}
 	if e.Active() {
 		t.Error("engine still active after clear")
+	}
+}
+
+// TestMissingHourIsSkipped: a NaN reading mid-storm is a missing hour. It
+// must neither escalate (ClassifyDst(NaN) falls through to G5) nor clear,
+// and the state snapshot must keep the storm's real category.
+func TestMissingHourIsSkipped(t *testing.T) {
+	e, err := New(-50, -30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []Event
+	e.Subscribe(func(ev Event) { events = append(events, ev) })
+	for i, v := range []float64{-60, math.NaN(), -60, -10} {
+		e.Feed(tr0.Add(time.Duration(i)*time.Hour), units.NanoTesla(v))
+		if i == 1 && e.State().Category != units.G1Minor {
+			t.Fatalf("category after the missing hour = %v, want G1", e.State().Category)
+		}
+	}
+	if len(events) != 2 || events[0].Kind != Onset || events[1].Kind != Cleared {
+		t.Fatalf("events = %+v, want onset then cleared", events)
+	}
+	if events[1].Category != units.G1Minor || events[1].Peak != -60 {
+		t.Fatalf("cleared = %+v, want category G1 and peak -60", events[1])
 	}
 }
 
