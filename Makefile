@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=10s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz='^FuzzDstHandler$$' -fuzztime=10s ./internal/incremental
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=10s ./internal/constellation
+	$(GO) test -run='^$$' -fuzz='^FuzzSortFloat64s$$' -fuzztime=10s ./internal/stats
 
 # The full verification gate: vet + build + race-tested suite + fuzz seeds.
 verify:

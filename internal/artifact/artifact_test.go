@@ -3,7 +3,9 @@ package artifact
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -287,6 +289,49 @@ func TestVersionSkewFailsClosed(t *testing.T) {
 	// A foreign file (the legacy COSM archive magic) is corrupt, not skewed.
 	if err := decodeAny(KindWeather, []byte("COSM\x01\x00\x00\x00rest-of-archive")); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("foreign file: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSectionClaimAllocatesAsBytesArrive: the reader allocates for the
+// bytes a snapshot holds, not the lengths it claims. A 1 KiB entry whose
+// first section claims 1 GiB fails closed after allocating under 4 MiB,
+// whether its source can say how many bytes remain (a bytes.Reader, a cache
+// entry) or not.
+func TestSectionClaimAllocatesAsBytesArrive(t *testing.T) {
+	enc := encodeWeatherBytes(t, testWeather(t))
+	// Header (12 bytes) and section id 0 (4 bytes), then the false length.
+	bad := binary.LittleEndian.AppendUint64(bytes.Clone(enc[:16]), 1<<30)
+	bad = append(bad, make([]byte, 1024-len(bad))...)
+	for _, src := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"sized", bytes.NewReader(bad)},
+		{"unsized", struct{ io.Reader }{bytes.NewReader(bad)}},
+	} {
+		var err error
+		n := allocated(func() { _, err = DecodeWeather(src.r) })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: 1 GiB claim in a 1 KiB entry: got %v, want ErrCorrupt", src.name, err)
+		}
+		if n >= 4<<20 {
+			t.Fatalf("%s: decoding the 1 KiB entry allocated %d bytes, want < 4 MiB", src.name, n)
+		}
+	}
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := FingerprintWeather(testWeatherCfg())
+	if err := os.WriteFile(c.Path(KindWeather, fp), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ok bool
+	if n := allocated(func() { _, ok = c.LoadWeather(fp) }); ok || n >= 4<<20 {
+		t.Fatalf("cache load of the 1 KiB entry: hit %v after allocating %d bytes, want a miss under 4 MiB", ok, n)
+	}
+	if _, err := os.Stat(c.Path(KindWeather, fp)); !os.IsNotExist(err) {
+		t.Fatalf("damaged entry not evicted: %v", err)
 	}
 }
 

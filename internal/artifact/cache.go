@@ -61,7 +61,13 @@ func (c *Cache) load(kind Kind, fp Fingerprint, decode func(io.Reader) error) bo
 		countKind(metricMisses, kind)
 		return false
 	}
-	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		countKind(metricMisses, kind)
+		return false
+	}
+	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20), size: st.Size()}
 	err = decode(cr)
 	_ = f.Close()
 	metricBytesRead.Add(cr.n)

@@ -15,9 +15,10 @@ const (
 	containerVersion uint16 = 1
 	trailerMagic     uint32 = 0x53414443 // "SADC"
 
-	// maxSectionBytes bounds a single section so a corrupt length prefix
-	// cannot drive a multi-gigabyte allocation. The largest real section is
-	// a float64 column over a paper-scale archive (~3 M observations).
+	// maxSectionBytes bounds a single section's claimed length. The largest
+	// real section is a float64 column over a paper-scale archive (~3 M
+	// observations). The reader never allocates by the claim alone (see
+	// sectionReader.payload).
 	maxSectionBytes = 1 << 31
 )
 
@@ -90,13 +91,19 @@ func (sw *sectionWriter) close() error {
 // overruns, CRC mismatches, or trailing garbage.
 type sectionReader struct {
 	br   *bufio.Reader
+	src  lenReader // br's source, when it can say how many bytes remain
 	tmp  [8]byte
 	next uint32
 }
 
+// lenReader is a source that can say how many unread bytes it holds, as a
+// bytes.Reader and the cache's entry reader can.
+type lenReader interface{ Len() int }
+
 // newSectionReader validates the header and checks the kind and versions.
 func newSectionReader(r io.Reader, kind Kind) (*sectionReader, error) {
 	sr := &sectionReader{br: bufio.NewReaderSize(r, 1<<16)}
+	sr.src, _ = r.(lenReader)
 	magic, err := sr.u32()
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
@@ -167,8 +174,8 @@ func (sr *sectionReader) section(id uint32) ([]byte, error) {
 	if n > maxSectionBytes {
 		return nil, fmt.Errorf("%w: section %d claims %d bytes", ErrCorrupt, id, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(sr.br, payload); err != nil {
+	payload, err := sr.payload(n)
+	if err != nil {
 		return nil, fmt.Errorf("%w: section %d truncated: %v", ErrCorrupt, id, err)
 	}
 	sum, err := sr.u32()
@@ -179,6 +186,39 @@ func (sr *sectionReader) section(id uint32) ([]byte, error) {
 		return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id)
 	}
 	return payload, nil
+}
+
+// payloadStep is the first allocation for a section payload read from a
+// source that cannot say how many bytes it holds.
+const payloadStep = 1 << 20
+
+// payload reads an n-byte section payload without trusting n. From a source
+// that knows how many bytes remain, a longer claim fails before anything is
+// allocated, and the buffer is allocated once. From any other source the
+// buffer grows as the bytes arrive — payloadStep, then doubling — so a false
+// claim costs about twice the bytes the stream holds, not the claim.
+func (sr *sectionReader) payload(n uint64) ([]byte, error) {
+	size := min(n, payloadStep)
+	if sr.src != nil {
+		if n > uint64(sr.src.Len()+sr.br.Buffered()) {
+			return nil, io.ErrUnexpectedEOF
+		}
+		size = n
+	}
+	buf := make([]byte, size)
+	have := 0
+	for {
+		if _, err := io.ReadFull(sr.br, buf[have:]); err != nil {
+			return nil, err
+		}
+		if uint64(len(buf)) == n {
+			return buf, nil
+		}
+		have = len(buf)
+		grown := make([]byte, min(n, 2*uint64(have)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // closeTrailer consumes the trailer and requires clean EOF after it.

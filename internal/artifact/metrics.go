@@ -41,10 +41,12 @@ func countKind(m map[Kind]*obs.Counter, k Kind) {
 	metricOtherKinds.Inc()
 }
 
-// countingReader counts bytes pulled through it.
+// countingReader counts bytes pulled through it from a source of size
+// bytes.
 type countingReader struct {
-	r io.Reader
-	n int64
+	r    io.Reader
+	n    int64
+	size int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
@@ -52,6 +54,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	c.n += int64(n)
 	return n, err
 }
+
+// Len returns the bytes not yet read, which bounds the section lengths the
+// snapshot decoder accepts.
+func (c *countingReader) Len() int { return int(c.size - c.n) }
 
 // countingWriter counts bytes pushed through it.
 type countingWriter struct {

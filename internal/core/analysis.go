@@ -248,10 +248,12 @@ func (d *Dataset) Window(ctx context.Context, event time.Time, opts WindowOption
 			wa.P95Km[day] = math.NaN()
 			continue
 		}
-		med, _ := stats.Percentile(scratch, 50)
-		p95, _ := stats.Percentile(scratch, 95)
-		wa.MedianKm[day] = med
-		wa.P95Km[day] = p95
+		cdf, err := stats.NewCDF(scratch)
+		if err != nil {
+			return nil, err
+		}
+		wa.MedianKm[day], _ = cdf.Percentile(50)
+		wa.P95Km[day], _ = cdf.Percentile(95)
 	}
 	return wa, nil
 }
@@ -305,9 +307,10 @@ type Deviation struct {
 // the maximum altitude deviation and drag increase within the
 // happens-closely-after window — the raw material of Figs 5 and 6.
 //
-// The (event, track) pairs are evaluated independently on the worker pool
-// and merged in (event, track) order, so the deviation list is identical at
-// every Parallelism setting.
+// The fan-out unit is a track: each task sweeps every event over one track
+// while its points are in cache, and writes each (event, track) outcome to
+// its own index-addressed slot. The merge reads the slots in (event, track)
+// order, so the deviation list is identical at every Parallelism setting.
 func (d *Dataset) Associate(ctx context.Context, events []Event, windowDays int) []Deviation {
 	nt := len(d.tracks)
 	if len(events) == 0 || nt == 0 {
@@ -317,14 +320,17 @@ func (d *Dataset) Associate(ctx context.Context, events []Event, windowDays int)
 		dev Deviation
 		ok  bool
 	}
-	results, err := parallel.Map(ctx, d.cfg.Parallelism, len(events)*nt,
-		func(i int) (pairResult, error) {
-			ev, tr := events[i/nt], d.tracks[i%nt]
-			dev, ok := d.associatePair(ev, tr, windowDays)
-			return pairResult{dev, ok}, nil
-		})
+	results := make([]pairResult, len(events)*nt)
+	err := parallel.ForEach(ctx, d.cfg.Parallelism, nt, func(t int) error {
+		tr := d.tracks[t]
+		for e, ev := range events {
+			dev, ok := AssociateTrack(d.cfg, ev, tr, windowDays)
+			results[e*nt+t] = pairResult{dev, ok}
+		}
+		return nil
+	})
 	if err != nil {
-		// The pair function never errs; only a worker panic lands here, and
+		// The track sweep never errs; only a worker panic lands here, and
 		// re-panicking preserves the pre-parallel contract of this API.
 		panic(err)
 	}
@@ -337,34 +343,41 @@ func (d *Dataset) Associate(ctx context.Context, events []Event, windowDays int)
 	return out
 }
 
-// associatePair evaluates one (event, track) pair — the unit of work the
-// Associate fan-out distributes.
-func (d *Dataset) associatePair(ev Event, tr *Track, windowDays int) (Deviation, bool) {
-	return AssociateTrack(d.cfg, ev, tr, windowDays)
-}
-
 // AssociateTrack evaluates one (event, track) pair without a materialized
 // Dataset — association touches only the track, the event, and the config,
 // which is what lets the chunked streaming pipeline associate each chunk's
 // tracks as they arrive. Results across chunks, taken in (event, track)
 // order per chunk and track-major across chunks, reproduce Associate's
 // ordering per track.
+//
+// One binary search finds the baseline (the last point at or before the
+// event); the window [event, event+windowDays] starts at or just after it,
+// so a forward scan from there finds its end.
 func AssociateTrack(cfg Config, ev Event, tr *Track, windowDays int) (Deviation, bool) {
 	epoch := ev.Epoch()
-	end := epoch.Add(time.Duration(windowDays) * 24 * time.Hour)
-	base, ok := tr.At(epoch)
-	if !ok || epoch.Sub(base.Time()) > cfg.BaselineStaleness {
+	ts := epoch.Unix()
+	i := tr.after(ts)
+	if i == 0 {
+		return Deviation{}, false
+	}
+	base := tr.Points[i-1]
+	if epoch.Sub(base.Time()) > cfg.BaselineStaleness {
 		return Deviation{}, false
 	}
 	if math.Abs(float64(base.AltKm)-tr.OperationalAltKm) > cfg.DecayFilterKm {
 		return Deviation{}, false // already decaying before the event
 	}
-	pts := tr.Window(epoch, end)
-	if len(pts) == 0 {
-		return Deviation{}, false
+	lo := i
+	for lo > 0 && tr.Points[lo-1].Epoch == ts {
+		lo--
 	}
-	maxDev, maxDrag := 0.0, 0.0
-	for _, p := range pts {
+	end := epoch.Add(time.Duration(windowDays) * 24 * time.Hour).Unix()
+	maxDev, maxDrag, n := 0.0, 0.0, 0
+	for _, p := range tr.Points[lo:] {
+		if p.Epoch > end {
+			break
+		}
+		n++
 		dev := math.Abs(float64(base.AltKm) - float64(p.AltKm))
 		if dev > maxDev {
 			maxDev = dev
@@ -373,6 +386,9 @@ func AssociateTrack(cfg Config, ev Event, tr *Track, windowDays int) (Deviation,
 		if drag > maxDrag {
 			maxDrag = drag
 		}
+	}
+	if n == 0 {
+		return Deviation{}, false
 	}
 	return Deviation{Event: epoch, Catalog: tr.Catalog, MaxDevKm: maxDev, MaxDrag: maxDrag}, true
 }

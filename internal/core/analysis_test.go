@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -245,6 +246,103 @@ func TestAssociateAppliesDecayFilter(t *testing.T) {
 	// Drag change: the decayer's B* rose.
 	if byCat[4].MaxDrag <= 0 {
 		t.Errorf("decayer drag change = %v", byCat[4].MaxDrag)
+	}
+}
+
+// associateOracle is AssociateTrack's definition written as linear scans:
+// the baseline is the last point at or before the event, and the window is
+// every point with event <= epoch <= event + windowDays.
+func associateOracle(cfg Config, ev Event, tr *Track, windowDays int) (Deviation, bool) {
+	epoch := ev.Epoch()
+	end := epoch.Add(time.Duration(windowDays) * 24 * time.Hour)
+	baseAt := -1
+	var window []TrackPoint
+	for i, p := range tr.Points {
+		if p.Epoch <= epoch.Unix() {
+			baseAt = i
+		}
+		if p.Epoch >= epoch.Unix() && p.Epoch <= end.Unix() {
+			window = append(window, p)
+		}
+	}
+	if baseAt < 0 {
+		return Deviation{}, false
+	}
+	base := tr.Points[baseAt]
+	if epoch.Sub(base.Time()) > cfg.BaselineStaleness ||
+		math.Abs(float64(base.AltKm)-tr.OperationalAltKm) > cfg.DecayFilterKm || len(window) == 0 {
+		return Deviation{}, false
+	}
+	dv := Deviation{Event: epoch, Catalog: tr.Catalog}
+	for _, p := range window {
+		dv.MaxDevKm = math.Max(dv.MaxDevKm, math.Abs(float64(base.AltKm)-float64(p.AltKm)))
+		dv.MaxDrag = math.Max(dv.MaxDrag, float64(p.BStar)-float64(base.BStar))
+	}
+	return dv, true
+}
+
+// TestAssociateMatchesPairwiseReference is the referee for the track-major
+// fan-out and the single-search AssociateTrack. At widths 1, 2 and 4,
+// Associate must equal a pairwise AssociateTrack loop in (event, track)
+// order, and every pair must equal the linear-scan oracle. The events are
+// out of time order and cover two events at one epoch, an event before
+// every track's first point, events exactly on and between point epochs,
+// and windows ending past the last point; a 0-day window holds only a point
+// exactly at the event.
+func TestAssociateMatchesPairwiseReference(t *testing.T) {
+	weather := stormyWeather(70, -120, 8)
+	at := func(days, hours float64) time.Time {
+		return c0.Add(time.Duration((days*24 + hours) * float64(time.Hour)))
+	}
+	events := []Event{
+		{Storm: dst.Storm{Start: at(40, 12)}}, // on a 12-hour point epoch
+		{Storm: dst.Storm{Start: at(10, 3)}},  // between epochs
+		{Storm: dst.Storm{Start: at(10, 3)}},  // the same epoch again
+		{Storm: dst.Storm{Start: at(-5, 0)}},  // before every first point
+		{Storm: dst.Storm{Start: at(58, 0)}},  // window past the last point
+		{Storm: dst.Storm{Start: at(20, 0.5)}},
+		{Storm: dst.Storm{Start: at(25, 7)}},  // on a 7-hour point epoch
+		{Storm: dst.Storm{Start: at(59, 12)}}, // on the last point's epoch
+	}
+	for _, width := range []int{1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Parallelism = width
+		b := NewBuilder(cfg, weather)
+		steadyTrack(b, 1, c0, 60, 550)
+		dippingTrack(b, 2, 60, 550, 8, 30)
+		decayingTrack(b, 3, 60, 550, 5, 20)
+		steadyTrack(b, 4, at(15, 0), 30, 548) // starts after several events
+		for i := 0; i < 60*24/7; i++ {        // a 7-hour cadence
+			addObs(b, 5, at(0, float64(7*i)), 551-float64(i%5), 4e-4*float64(1+i%3))
+		}
+		d, err := b.Build(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, windowDays := range []int{0, 1, 30} {
+			var want []Deviation
+			for _, ev := range events {
+				for _, tr := range d.Tracks() {
+					dv, ok := AssociateTrack(d.Config(), ev, tr, windowDays)
+					odv, ook := associateOracle(d.Config(), ev, tr, windowDays)
+					if ok != ook || dv != odv {
+						t.Fatalf("width %d, event %v, track %d: AssociateTrack = %+v, %v; oracle %+v, %v",
+							width, ev.Epoch(), tr.Catalog, dv, ok, odv, ook)
+					}
+					if ok {
+						want = append(want, dv)
+					}
+				}
+			}
+			got := d.Associate(context.Background(), events, windowDays)
+			if !slices.Equal(got, want) {
+				t.Fatalf("width %d, window %d: Associate differs from the pairwise loop:\n got %+v\nwant %+v",
+					width, windowDays, got, want)
+			}
+			if n := len(got); windowDays == 30 && (n == 0 || n == len(events)*len(d.Tracks())) {
+				t.Fatalf("%d associations in the 30-day case: the fixture exercises no filter", n)
+			}
+		}
 	}
 }
 

@@ -3,11 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 
 	"cosmicdance/internal/constellation"
 	"cosmicdance/internal/dst"
+	"cosmicdance/internal/stats"
 )
 
 // Chunked dataset builds: a fleet too large to clean in one pass is built as
@@ -20,9 +19,9 @@ import (
 // the artifact segment codec and re-read later.
 
 // ChunkPartial is one chunk's share of a dataset build: the cleaned tracks
-// for its catalog range plus the cleaning-funnel bookkeeping. CleanAlts are
-// not carried — they are exactly the surviving track points' altitudes in
-// track order, and the assembler rederives them.
+// for its catalog range plus the cleaning-funnel bookkeeping. The cleaned
+// altitudes are not carried: they are exactly the surviving track points'
+// altitudes, which Fig 10(b) sorts on demand.
 type ChunkPartial struct {
 	// Tracks are the chunk's cleaned tracks, catalog-ascending.
 	Tracks []*Track
@@ -43,93 +42,32 @@ func BuildChunkPartial(ctx context.Context, cfg Config, samples []constellation.
 }
 
 // canonicalizeRawAlts sorts raw altitudes into the canonical dataset order:
-// ascending by the IEEE-754 total order (sign-magnitude bit key), which is a
-// total order even in the presence of NaNs and signed zeros. Ingest order is
-// a chunking artifact — two decompositions of the same archive ingest the
+// ascending by the IEEE-754 total order (stats.Float64Key), which is a total
+// order even in the presence of NaNs and signed zeros. Ingest order is a
+// chunking artifact — two decompositions of the same archive ingest the
 // same multiset of altitudes in different orders — so the dataset stores the
 // order-free canonical form and stays byte-identical across decompositions.
-// Every consumer (the Fig 10 CDFs) sorts numerically anyway.
+// Without NaNs this is also stats.SortFloat64s's order, so Fig 10(a) wraps
+// the column as its CDF without sorting again.
 //
-// The sort runs over the uint64 order keys, not over the floats with a
-// comparator: f64OrderKey is a bijection, so sorting the keys and mapping
-// back yields the same permutation as a comparator sort at a fraction of the
-// cost (the comparator closure on a multi-million-row archive dominated the
-// whole dataset build). Archive-sized key slices go through an LSD radix
-// sort — O(n) passes over flat uint64s, no comparisons at all — which is
-// what keeps the canonical form affordable on the cold build path. The
-// already-canonical fast path makes re-canonicalizing a single sorted
-// partial — the monolithic Build, which feeds one pre-sorted partial through
-// the assembler — O(n) instead of a second full sort.
+// The sort runs over the uint64 order keys with the stats radix kernel, not
+// over the floats with a comparator: the key map is a bijection, so sorting
+// keys and mapping back yields the same permutation at a fraction of the
+// cost. The already-canonical fast path makes re-canonicalizing a single
+// sorted partial — the monolithic Build, which feeds one pre-sorted partial
+// through the assembler — O(n) instead of a second full sort.
 func canonicalizeRawAlts(alts []float64) {
 	if RawAltsCanonical(alts) {
 		return
 	}
 	keys := make([]uint64, len(alts))
 	for i, v := range alts {
-		keys[i] = f64OrderKey(v)
+		keys[i] = stats.Float64Key(v)
 	}
-	radixSortKeys(keys)
+	stats.SortKeys(keys)
 	for i, k := range keys {
-		alts[i] = f64FromOrderKey(k)
+		alts[i] = stats.Float64FromKey(k)
 	}
-}
-
-// radixSortKeys sorts uint64 keys ascending with an LSD radix sort: eight
-// byte-wide counting passes, each a linear scan. Fully deterministic (no
-// pivots, no sampling) and roughly 4x faster than the comparison sort on
-// archive-sized inputs. Passes where every key shares the byte — common for
-// altitude keys, whose high bytes span a narrow range — are skipped, so the
-// typical input pays 3–4 passes, not 8. Small inputs fall back to
-// slices.Sort, which beats the counting setup below ~2k elements.
-func radixSortKeys(keys []uint64) {
-	if len(keys) < 2048 {
-		slices.Sort(keys)
-		return
-	}
-	buf := make([]uint64, len(keys))
-	src, dst := keys, buf
-	for shift := uint(0); shift < 64; shift += 8 {
-		var counts [256]int
-		for _, k := range src {
-			counts[byte(k>>shift)]++
-		}
-		if counts[byte(src[0]>>shift)] == len(src) {
-			continue // every key shares this byte; the pass is a no-op
-		}
-		sum := 0
-		for i, c := range counts {
-			counts[i] = sum
-			sum += c
-		}
-		for _, k := range src {
-			b := byte(k >> shift)
-			dst[counts[b]] = k
-			counts[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-}
-
-// f64OrderKey maps a float64 to a uint64 whose unsigned order is the IEEE
-// total order: negative values (sign bit set) flip entirely, non-negative
-// values set the top bit.
-func f64OrderKey(v float64) uint64 {
-	b := math.Float64bits(v)
-	if b>>63 == 1 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-// f64FromOrderKey inverts f64OrderKey.
-func f64FromOrderKey(k uint64) float64 {
-	if k>>63 == 1 {
-		return math.Float64frombits(k &^ (1 << 63))
-	}
-	return math.Float64frombits(^k)
 }
 
 // RawAltsCanonical reports whether alts is in the canonical raw-altitude
@@ -141,9 +79,9 @@ func RawAltsCanonical(alts []float64) bool {
 	}
 	// Carry the previous key: every cache load runs this check twice over
 	// the whole column (in the decoder, then in Finish).
-	prev := f64OrderKey(alts[0])
+	prev := stats.Float64Key(alts[0])
 	for _, v := range alts[1:] {
-		k := f64OrderKey(v)
+		k := stats.Float64Key(v)
 		if prev > k {
 			return false
 		}
@@ -225,16 +163,8 @@ func (a *PartialAssembler) Finish() (*Dataset, error) {
 		rawAlts: a.rawAlts,
 		stats:   a.stats,
 	}
-	nClean := 0
-	for _, tr := range a.tracks {
-		nClean += len(tr.Points)
-	}
-	d.cleanAlts = make([]float64, 0, nClean)
 	for _, tr := range a.tracks {
 		d.byCat[tr.Catalog] = tr
-		for _, p := range tr.Points {
-			d.cleanAlts = append(d.cleanAlts, float64(p.AltKm))
-		}
 	}
 	metricBuilds.Inc()
 	metricObservations.Add(int64(d.stats.TotalObservations))

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"slices"
 	"testing"
 	"time"
 
@@ -186,46 +185,6 @@ func TestCanonicalRawAltsOrder(t *testing.T) {
 	}
 	if RawAltsCanonical([]float64{2, 1}) {
 		t.Error("descending slice reported canonical")
-	}
-}
-
-// TestRadixSortKeysMatchesComparisonSort drives the radix path (above the
-// small-input fallback) over adversarial bit patterns — shared high bytes
-// (skipped passes), full-range keys, duplicates — and requires the exact
-// slices.Sort order.
-func TestRadixSortKeysMatchesComparisonSort(t *testing.T) {
-	const n = 5000
-	keys := make([]uint64, n)
-	x := uint64(0x9e3779b97f4a7c15) // deterministic xorshift stream
-	for i := range keys {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		switch i % 4 {
-		case 0:
-			keys[i] = x
-		case 1:
-			keys[i] = x & 0xffff // high bytes all zero: those passes skip
-		case 2:
-			keys[i] = x | 0xffffffff00000000 // high bytes all ones
-		default:
-			keys[i] = keys[i/2] // duplicates
-		}
-	}
-	want := append([]uint64(nil), keys...)
-	slices.Sort(want)
-	radixSortKeys(keys)
-	if !slices.Equal(keys, want) {
-		for i := range keys {
-			if keys[i] != want[i] {
-				t.Fatalf("radix order diverges at %d: got %#x, want %#x", i, keys[i], want[i])
-			}
-		}
-	}
-	one := []uint64{3, 1, 2}
-	radixSortKeys(one) // small-input fallback
-	if !slices.IsSorted(one) {
-		t.Fatalf("fallback path failed: %v", one)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -45,11 +46,9 @@ type Dataset struct {
 	tracks  []*Track
 	byCat   map[int]*Track
 	// rawAlts holds every ingested altitude before cleaning (Fig 10a) in
-	// canonical total order (see canonicalizeRawAlts); cleanAlts holds the
-	// altitudes that survived (Fig 10b), in track order.
-	rawAlts   []float64
-	cleanAlts []float64
-	stats     CleaningStats
+	// canonical total order (see canonicalizeRawAlts).
+	rawAlts []float64
+	stats   CleaningStats
 }
 
 // Observation is the ingest-format-independent record: one satellite state
@@ -325,9 +324,44 @@ func (d *Dataset) Track(catalog int) *Track { return d.byCat[catalog] }
 func (d *Dataset) Cleaning() CleaningStats { return d.stats }
 
 // RawAltitudeCDF is Fig 10(a): the altitude distribution across all ingested
-// TLEs before cleaning, long error tail included.
-func (d *Dataset) RawAltitudeCDF() (*stats.CDF, error) { return stats.NewCDF(d.rawAlts) }
+// TLEs before cleaning, long error tail included. The canonical raw column is
+// already in the CDF's sort order unless it holds NaNs, which the total order
+// puts at its ends, so the CDF wraps it read-only.
+func (d *Dataset) RawAltitudeCDF() (*stats.CDF, error) {
+	if nanAtEnd(d.rawAlts) {
+		return stats.NewCDF(d.rawAlts)
+	}
+	return stats.NewSortedCDF(d.rawAlts)
+}
 
 // CleanAltitudeCDF is Fig 10(b): after removing tracking errors and
-// orbit-raising windows.
-func (d *Dataset) CleanAltitudeCDF() (*stats.CDF, error) { return stats.NewCDF(d.cleanAlts) }
+// orbit-raising windows. It sorts the track points' float32 altitudes by
+// their 32-bit order keys, which is the order of their float64 values.
+func (d *Dataset) CleanAltitudeCDF() (*stats.CDF, error) {
+	n := 0
+	for _, tr := range d.tracks {
+		n += len(tr.Points)
+	}
+	keys := make([]uint32, 0, n)
+	for _, tr := range d.tracks {
+		for _, p := range tr.Points {
+			keys = append(keys, stats.Float32Key(p.AltKm))
+		}
+	}
+	stats.SortKeys(keys)
+	alts := make([]float64, len(keys))
+	for i, k := range keys {
+		alts[i] = float64(stats.Float32FromKey(k))
+	}
+	if nanAtEnd(alts) {
+		stats.SortFloat64s(alts) // the total order puts +NaN last
+	}
+	return stats.NewSortedCDF(alts)
+}
+
+// nanAtEnd reports whether a slice in IEEE total order holds NaNs, which
+// that order places at its ends.
+func nanAtEnd(sorted []float64) bool {
+	n := len(sorted)
+	return n > 0 && (math.IsNaN(sorted[0]) || math.IsNaN(sorted[n-1]))
+}

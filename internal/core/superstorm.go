@@ -69,8 +69,12 @@ func (d *Dataset) SuperStorm(from, to time.Time) (*SuperStormReport, error) {
 		}
 		dd := DailyDrag{Day: dayStart, Samples: len(scratch)}
 		if len(scratch) > 0 {
-			dd.Median, _ = stats.Percentile(scratch, 50)
-			dd.P95, _ = stats.Percentile(scratch, 95)
+			cdf, err := stats.NewCDF(scratch)
+			if err != nil {
+				return nil, err
+			}
+			dd.Median, _ = cdf.Percentile(50)
+			dd.P95, _ = cdf.Percentile(95)
 			dd.Mean, _ = stats.Mean(scratch)
 		}
 		rep.Drag = append(rep.Drag, dd)

@@ -33,8 +33,7 @@ type Track struct {
 // At returns the last point at or before t. ok is false when the track has
 // no observation yet.
 func (tr *Track) At(t time.Time) (TrackPoint, bool) {
-	ts := t.Unix()
-	i := sort.Search(len(tr.Points), func(i int) bool { return tr.Points[i].Epoch > ts })
+	i := tr.after(t.Unix())
 	if i == 0 {
 		return TrackPoint{}, false
 	}
@@ -43,12 +42,41 @@ func (tr *Track) At(t time.Time) (TrackPoint, bool) {
 
 // Window returns the points with from <= epoch <= to.
 func (tr *Track) Window(from, to time.Time) []TrackPoint {
-	lo := sort.Search(len(tr.Points), func(i int) bool { return tr.Points[i].Epoch >= from.Unix() })
-	hi := sort.Search(len(tr.Points), func(i int) bool { return tr.Points[i].Epoch > to.Unix() })
+	lo, hi := tr.from(from.Unix()), tr.after(to.Unix())
 	if lo >= hi {
 		return nil
 	}
 	return tr.Points[lo:hi]
+}
+
+// after returns the index of the first point with Epoch > ts. The binary
+// search is written out: sort.Search's closure call per probe cost more
+// than the comparison it wraps.
+func (tr *Track) after(ts int64) int {
+	lo, hi := 0, len(tr.Points)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tr.Points[m].Epoch > ts {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// from returns the index of the first point with Epoch >= ts.
+func (tr *Track) from(ts int64) int {
+	lo, hi := 0, len(tr.Points)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tr.Points[m].Epoch >= ts {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // Span returns the first and last epochs; ok is false for empty tracks.

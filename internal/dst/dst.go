@@ -50,17 +50,18 @@ func (x *Index) Slice(from, to time.Time) *Index {
 	return &Index{hourly: x.hourly.Slice(from, to)}
 }
 
-// Min returns the most negative reading (peak storm intensity) and its time.
+// Min returns the most negative reading (peak storm intensity) and its time,
+// the first such hour on a tie. Missing hours (NaN) are skipped; an index
+// with no reading present returns 0 and the zero time, as an empty one does.
 func (x *Index) Min() (units.NanoTesla, time.Time) {
-	vals := x.hourly.Values()
-	if len(vals) == 0 {
-		return 0, time.Time{}
-	}
-	best, at := vals[0], 0
-	for i, v := range vals {
-		if v < best {
+	best, at := 0.0, -1
+	for i, v := range x.hourly.Values() {
+		if !math.IsNaN(v) && (at < 0 || v < best) {
 			best, at = v, i
 		}
+	}
+	if at < 0 {
+		return 0, time.Time{}
 	}
 	return units.NanoTesla(best), x.hourly.TimeAt(at)
 }
@@ -68,9 +69,18 @@ func (x *Index) Min() (units.NanoTesla, time.Time) {
 // IntensityPercentile returns the Dst level whose *intensity* (|negative
 // excursion|) is at the p-th percentile. The paper's "99th-ptile intensity:
 // −63 nT" means 99% of hours are less intense (less negative) than −63 nT, so
-// this is the (100−p)-th percentile of the raw signed values.
+// this is the (100−p)-th percentile of the raw signed values. Missing hours
+// (NaN) are not ranked: the percentile is over the hours present, and
+// stats.ErrEmpty when none is.
 func (x *Index) IntensityPercentile(p float64) (units.NanoTesla, error) {
-	v, err := stats.Percentile(x.hourly.Values(), 100-p)
+	vals := x.hourly.Values()
+	present := make([]float64, 0, len(vals))
+	for _, v := range vals {
+		if !math.IsNaN(v) {
+			present = append(present, v)
+		}
+	}
+	v, err := stats.Percentile(present, 100-p)
 	if err != nil {
 		return 0, err
 	}

@@ -1,10 +1,12 @@
 package dst
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"cosmicdance/internal/stats"
 	"cosmicdance/internal/timeseries"
 	"cosmicdance/internal/units"
 )
@@ -161,6 +163,53 @@ func TestHoursInClass(t *testing.T) {
 	}
 	if total != 6 {
 		t.Errorf("total classified = %d, want 6 (NaN excluded)", total)
+	}
+}
+
+// TestMissingHoursSkipped: WDC 9999 hours decode to NaN and stay in the
+// index; neither the intensity percentile nor the peak may rank them.
+func TestMissingHoursSkipped(t *testing.T) {
+	nan := math.NaN()
+	series := func(n int, v float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	// 1,000 quiet hours, one storm hour, 20 missing hours.
+	mixed := append(append(series(1000, -10), -200), series(20, nan)...)
+	cases := []struct {
+		name     string
+		vals     []float64
+		p        float64
+		wantP    float64
+		wantMin  float64
+		wantHour int // index of the peak hour; -1 for none
+	}{
+		{"missing tail", mixed, 99, -10, -200, 1000},
+		{"missing first hour", append([]float64{nan}, -30, -80, -5), 100, -80, -80, 2},
+		{"no missing hour", []float64{-30, -80, -5}, 0, -5, -80, 1},
+		{"all missing", series(5, nan), 99, 0, 0, -1},
+	}
+	for _, c := range cases {
+		x := FromValues(t0, c.vals)
+		got, err := x.IntensityPercentile(c.p)
+		if c.wantHour < 0 {
+			if !errors.Is(err, stats.ErrEmpty) {
+				t.Errorf("%s: IntensityPercentile err = %v, want stats.ErrEmpty", c.name, err)
+			}
+		} else if err != nil || float64(got) != c.wantP {
+			t.Errorf("%s: IntensityPercentile(%v) = %v, %v; want %v", c.name, c.p, got, err, c.wantP)
+		}
+		peak, at := x.Min()
+		wantAt := time.Time{}
+		if c.wantHour >= 0 {
+			wantAt = t0.Add(time.Duration(c.wantHour) * time.Hour)
+		}
+		if float64(peak) != c.wantMin || !at.Equal(wantAt) {
+			t.Errorf("%s: Min = %v at %v; want %v at %v", c.name, peak, at, c.wantMin, wantAt)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package parallel is the dependency-free worker pool behind CosmicDance's
 // fan-out stages: the per-satellite physics step, the per-track cleaning
-// pass, and the per-(event, track) association sweep.
+// pass, and the per-track association sweep.
 //
 // The package is built around one invariant: parallel execution must be
 // indistinguishable from sequential execution. Work items are addressed by

@@ -17,7 +17,17 @@ func NewCDF(values []float64) (*CDF, error) {
 		return nil, ErrEmpty
 	}
 	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
+	SortFloat64s(sorted)
+	return &CDF{sorted: sorted}, nil
+}
+
+// NewSortedCDF builds an empirical CDF over a sample already in
+// SortFloat64s's order, without copying it: the CDF keeps sorted, and the
+// caller must not modify it afterwards.
+func NewSortedCDF(sorted []float64) (*CDF, error) {
+	if len(sorted) == 0 {
+		return nil, ErrEmpty
+	}
 	return &CDF{sorted: sorted}, nil
 }
 
@@ -38,6 +48,16 @@ func (c *CDF) Quantile(q float64) float64 {
 		return c.sorted[len(c.sorted)-1]
 	}
 	return percentileSorted(c.sorted, q*100)
+}
+
+// Percentile returns the p-th percentile (0 <= p <= 100) of the sample, by
+// the same interpolation as the package-level Percentile, without sorting
+// again.
+func (c *CDF) Percentile(p float64) (float64, error) {
+	if p < 0 || p > 100 {
+		return 0, errPercentileRange
+	}
+	return percentileSorted(c.sorted, p), nil
 }
 
 // N returns the sample size.

@@ -7,11 +7,12 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by aggregates that are undefined on empty input.
 var ErrEmpty = errors.New("stats: empty input")
+
+var errPercentileRange = errors.New("stats: percentile out of range [0,100]")
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of values using
 // linear interpolation between closest ranks. The input is not modified.
@@ -20,10 +21,10 @@ func Percentile(values []float64, p float64) (float64, error) {
 		return 0, ErrEmpty
 	}
 	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
+		return 0, errPercentileRange
 	}
 	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
+	SortFloat64s(sorted)
 	return percentileSorted(sorted, p), nil
 }
 
@@ -119,7 +120,7 @@ func Summarize(values []float64) (Summary, error) {
 		return Summary{}, ErrEmpty
 	}
 	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
+	SortFloat64s(sorted)
 	var sum float64
 	for _, v := range sorted {
 		sum += v

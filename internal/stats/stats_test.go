@@ -173,6 +173,9 @@ func TestCDFEmpty(t *testing.T) {
 	if _, err := NewCDF(nil); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
+	if _, err := NewSortedCDF(nil); err != ErrEmpty {
+		t.Errorf("NewSortedCDF: err = %v, want ErrEmpty", err)
+	}
 }
 
 func TestCDFQuantile(t *testing.T) {
@@ -194,6 +197,25 @@ func TestCDFQuantile(t *testing.T) {
 	}
 	if got := c.Quantile(2); got != 30 {
 		t.Errorf("Quantile(2) = %v", got)
+	}
+	// CDF.Percentile answers as Percentile over the same sample, and so does
+	// a CDF wrapped around an already-sorted copy.
+	wrapped, err := NewSortedCDF([]float64{10, 20, 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{0, 12.5, 50, 95, 100} {
+		want, _ := Percentile([]float64{30, 10, 20}, p)
+		for _, cdf := range []*CDF{c, wrapped} {
+			if got, err := cdf.Percentile(p); err != nil || got != want {
+				t.Errorf("CDF.Percentile(%v) = %v, %v; want %v", p, got, err, want)
+			}
+		}
+	}
+	for _, p := range []float64{-1, 101} {
+		if _, err := c.Percentile(p); err == nil {
+			t.Errorf("CDF.Percentile(%v): want error", p)
+		}
 	}
 }
 

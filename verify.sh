@@ -173,6 +173,7 @@ if [ "$FUZZ" = 1 ]; then
     fuzz ./internal/artifact FuzzSegmentRoundTrip
     fuzz ./internal/incremental FuzzDstHandler
     fuzz ./internal/constellation FuzzStream
+    fuzz ./internal/stats FuzzSortFloat64s
 fi
 
 echo "verify: OK"
