@@ -96,16 +96,7 @@ golden:
 	$(GO) test ./cmd/figures -run Golden -update
 
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/tle
-	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/tle
-	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=10s ./internal/tle
-	$(GO) test -run='^$$' -fuzz='^FuzzParseRecord$$' -fuzztime=10s ./internal/dst
-	$(GO) test -run='^$$' -fuzz='^FuzzIndexRoundTrip$$' -fuzztime=10s ./internal/wdc
-	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=10s ./internal/artifact
-	$(GO) test -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=10s ./internal/artifact
-	$(GO) test -run='^$$' -fuzz='^FuzzDstHandler$$' -fuzztime=10s ./internal/incremental
-	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=10s ./internal/constellation
-	$(GO) test -run='^$$' -fuzz='^FuzzSortFloat64s$$' -fuzztime=10s ./internal/stats
+	./scripts/fuzz.sh
 
 # The full verification gate: vet + build + race-tested suite + fuzz seeds.
 verify:

@@ -15,11 +15,12 @@
 //
 // Quick start:
 //
+//	ctx := context.Background()
 //	weather, _ := cosmicdance.PaperWeather()
-//	fleet, _ := cosmicdance.PaperConstellation(weather, 42)
-//	dataset, _ := cosmicdance.NewDataset(weather, fleet)
+//	fleet, _ := cosmicdance.PaperConstellation(ctx, weather, 42)
+//	dataset, _ := cosmicdance.NewDataset(ctx, weather, fleet)
 //	events, _ := dataset.EventsAbovePercentile(95, 1, 0)
-//	shifts := dataset.Associate(events, 30)
+//	shifts := dataset.Associate(ctx, events, 30)
 package cosmicdance
 
 import (

@@ -1,11 +1,29 @@
 package cosmicdance_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"cosmicdance"
 )
+
+// Example is the README's Quickstart: the paper's weather and fleet, the
+// cleaned dataset, and the orbital shifts closely after high-intensity
+// storms. It has no Output line, so go test compiles it without running the
+// 4.5-year simulation.
+func Example() {
+	ctx := context.Background()
+	weather, _ := cosmicdance.PaperWeather()
+	fleet, _ := cosmicdance.PaperConstellation(ctx, weather, 42)
+	dataset, _ := cosmicdance.NewDataset(ctx, weather, fleet)
+
+	events, _ := dataset.EventsAbovePercentile(95, 1, 0)
+	shifts := dataset.Associate(ctx, events, 30)
+	cdf, _ := cosmicdance.DeviationCDF(shifts)
+	fmt.Printf("p99 orbital shift after storms: %.1f km (max %.0f km)\n",
+		cdf.Quantile(0.99), cdf.Max())
+}
 
 // ExampleParseTLE decodes a published element set and derives the quantity
 // the paper's analysis runs on: the altitude implied by the mean motion.

@@ -420,32 +420,3 @@ func DragChangeCDF(devs []Deviation) (*stats.CDF, error) {
 	}
 	return stats.NewCDF(vals)
 }
-
-// MergeCloseEvents folds events whose happens-closely-after windows would
-// overlap: an event starting within gap of the previous kept event is merged
-// into it, keeping the deeper peak and extending the duration bookkeeping.
-// Without this, a storm with a ragged tail (several threshold crossings in a
-// few days) would associate the same satellite response several times over.
-// Events must be time-ordered, as Events returns them.
-func MergeCloseEvents(events []Event, gap time.Duration) []Event {
-	if len(events) == 0 {
-		return nil
-	}
-	out := []Event{events[0]}
-	for _, ev := range events[1:] {
-		last := &out[len(out)-1]
-		if ev.Storm.Start.Sub(last.Storm.Start) < gap {
-			// Extend the kept event's span and keep the deeper peak.
-			if ev.Storm.Peak < last.Storm.Peak {
-				last.Storm.Peak = ev.Storm.Peak
-				last.Storm.PeakAt = ev.Storm.PeakAt
-			}
-			if end := ev.Storm.End(); end.After(last.Storm.End()) {
-				last.Storm.Hours = int(end.Sub(last.Storm.Start) / time.Hour)
-			}
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out
-}

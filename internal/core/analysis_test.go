@@ -473,42 +473,3 @@ func TestTimeSeries(t *testing.T) {
 		t.Error("empty window accepted")
 	}
 }
-
-func TestMergeCloseEvents(t *testing.T) {
-	mk := func(hoursFromStart int, peak units.NanoTesla, dur int) Event {
-		return Event{Storm: dst.Storm{
-			Start: c0.Add(time.Duration(hoursFromStart) * time.Hour),
-			Peak:  peak, Hours: dur,
-			PeakAt: c0.Add(time.Duration(hoursFromStart+1) * time.Hour),
-		}}
-	}
-	events := []Event{
-		mk(0, -80, 3),
-		mk(24, -150, 5), // within 3 days of the first: merged, deeper peak kept
-		mk(40, -60, 2),  // still within 3 days of the FIRST kept event: merged
-		mk(200, -90, 4), // far away: kept
-	}
-	merged := MergeCloseEvents(events, 72*time.Hour)
-	if len(merged) != 2 {
-		t.Fatalf("merged = %d events, want 2", len(merged))
-	}
-	if merged[0].Storm.Peak != -150 {
-		t.Errorf("merged peak = %v, want -150", merged[0].Storm.Peak)
-	}
-	// The merged event's span covers the last folded storm.
-	if merged[0].Storm.End().Before(c0.Add(42 * time.Hour)) {
-		t.Errorf("merged end = %v", merged[0].Storm.End())
-	}
-	if !merged[1].Storm.Start.Equal(c0.Add(200 * time.Hour)) {
-		t.Errorf("second event = %+v", merged[1].Storm)
-	}
-	if got := MergeCloseEvents(nil, time.Hour); got != nil {
-		t.Errorf("nil events = %v", got)
-	}
-	// Merging reduces association double counting.
-	d, _ := buildStormDataset(t)
-	evs := d.Events(units.StormThreshold, 1, 0)
-	if len(MergeCloseEvents(evs, 24*time.Hour)) > len(evs) {
-		t.Error("merge grew the event list")
-	}
-}

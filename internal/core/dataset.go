@@ -299,15 +299,6 @@ func CleanTrack(cat int, obs []Observation, cfg Config) CleanedTrack {
 	return res
 }
 
-// NewDatasetFromTLEs is the one-call live-data ingest: it cleans and
-// assembles a dataset directly from parsed element sets (the shape a
-// FetchHistories bulk result flattens into).
-func NewDatasetFromTLEs(ctx context.Context, cfg Config, weather *dst.Index, sets []*tle.TLE) (*Dataset, error) {
-	b := NewBuilder(cfg, weather)
-	b.AddTLEs(sets)
-	return b.Build(ctx)
-}
-
 // Weather returns the Dst index.
 func (d *Dataset) Weather() *dst.Index { return d.weather }
 

@@ -336,7 +336,9 @@ func TestNewDatasetFromTLEs(t *testing.T) {
 		}
 		sets = append(sets, set)
 	}
-	d, err := NewDatasetFromTLEs(context.Background(), DefaultConfig(), quietWeather(30), sets)
+	b := NewBuilder(DefaultConfig(), quietWeather(30))
+	b.AddTLEs(sets)
+	d, err := b.Build(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

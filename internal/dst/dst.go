@@ -119,40 +119,7 @@ func (s Storm) Category() units.GScale { return units.ClassifyDst(s.Peak) }
 // Storms returns every maximal run of consecutive hours with Dst <=
 // threshold, in time order. NaN readings (missing data) terminate runs.
 func (x *Index) Storms(threshold units.NanoTesla) []Storm {
-	var out []Storm
-	vals := x.hourly.Values()
-	inRun := false
-	var cur Storm
-	for i, v := range vals {
-		below := !math.IsNaN(v) && units.NanoTesla(v) <= threshold
-		switch {
-		case below && !inRun:
-			inRun = true
-			cur = Storm{Start: x.hourly.TimeAt(i), Hours: 1, Peak: units.NanoTesla(v), PeakAt: x.hourly.TimeAt(i)}
-		case below && inRun:
-			cur.Hours++
-			if units.NanoTesla(v) < cur.Peak {
-				cur.Peak = units.NanoTesla(v)
-				cur.PeakAt = x.hourly.TimeAt(i)
-			}
-		case !below && inRun:
-			inRun = false
-			out = append(out, cur)
-		}
-	}
-	if inRun {
-		out = append(out, cur)
-	}
-	return out
-}
-
-// StormsByCategory groups detected storms by their G-scale class.
-func (x *Index) StormsByCategory(threshold units.NanoTesla) map[units.GScale][]Storm {
-	out := make(map[units.GScale][]Storm)
-	for _, s := range x.Storms(threshold) {
-		out[s.Category()] = append(out[s.Category()], s)
-	}
-	return out
+	return x.runs(func(v units.NanoTesla) bool { return v <= threshold })
 }
 
 // BandRuns returns every maximal run of consecutive hours whose reading lies
@@ -160,23 +127,31 @@ func (x *Index) StormsByCategory(threshold units.NanoTesla) map[units.GScale][]S
 // duration notion behind Fig 2: the paper's "severe storm lasted 3 contiguous
 // hours" counts exactly the hours at severe depth.
 func (x *Index) BandRuns(lo, hi units.NanoTesla) []Storm {
+	return x.runs(func(v units.NanoTesla) bool { return v > lo && v <= hi })
+}
+
+// runs returns every maximal run of consecutive hours whose reading
+// satisfies in, in time order, with each run's most negative reading (the
+// first on a tie) as its peak. A NaN reading ends a run without being
+// passed to in.
+func (x *Index) runs(in func(units.NanoTesla) bool) []Storm {
 	var out []Storm
 	vals := x.hourly.Values()
 	inRun := false
 	var cur Storm
 	for i, v := range vals {
-		in := !math.IsNaN(v) && units.NanoTesla(v) > lo && units.NanoTesla(v) <= hi
+		hit := !math.IsNaN(v) && in(units.NanoTesla(v))
 		switch {
-		case in && !inRun:
+		case hit && !inRun:
 			inRun = true
 			cur = Storm{Start: x.hourly.TimeAt(i), Hours: 1, Peak: units.NanoTesla(v), PeakAt: x.hourly.TimeAt(i)}
-		case in && inRun:
+		case hit && inRun:
 			cur.Hours++
 			if units.NanoTesla(v) < cur.Peak {
 				cur.Peak = units.NanoTesla(v)
 				cur.PeakAt = x.hourly.TimeAt(i)
 			}
-		case !in && inRun:
+		case !hit && inRun:
 			inRun = false
 			out = append(out, cur)
 		}
@@ -223,30 +198,4 @@ func DurationSummary(storms []Storm) (stats.Summary, error) {
 		durations[i] = float64(s.Hours)
 	}
 	return stats.Summarize(durations)
-}
-
-// QuietWindows returns maximal runs of at least minHours consecutive hours
-// whose intensity stays above (less negative than) threshold — the "no major
-// storm observed" epochs used as the control in Fig 4(b) and Fig 5(a).
-func (x *Index) QuietWindows(threshold units.NanoTesla, minHours int) []Storm {
-	var out []Storm
-	vals := x.hourly.Values()
-	runStart := -1
-	flush := func(end int) {
-		if runStart >= 0 && end-runStart >= minHours {
-			out = append(out, Storm{Start: x.hourly.TimeAt(runStart), Hours: end - runStart})
-		}
-		runStart = -1
-	}
-	for i, v := range vals {
-		quiet := !math.IsNaN(v) && units.NanoTesla(v) > threshold
-		if quiet && runStart < 0 {
-			runStart = i
-		}
-		if !quiet {
-			flush(i)
-		}
-	}
-	flush(len(vals))
-	return out
 }

@@ -242,15 +242,6 @@ func TestAtAndSlice(t *testing.T) {
 	}
 }
 
-func TestStormsByCategory(t *testing.T) {
-	vals := []float64{-60, -10, -150, -10, -250, -10}
-	x := FromValues(t0, vals)
-	byCat := x.StormsByCategory(units.StormThreshold)
-	if len(byCat[units.G1Minor]) != 1 || len(byCat[units.G2Moderate]) != 1 || len(byCat[units.G4Severe]) != 1 {
-		t.Errorf("byCat = %v", byCat)
-	}
-}
-
 func TestDurationSummary(t *testing.T) {
 	storms := []Storm{{Hours: 3}, {Hours: 15}, {Hours: 19}}
 	s, err := DurationSummary(storms)
@@ -262,34 +253,6 @@ func TestDurationSummary(t *testing.T) {
 	}
 	if _, err := DurationSummary(nil); err == nil {
 		t.Error("empty storm list: want error")
-	}
-}
-
-func TestQuietWindows(t *testing.T) {
-	// 5 quiet hours, 1 storm hour, 2 quiet, NaN, 3 quiet.
-	vals := []float64{-1, -2, -3, -4, -5, -80, -6, -7, math.NaN(), -8, -9, -10}
-	x := FromValues(t0, vals)
-	wins := x.QuietWindows(units.StormThreshold, 3)
-	if len(wins) != 2 {
-		t.Fatalf("windows = %d, want 2 (min length filters the 2-hour run)", len(wins))
-	}
-	if wins[0].Hours != 5 || !wins[0].Start.Equal(t0) {
-		t.Errorf("first window = %+v", wins[0])
-	}
-	if wins[1].Hours != 3 || !wins[1].Start.Equal(t0.Add(9*time.Hour)) {
-		t.Errorf("second window = %+v", wins[1])
-	}
-}
-
-func TestQuietWindowsAllQuiet(t *testing.T) {
-	vals := make([]float64, 48)
-	for i := range vals {
-		vals[i] = -5
-	}
-	x := FromValues(t0, vals)
-	wins := x.QuietWindows(units.StormThreshold, 24)
-	if len(wins) != 1 || wins[0].Hours != 48 {
-		t.Errorf("windows = %+v", wins)
 	}
 }
 
@@ -329,6 +292,15 @@ func TestBandRuns(t *testing.T) {
 	x3 := FromValues(t0, []float64{-10, -60})
 	if got := x3.BandRuns(-100, -50); len(got) != 1 {
 		t.Errorf("trailing run = %d, want 1", len(got))
+	}
+	// A -Inf hour stays inside a storm but lies in no band whose lower bound
+	// is -Inf, so Storms(t) is not BandRuns(-Inf, t).
+	x4 := FromValues(t0, []float64{-60, math.Inf(-1), -60})
+	if got := x4.Storms(units.StormThreshold); len(got) != 1 || got[0].Hours != 3 || !math.IsInf(float64(got[0].Peak), -1) {
+		t.Errorf("storms over -Inf = %+v, want one 3-hour run peaking at -Inf", got)
+	}
+	if got := x4.BandRuns(units.NanoTesla(math.Inf(-1)), units.StormThreshold); len(got) != 2 {
+		t.Errorf("band runs over -Inf = %d, want 2", len(got))
 	}
 }
 

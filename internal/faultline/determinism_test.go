@@ -14,11 +14,10 @@ import (
 	"cosmicdance/internal/dst"
 	"cosmicdance/internal/spacetrack"
 	"cosmicdance/internal/testkit"
-	"cosmicdance/internal/tle"
 )
 
 // The headline suite: for every builtin fault schedule, the full ingest
-// pipeline (FetchGroup → FetchHistories → NewDatasetFromTLEs → storm
+// pipeline (FetchGroup → FetchHistories → Builder.AddTLEs → storm
 // analysis) must produce a dataset and deviation list identical to the
 // fault-free run. Faults may slow ingest; they may never change science.
 
@@ -90,11 +89,11 @@ func ingest(t *testing.T, handler http.Handler, weather *dst.Index, end time.Tim
 	if fails := spacetrack.Failures(results); len(fails) > 0 {
 		return nil, fails[0]
 	}
-	var all []*tle.TLE
+	b := core.NewBuilder(core.DefaultConfig(), weather)
 	for _, r := range results {
-		all = append(all, r.Sets...)
+		b.AddTLEs(r.Sets)
 	}
-	d, err := core.NewDatasetFromTLEs(context.Background(), core.DefaultConfig(), weather, all)
+	d, err := b.Build(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -147,31 +146,6 @@ func TestIngestDeterministicUnderEveryBuiltinSchedule(t *testing.T) {
 				t.Fatalf("schedule %q injected nothing — vacuous pass", name)
 			}
 		})
-	}
-}
-
-// TestIngestDeterministicUnderFaultArchive runs the same invariance check
-// with faults injected below HTTP: the archive itself replays duplicates and
-// serves stale catalog snapshots.
-func TestIngestDeterministicUnderFaultArchive(t *testing.T) {
-	archive, weather, end := detWorld(t)
-	base, err := ingest(t, spacetrack.NewServer(archive, end).Handler(), weather, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := ParseSchedule("dup:1/2,stale:1/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa := Wrap(archive, sched)
-	// A stale catalog snapshot one hour back still lists every satellite —
-	// the fleet launched long before — so ingest must be unaffected.
-	got, err := ingest(t, spacetrack.NewServer(fa, end).Handler(), weather, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := testkit.DiffDatasets(base.dataset, got.dataset); diff != "" {
-		t.Fatalf("dataset under archive faults diverged:\n%s", diff)
 	}
 }
 

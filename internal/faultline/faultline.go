@@ -1,10 +1,9 @@
 // Package faultline is a deterministic, seedable fault-injection layer for
-// the tracking-service ingest path. It wraps an http.Handler (or a
-// spacetrack.Archive) and injects scheduled faults — added latency, 429
-// storms with or without Retry-After, 5xx bursts, connection resets,
-// truncated and bit-flipped response bodies, and stale or duplicated
-// element sets — so the pipeline's fault tolerance can be exercised
-// end-to-end without a flaky network.
+// the tracking-service ingest path. It wraps an http.Handler and injects
+// scheduled faults — added latency, 429 storms with or without Retry-After,
+// 5xx bursts, connection resets, truncated and bit-flipped response bodies,
+// and stale or duplicated element sets — so the pipeline's fault tolerance
+// can be exercised end-to-end without a flaky network.
 //
 // Faults fire on a modular request schedule: a Rule like 429:3/5 returns
 // 429 for the first three of every five requests and passes the remaining

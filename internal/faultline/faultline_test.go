@@ -7,9 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
-
-	"cosmicdance/internal/tle"
 )
 
 func TestParseScheduleRoundTrip(t *testing.T) {
@@ -302,53 +299,5 @@ func TestInjectorLatencyComposes(t *testing.T) {
 	}
 	if !strings.Contains(in.Summary(), "latency=1") {
 		t.Errorf("Summary() = %q", in.Summary())
-	}
-}
-
-// staticArchive implements spacetrack.Archive over fixed data for
-// FaultArchive tests.
-type staticArchive struct {
-	sets   []*tle.TLE
-	latest []time.Time // records the `at` of every GroupLatest call
-}
-
-func (a *staticArchive) Groups() []string { return []string{"test"} }
-
-func (a *staticArchive) GroupLatest(group string, at time.Time) []*tle.TLE {
-	a.latest = append(a.latest, at)
-	return a.sets
-}
-
-func (a *staticArchive) History(catalog int, from, to time.Time) []*tle.TLE {
-	return a.sets
-}
-
-func TestFaultArchiveDuplicatesHistory(t *testing.T) {
-	inner := &staticArchive{sets: []*tle.TLE{{CatalogNumber: 1}, {CatalogNumber: 2}}}
-	sched, _ := ParseSchedule("dup:1/2")
-	fa := Wrap(inner, sched)
-	if got := fa.History(1, time.Time{}, time.Time{}); len(got) != 4 {
-		t.Fatalf("dup tick: %d sets, want 4", len(got))
-	}
-	if got := fa.History(1, time.Time{}, time.Time{}); len(got) != 2 {
-		t.Fatalf("clean tick: %d sets, want 2", len(got))
-	}
-}
-
-func TestFaultArchiveStaleGroupLatest(t *testing.T) {
-	inner := &staticArchive{}
-	sched, _ := ParseSchedule("stale:1/2")
-	fa := Wrap(inner, sched)
-	at := time.Date(2023, 3, 1, 12, 0, 0, 0, time.UTC)
-	fa.GroupLatest("test", at) // stale tick
-	fa.GroupLatest("test", at) // clean tick
-	if len(inner.latest) != 2 {
-		t.Fatal("inner archive not called")
-	}
-	if !inner.latest[0].Equal(at.Add(-time.Hour)) {
-		t.Errorf("stale tick saw %v, want one hour earlier", inner.latest[0])
-	}
-	if !inner.latest[1].Equal(at) {
-		t.Errorf("clean tick saw %v, want the requested time", inner.latest[1])
 	}
 }

@@ -309,9 +309,10 @@ func (f *Feed) handleStream(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	for {
 		batch, oldest, notify := f.after(cursor)
-		if oldest > cursor+1 {
+		if oldest > 0 && oldest-1 > cursor {
 			// The ring dropped deltas the cursor still wanted: tell the
-			// client to resync from a fresh /v1/risk snapshot.
+			// client to resync from a fresh /v1/risk snapshot. (cursor+1
+			// would wrap to 0 for the largest cursor.)
 			f.recordResync(cursor, oldest)
 			fmt.Fprintf(w, "event: resync\ndata: {\"oldest\":%d}\n\n", oldest)
 			cursor = oldest - 1

@@ -18,7 +18,7 @@ import (
 
 // seedFeed builds a feed over a small engine with real storms, tracks and
 // deltas.
-func seedFeed(t *testing.T, ringCap int) *Feed {
+func seedFeed(t testing.TB, ringCap int) *Feed {
 	t.Helper()
 	weather, obs := fleetObs(t, 7, 6)
 	f := NewFeed(New(DefaultConfig()), ringCap)
@@ -176,6 +176,33 @@ func TestStreamResyncAfterOverflow(t *testing.T) {
 	}
 	if !strings.Contains(body.String(), "event: ") {
 		t.Fatal("no deltas after resync")
+	}
+}
+
+// TestStreamLargestCursor: a cursor at or just below the largest uint64 is
+// past every buffered delta, so the stream sends nothing. That holds on a
+// ring that has dropped deltas too: the overflow check must not wrap
+// cursor+1 to 0 and replay the whole ring behind a resync.
+func TestStreamLargestCursor(t *testing.T) {
+	f := seedFeed(t, 8)
+	cases := []struct{ name, query, lastEventID string }{
+		{"cursor max", "cursor=18446744073709551615", ""},
+		{"cursor max-1", "cursor=18446744073709551614", ""},
+		{"Last-Event-ID max", "", "18446744073709551615"},
+		{"Last-Event-ID max-1", "", "18446744073709551614"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodGet, "/v1/risk/stream?nowait=1&"+c.query, nil)
+			if c.lastEventID != "" {
+				req.Header.Set("Last-Event-ID", c.lastEventID)
+			}
+			rec := httptest.NewRecorder()
+			f.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+				t.Fatalf("status %d, body %q; want 200 and no events", rec.Code, rec.Body.String())
+			}
+		})
 	}
 }
 

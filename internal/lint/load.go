@@ -185,25 +185,6 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	}, nil
 }
 
-// lookupInterface resolves a named interface (e.g. "io", "Writer") through
-// the loader's importer, so rules can use types.Implements against real
-// stdlib interfaces.
-func (l *Loader) lookupInterface(pkgPath, name string) (*types.Interface, error) {
-	pkg, err := l.im.Import(pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	obj := pkg.Scope().Lookup(name)
-	if obj == nil {
-		return nil, fmt.Errorf("%s.%s not found", pkgPath, name)
-	}
-	iface, ok := obj.Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil, fmt.Errorf("%s.%s is not an interface", pkgPath, name)
-	}
-	return iface, nil
-}
-
 // packageDirs returns every directory under base holding at least one .go
 // file, skipping hidden directories, vendor and testdata trees.
 func packageDirs(base string) ([]string, error) {

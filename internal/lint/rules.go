@@ -80,12 +80,8 @@ func Select(names string) ([]Rule, error) {
 	return out, nil
 }
 
-// errorType is the universe error type; errorIface its underlying
-// interface (for types.Implements).
-var (
-	errorType  = types.Universe.Lookup("error").Type()
-	errorIface = errorType.Underlying().(*types.Interface)
-)
+// errorType is the universe error type.
+var errorType = types.Universe.Lookup("error").Type()
 
 // writerIface is a structural io.Writer, built by hand so rules can test
 // types.Implements without access to the loaded io package.

@@ -78,12 +78,6 @@ func MeanMotionFromAltitude(alt units.Kilometers) (units.RevsPerDay, error) {
 	return units.RevsPerDay(units.SecondsPerDay / period), nil
 }
 
-// OrbitalVelocity returns the circular orbital speed (km/s) at altitude alt.
-func OrbitalVelocity(alt units.Kilometers) float64 {
-	a := float64(alt) + units.EarthRadiusKm
-	return math.Sqrt(units.MuEarth / a)
-}
-
 // RAANRateDegPerDay returns the secular nodal-regression rate due to the
 // Earth's oblateness (J2). For prograde LEO orbits the node drifts westward
 // (negative rate) — this is the steady RAAN decrease visible in Fig 9.
@@ -108,16 +102,4 @@ func RAANRateDegPerDay(alt units.Kilometers, inc units.Degrees, ecc float64) flo
 // motion n, wrapped to [0,360).
 func MeanAnomalyAt(m0 units.Degrees, n units.RevsPerDay, days float64) units.Degrees {
 	return (m0 + units.Degrees(360*float64(n)*days)).Normalize360()
-}
-
-// DecayMeanMotionDelta converts an altitude decay (positive km, downward)
-// into the corresponding mean-motion increase. Used by the constellation
-// simulator so emitted TLEs stay self-consistent.
-func DecayMeanMotionDelta(alt units.Kilometers, dropKm float64) units.RevsPerDay {
-	before, err1 := MeanMotionFromAltitude(alt)
-	after, err2 := MeanMotionFromAltitude(alt - units.Kilometers(dropKm))
-	if err1 != nil || err2 != nil {
-		return 0
-	}
-	return after - before
 }

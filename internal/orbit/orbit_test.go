@@ -85,18 +85,6 @@ func TestGeostationaryAltitude(t *testing.T) {
 	}
 }
 
-func TestOrbitalVelocity(t *testing.T) {
-	// ~7.6 km/s at 550 km.
-	v := OrbitalVelocity(550)
-	if v < 7.5 || v > 7.7 {
-		t.Errorf("velocity at 550 km = %v km/s, want ~7.59", v)
-	}
-	// Velocity decreases with altitude.
-	if OrbitalVelocity(1000) >= v {
-		t.Error("velocity must decrease with altitude")
-	}
-}
-
 func TestRAANRateStarlink(t *testing.T) {
 	// Starlink at 550 km / 53° regresses westward a few degrees per day
 	// (textbook value ≈ −5°/day at that inclination... actually ~-5 for ISS
@@ -140,20 +128,6 @@ func TestMeanAnomalyAt(t *testing.T) {
 	m = MeanAnomalyAt(350, 15, 1)
 	if m < 0 || m >= 360 {
 		t.Errorf("mean anomaly %v outside [0,360)", m)
-	}
-}
-
-func TestDecayMeanMotionDelta(t *testing.T) {
-	d := DecayMeanMotionDelta(550, 10)
-	if d <= 0 {
-		t.Fatalf("decaying 10 km must increase mean motion, got %v", d)
-	}
-	// A larger drop produces a larger delta.
-	if DecayMeanMotionDelta(550, 50) <= d {
-		t.Error("delta must grow with drop size")
-	}
-	if got := DecayMeanMotionDelta(-units.EarthRadiusKm, 1); got != 0 {
-		t.Errorf("degenerate input: %v", got)
 	}
 }
 

@@ -57,12 +57,20 @@ func (f *CachingFetcher) History(ctx context.Context, catalog int, from, to time
 		}
 		cached, cachedFrom, cachedTo = sets, from, to
 	case to.After(cachedTo):
-		// Incremental: fetch only the new suffix.
-		fresh, err := f.client.FetchHistory(ctx, catalog, cachedTo.Add(time.Second), to)
+		// Incremental: fetch only the new suffix. The wire and the meta file
+		// carry whole seconds while epochs are fractional, so the suffix
+		// starts at cachedTo itself: a set in the second after cachedTo is
+		// in neither the cache nor a fetch from cachedTo+1s. Sets already
+		// cached (epoch <= cachedTo) are dropped.
+		fresh, err := f.client.FetchHistory(ctx, catalog, cachedTo, to)
 		if err != nil {
 			return nil, err
 		}
-		cached = append(cached, fresh...)
+		for _, t := range fresh {
+			if t.Epoch.After(cachedTo) {
+				cached = append(cached, t)
+			}
+		}
 		if err := f.store(catalog, cachedFrom, to, cached); err != nil {
 			return nil, err
 		}
@@ -77,93 +85,6 @@ func (f *CachingFetcher) History(ctx context.Context, catalog int, from, to time
 		}
 	}
 	return out, nil
-}
-
-// Group returns the current element sets of a constellation group,
-// revalidating the on-disk copy with the server's cache validators. A 304
-// serves the cached bytes without transferring the catalog again; a changed
-// group replaces the cache and its validators atomically.
-func (f *CachingFetcher) Group(ctx context.Context, group string) ([]*tle.TLE, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
-	etag, lastMod, cached := f.loadGroup(group)
-	page, err := f.client.FetchGroupConditional(ctx, group, etag, lastMod)
-	if err != nil {
-		return nil, err
-	}
-	if page.NotModified {
-		return cached, nil
-	}
-	if err := f.storeGroup(group, page); err != nil {
-		return nil, err
-	}
-	return page.Sets, nil
-}
-
-// loadGroup reads a group's cached catalog and validators. Any corruption —
-// missing files, unparseable metadata, bad element sets — degrades to a miss
-// with empty validators, which forces an unconditional refetch.
-func (f *CachingFetcher) loadGroup(group string) (etag, lastMod string, sets []*tle.TLE) {
-	meta, err := os.ReadFile(f.groupMetaPath(group))
-	if err != nil {
-		return "", "", nil
-	}
-	parts := strings.Split(strings.TrimSpace(string(meta)), "\n")
-	if len(parts) != 2 {
-		return "", "", nil
-	}
-	file, err := os.Open(f.groupDataPath(group))
-	if err != nil {
-		return "", "", nil
-	}
-	defer file.Close()
-	r := tle.NewReader(file)
-	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", "", nil
-		}
-		sets = append(sets, t)
-	}
-	if r.Skipped() > 0 || len(sets) == 0 {
-		// A validator paired with corrupt or empty data would revalidate a
-		// cache we cannot actually serve from.
-		return "", "", nil
-	}
-	return parts[0], parts[1], sets
-}
-
-// storeGroup atomically rewrites a group's cache and validators.
-func (f *CachingFetcher) storeGroup(group string, page *GroupPage) error {
-	tmp, err := os.CreateTemp(f.dir, "tmp-*.tle")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := tle.Write(tmp, page.Sets); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), f.groupDataPath(group)); err != nil {
-		return err
-	}
-	meta := page.ETag + "\n" + page.LastModified + "\n"
-	return os.WriteFile(f.groupMetaPath(group), []byte(meta), 0o644)
-}
-
-func (f *CachingFetcher) groupDataPath(group string) string {
-	return filepath.Join(f.dir, "group-"+group+".tle")
-}
-
-func (f *CachingFetcher) groupMetaPath(group string) string {
-	return filepath.Join(f.dir, "group-"+group+".meta")
 }
 
 // load reads the cached window for one object. A missing cache returns nil

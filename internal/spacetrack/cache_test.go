@@ -97,86 +97,6 @@ func TestCacheMissingDataFileIsMiss(t *testing.T) {
 	}
 }
 
-// statusCounter tallies response codes passing through a handler.
-type statusCounter struct {
-	http.ResponseWriter
-	code *int32
-}
-
-func (w *statusCounter) WriteHeader(code int) {
-	atomic.StoreInt32(w.code, int32(code))
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func TestCacheGroupETagRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	archive, _, end := buildArchive(t, 10)
-	srv := NewServer(archive, end)
-	var requests, notModified int32
-	counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&requests, 1)
-		var code int32 = http.StatusOK
-		srv.Handler().ServeHTTP(&statusCounter{ResponseWriter: w, code: &code}, r)
-		if code == http.StatusNotModified {
-			atomic.AddInt32(&notModified, 1)
-		}
-	})
-	ts := httptest.NewServer(counting)
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetcher, err := NewCachingFetcher(client, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	first, err := fetcher.Group(ctx, "starlink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) == 0 || atomic.LoadInt32(&notModified) != 0 {
-		t.Fatalf("cold fetch: %d sets, %d 304s", len(first), atomic.LoadInt32(&notModified))
-	}
-
-	// The second call revalidates: the server answers 304 and the sets come
-	// off disk, identical to the first transfer.
-	second, err := fetcher.Group(ctx, "starlink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if atomic.LoadInt32(&notModified) != 1 {
-		t.Fatalf("warm fetch saw %d 304s, want 1", atomic.LoadInt32(&notModified))
-	}
-	if len(second) != len(first) {
-		t.Fatalf("cached sets = %d, want %d", len(second), len(first))
-	}
-	for i := range second {
-		if second[i].CatalogNumber != first[i].CatalogNumber || !second[i].Epoch.Equal(first[i].Epoch) {
-			t.Fatalf("cached set %d diverges from the original transfer", i)
-		}
-	}
-
-	// Corrupting the cached catalog forces a full refetch: a validator
-	// without servable bytes behind it would be a lie.
-	if err := os.WriteFile(filepath.Join(dir, "group-starlink.tle"), []byte("garbage\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := atomic.LoadInt32(&notModified)
-	healed, err := fetcher.Group(ctx, "starlink")
-	if err != nil {
-		t.Fatalf("corrupt group cache surfaced an error: %v", err)
-	}
-	if len(healed) != len(first) {
-		t.Fatalf("post-corruption sets = %d, want %d", len(healed), len(first))
-	}
-	if atomic.LoadInt32(&notModified) != before {
-		t.Error("corrupt cache must refetch unconditionally, not revalidate")
-	}
-}
-
 func TestNewCachingFetcherBadDir(t *testing.T) {
 	client, err := NewClient("http://localhost:1", nil)
 	if err != nil {
@@ -214,15 +134,5 @@ func TestClientRejectsCorruptServerBody(t *testing.T) {
 	client.UseJSON = true
 	if _, err := client.FetchGroup(context.Background(), "starlink"); !errors.Is(err, ErrCorruptBody) {
 		t.Errorf("garbage JSON err = %v, want ErrCorruptBody", err)
-	}
-	// With tolerance raised, a mostly-garbage body is accepted as empty.
-	client.UseJSON = false
-	client.CorruptTolerance = 10
-	sets, err := client.FetchGroup(context.Background(), "starlink")
-	if err != nil {
-		t.Fatalf("tolerant fetch: %v", err)
-	}
-	if len(sets) != 0 {
-		t.Errorf("parsed %d sets from garbage", len(sets))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -103,9 +104,6 @@ type Client struct {
 	// UseJSON switches transfers to the Space-Track OMM JSON format instead
 	// of classic TLE text.
 	UseJSON bool
-	// BackoffBase scales the exponential backoff for retries that carry no
-	// server-provided delay. Zero means 100ms.
-	BackoffBase time.Duration
 	// Seed drives the deterministic retry jitter: two clients with the same
 	// seed issuing the same request sequence back off identically.
 	Seed int64
@@ -113,10 +111,6 @@ type Client struct {
 	// per-client token buckets key on a stable identity instead of the
 	// connection's ephemeral address.
 	ClientID string
-	// CorruptTolerance allows up to this many unparseable element sets per
-	// response before the body is declared corrupt and refetched. Real
-	// archives contain a few genuinely bad records; the default 0 is exact.
-	CorruptTolerance int
 	// Sleep is the delay hook; tests swap in a deterministic clock
 	// (testkit.Clock.Sleep). Nil sleeps in real time.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -165,16 +159,16 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	return c.Sleep(ctx, d)
 }
 
+// backoffBase scales the exponential backoff for retries that carry no
+// server-provided delay.
+const backoffBase = 100 * time.Millisecond
+
 // backoff computes the delay before retry number attempt (1-based) of
 // request reqID: exponential growth capped at 5s, plus deterministic jitter
 // derived from (Seed, reqID, attempt) so repeated runs are identical while
 // concurrent requests still decorrelate.
 func (c *Client) backoff(reqID int64, attempt int) time.Duration {
-	base := c.BackoffBase
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base
+	d := backoffBase
 	for i := 1; i < attempt; i++ {
 		d *= 2
 		if d >= 5*time.Second {
@@ -187,7 +181,7 @@ func (c *Client) backoff(reqID int64, attempt int) time.Duration {
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27
-	jitter := time.Duration(h % uint64(base))
+	jitter := time.Duration(h % uint64(backoffBase))
 	return d + jitter
 }
 
@@ -398,8 +392,8 @@ func retryAfter(resp *http.Response) time.Duration {
 }
 
 // fetchSets performs a verified fetch of element sets: the body must decode
-// cleanly (within CorruptTolerance) or the transfer is retried, so corrupt
-// responses can never silently shrink the archive.
+// cleanly or the transfer is retried, so corrupt responses can never
+// silently shrink the archive.
 func (c *Client) fetchSets(ctx context.Context, path string, query url.Values) ([]*tle.TLE, error) {
 	var sets []*tle.TLE
 	verify := func(body []byte) error {
@@ -413,10 +407,9 @@ func (c *Client) fetchSets(ctx context.Context, path string, query url.Values) (
 	return sets, nil
 }
 
-// decodeSets parses a response body, enforcing that (almost) every record
-// decoded. The non-strict reader's silent skipping is exactly what a
-// fault-tolerant ingest must not inherit: a skipped record here becomes a
-// missing satellite downstream.
+// decodeSets parses a response body, enforcing that every record decoded.
+// The reader's silent skipping is exactly what a fault-tolerant ingest must
+// not inherit: a skipped record here becomes a missing satellite downstream.
 func (c *Client) decodeSets(body []byte) ([]*tle.TLE, error) {
 	if c.UseJSON {
 		sets, err := tle.ReadOMM(bytes.NewReader(body))
@@ -437,7 +430,7 @@ func (c *Client) decodeSets(body []byte) ([]*tle.TLE, error) {
 		}
 		sets = append(sets, t)
 	}
-	if r.Skipped() > c.CorruptTolerance {
+	if r.Skipped() > 0 {
 		return nil, fmt.Errorf("%w: %d unparseable element sets", ErrCorruptBody, r.Skipped())
 	}
 	return tle.Dedupe(sets), nil
@@ -492,7 +485,12 @@ func (c *Client) FetchGroupConditional(ctx context.Context, group, etag, lastMod
 
 // CatalogNumbers extracts the sorted distinct catalog numbers from a fetch.
 func CatalogNumbers(sets []*tle.TLE) []int {
-	return tle.NewCatalog(sets).Numbers()
+	nums := make([]int, len(sets))
+	for i, t := range sets {
+		nums[i] = t.CatalogNumber
+	}
+	slices.Sort(nums)
+	return slices.Compact(nums)
 }
 
 // FetchHistory downloads the element sets of one object in [from, to] — the

@@ -126,12 +126,6 @@ type Server struct {
 	// MaxInFlight bounds concurrently served requests; zero disables.
 	MaxInFlight int64
 
-	// ValidatorGranularity quantizes the clock component of the group
-	// validators (default one hour, the simulation's sample cadence): a
-	// group's ETag changes when it is ingested into or when the service
-	// clock crosses a granularity boundary, whichever comes first.
-	ValidatorGranularity time.Duration
-
 	mu       sync.Mutex
 	clients  map[string]*bucket
 	capacity bucket
@@ -261,14 +255,6 @@ func (s *Server) now() time.Time {
 		return s.Now()
 	}
 	return time.Now() //cosmiclint:allow nondet fallback for bare struct literals only; NewServer always injects a clock
-}
-
-// granularity returns the validator quantum.
-func (s *Server) granularity() time.Duration {
-	if s.ValidatorGranularity > 0 {
-		return s.ValidatorGranularity
-	}
-	return time.Hour
 }
 
 // clientKey identifies the requester for per-client limiting: the
@@ -447,12 +433,18 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// validatorGranularity quantizes the clock component of the group
+// validators to the simulation's sample cadence: a group's ETag changes when
+// it is ingested into or when the service clock crosses an hour boundary,
+// whichever comes first.
+const validatorGranularity = time.Hour
+
 // validators computes a group's conditional-fetch validators: the ETag folds
 // in the group's version and the clock quantum (new samples become visible
 // as the service clock advances, even without ingest), and Last-Modified is
 // the later of the group's last mutation and the quantum boundary.
 func (s *Server) validators(group string) (etag string, lastMod time.Time) {
-	cut := s.now().Truncate(s.granularity())
+	cut := s.now().Truncate(validatorGranularity)
 	version := uint64(1)
 	var mod time.Time
 	if va, ok := s.archive.(VersionedArchive); ok {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,6 +74,16 @@ func TestFetchGroup(t *testing.T) {
 		if nums[i] <= nums[i-1] {
 			t.Fatal("catalog numbers not sorted/distinct")
 		}
+	}
+}
+
+func TestCatalogNumbersSortedDistinct(t *testing.T) {
+	var sets []*tle.TLE
+	for _, n := range []int{45766, 44713, 45766, 44714, 45766} {
+		sets = append(sets, &tle.TLE{CatalogNumber: n})
+	}
+	if got := CatalogNumbers(sets); !slices.Equal(got, []int{44713, 44714, 45766}) {
+		t.Errorf("CatalogNumbers = %v, want [44713 44714 45766]", got)
 	}
 }
 
@@ -338,6 +349,55 @@ func TestCachingFetcherPersistsAcrossInstances(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&hits); got != 1 {
 		t.Fatalf("hits = %d, want 1 (second instance must not refetch)", got)
+	}
+}
+
+// TestCachingFetcherExtensionKeepsSubSecondSets extends a cached window
+// whose frontier has a set exactly on it and another set half a second
+// after it. The wire and the cache meta carry whole seconds, so the
+// extension must neither lose the later set nor repeat the frontier one: the
+// answer equals a direct fetch of the whole window.
+func TestCachingFetcherExtensionKeepsSubSecondSets(t *testing.T) {
+	archive, _, end := buildArchive(t, 10)
+	catalog := NewCatalog(archive, end)
+	ts := httptest.NewServer(NewServer(catalog, end).Handler())
+	defer ts.Close()
+	client, err := NewClient(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetcher, err := NewCachingFetcher(client, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	frontier, to := stStart.Add(5*24*time.Hour), stStart.Add(10*24*time.Hour)
+	at := func(epoch time.Time) *tle.TLE {
+		s := *archive.History(44713, stStart, end)[0]
+		s.Epoch = epoch
+		return &s
+	}
+
+	catalog.Ingest("starlink", []*tle.TLE{at(frontier)}, end)
+	if _, err := fetcher.History(ctx, 44713, stStart, frontier); err != nil {
+		t.Fatal(err)
+	}
+	catalog.Ingest("starlink", []*tle.TLE{at(frontier.Add(500 * time.Millisecond))}, end)
+	want, err := client.FetchHistory(ctx, 44713, stStart, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fetcher.History(ctx, 44713, stStart, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fetcher returned %d sets, direct fetch %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Epoch.Equal(want[i].Epoch) {
+			t.Fatalf("set %d: fetcher epoch %v, direct fetch %v", i, got[i].Epoch, want[i].Epoch)
+		}
 	}
 }
 

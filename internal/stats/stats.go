@@ -1,5 +1,5 @@
 // Package stats provides the small set of descriptive statistics CosmicDance
-// needs: percentiles, CDFs, histograms and summary aggregates. Everything is
+// needs: percentiles, CDFs and summary aggregates. Everything is
 // allocation-conscious because the pipeline runs these over millions of TLE
 // samples.
 package stats

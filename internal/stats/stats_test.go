@@ -263,70 +263,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0, 1, 2.5, 9.9, -5, 15} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	// -5 clamps to bin 0, 15 clamps to bin 4.
-	if h.Counts[0] != 3 { // 0, 1, -5
-		t.Errorf("bin0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9, 15
-		t.Errorf("bin4 = %d, want 2", h.Counts[4])
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.Fraction(0); got != 0.5 {
-		t.Errorf("Fraction(0) = %v, want 0.5", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("bins=0: want error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range: want error")
-	}
-	h, _ := NewHistogram(0, 1, 2)
-	if h.Fraction(0) != 0 {
-		t.Error("Fraction on empty histogram should be 0")
-	}
-}
-
-func TestHistogramMassConserved(t *testing.T) {
-	f := func(raw []float64) bool {
-		h, err := NewHistogram(-100, 100, 7)
-		if err != nil {
-			return false
-		}
-		n := 0
-		for _, v := range raw {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-			n++
-		}
-		total := 0
-		for _, c := range h.Counts {
-			total += c
-		}
-		return total == n && h.Total() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	perfect := []float64{1, 2, 3, 4, 5}
 	if r, err := Correlation(perfect, perfect); err != nil || math.Abs(r-1) > 1e-12 {

@@ -1,12 +1,10 @@
-// Package timeseries provides the time-ordered containers CosmicDance uses to
-// merge multi-modal data (hourly Dst readings and irregular TLE epochs) into
-// one representation, as described in the paper's "Ordering in time" step.
+// Package timeseries provides the time-ordered containers CosmicDance uses
+// for hourly data (the Dst index) and for timestamped samples.
 package timeseries
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -14,90 +12,6 @@ import (
 type Sample struct {
 	At    time.Time
 	Value float64
-}
-
-// Series is an append-friendly, sortable collection of samples. Unlike
-// Hourly, samples may be irregularly spaced (TLE epochs are refreshed
-// anywhere between <1 and 154 hours apart).
-type Series struct {
-	samples []Sample
-	sorted  bool
-}
-
-// NewSeries creates an empty series with capacity for n samples.
-func NewSeries(n int) *Series { return &Series{samples: make([]Sample, 0, n)} }
-
-// Add appends a sample. Samples may arrive out of order; the series sorts
-// lazily on first read.
-func (s *Series) Add(at time.Time, v float64) {
-	if s.sorted && len(s.samples) > 0 && at.Before(s.samples[len(s.samples)-1].At) {
-		s.sorted = false
-	}
-	s.samples = append(s.samples, Sample{At: at, Value: v})
-	if len(s.samples) == 1 {
-		s.sorted = true
-	}
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
-
-func (s *Series) ensureSorted() {
-	if s.sorted {
-		return
-	}
-	sort.SliceStable(s.samples, func(i, j int) bool { return s.samples[i].At.Before(s.samples[j].At) })
-	s.sorted = true
-}
-
-// Samples returns the samples in time order. The returned slice is shared;
-// callers must not modify it.
-func (s *Series) Samples() []Sample {
-	s.ensureSorted()
-	return s.samples
-}
-
-// Values returns just the values in time order.
-func (s *Series) Values() []float64 {
-	s.ensureSorted()
-	out := make([]float64, len(s.samples))
-	for i, sm := range s.samples {
-		out[i] = sm.Value
-	}
-	return out
-}
-
-// Span returns the first and last timestamps. ok is false for empty series.
-func (s *Series) Span() (first, last time.Time, ok bool) {
-	if len(s.samples) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	s.ensureSorted()
-	return s.samples[0].At, s.samples[len(s.samples)-1].At, true
-}
-
-// At returns the latest sample at or before t (the "value in effect" at t),
-// which is how irregular TLE data is aligned against hourly Dst data.
-// ok is false when t precedes every sample.
-func (s *Series) At(t time.Time) (Sample, bool) {
-	s.ensureSorted()
-	// First index whose timestamp is after t.
-	i := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At.After(t) })
-	if i == 0 {
-		return Sample{}, false
-	}
-	return s.samples[i-1], true
-}
-
-// Window returns the samples with from <= t <= to, in time order.
-func (s *Series) Window(from, to time.Time) []Sample {
-	s.ensureSorted()
-	lo := sort.Search(len(s.samples), func(i int) bool { return !s.samples[i].At.Before(from) })
-	hi := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At.After(to) })
-	if lo >= hi {
-		return nil
-	}
-	return s.samples[lo:hi]
 }
 
 // Hourly is a dense series with exactly one value per hour starting at Start
@@ -185,36 +99,4 @@ func (h *Hourly) Append(other *Hourly) error {
 	}
 	h.values = append(h.values, other.values...)
 	return nil
-}
-
-// MergedPoint is one row of the merged multi-modal representation: the hourly
-// context value plus the (optional) irregular observation in effect then.
-type MergedPoint struct {
-	At      time.Time
-	Context float64 // e.g. Dst reading for this hour
-	Obs     float64 // e.g. satellite altitude in effect at this hour
-	HasObs  bool
-}
-
-// Merge aligns an irregular series against an hourly context series,
-// producing one MergedPoint per hour. Observations carry forward (the last
-// TLE remains "in effect" until refreshed), matching the paper's single
-// time-series representation.
-func Merge(ctx *Hourly, obs *Series) []MergedPoint {
-	out := make([]MergedPoint, ctx.Len())
-	samples := obs.Samples()
-	j := -1 // index of the last observation at or before the current hour
-	for i := range out {
-		t := ctx.TimeAt(i)
-		for j+1 < len(samples) && !samples[j+1].At.After(t) {
-			j++
-		}
-		mp := MergedPoint{At: t, Context: ctx.values[i]}
-		if j >= 0 {
-			mp.Obs = samples[j].Value
-			mp.HasObs = true
-		}
-		out[i] = mp
-	}
-	return out
 }

@@ -2,92 +2,11 @@ package timeseries
 
 import (
 	"errors"
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
 var t0 = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-
-func TestSeriesSortsLazily(t *testing.T) {
-	s := NewSeries(4)
-	s.Add(t0.Add(2*time.Hour), 2)
-	s.Add(t0, 0)
-	s.Add(t0.Add(time.Hour), 1)
-	vals := s.Values()
-	for i, v := range vals {
-		if v != float64(i) {
-			t.Fatalf("values = %v, want ascending", vals)
-		}
-	}
-}
-
-func TestSeriesAt(t *testing.T) {
-	s := NewSeries(0)
-	s.Add(t0, 10)
-	s.Add(t0.Add(12*time.Hour), 20)
-
-	if _, ok := s.At(t0.Add(-time.Minute)); ok {
-		t.Error("At before first sample should report !ok")
-	}
-	if sm, ok := s.At(t0); !ok || sm.Value != 10 {
-		t.Errorf("At(t0) = %v, %v", sm, ok)
-	}
-	if sm, ok := s.At(t0.Add(6 * time.Hour)); !ok || sm.Value != 10 {
-		t.Errorf("At(t0+6h) = %v, %v; want carry-forward of 10", sm, ok)
-	}
-	if sm, ok := s.At(t0.Add(13 * time.Hour)); !ok || sm.Value != 20 {
-		t.Errorf("At(t0+13h) = %v, %v", sm, ok)
-	}
-}
-
-func TestSeriesWindow(t *testing.T) {
-	s := NewSeries(0)
-	for i := 0; i < 10; i++ {
-		s.Add(t0.Add(time.Duration(i)*time.Hour), float64(i))
-	}
-	w := s.Window(t0.Add(2*time.Hour), t0.Add(5*time.Hour))
-	if len(w) != 4 {
-		t.Fatalf("window length = %d, want 4 (inclusive bounds)", len(w))
-	}
-	if w[0].Value != 2 || w[3].Value != 5 {
-		t.Errorf("window = %v", w)
-	}
-	if got := s.Window(t0.Add(100*time.Hour), t0.Add(200*time.Hour)); got != nil {
-		t.Errorf("empty window = %v, want nil", got)
-	}
-}
-
-func TestSeriesSpan(t *testing.T) {
-	s := NewSeries(0)
-	if _, _, ok := s.Span(); ok {
-		t.Error("empty series should have no span")
-	}
-	s.Add(t0.Add(time.Hour), 1)
-	s.Add(t0, 0)
-	first, last, ok := s.Span()
-	if !ok || !first.Equal(t0) || !last.Equal(t0.Add(time.Hour)) {
-		t.Errorf("span = %v..%v, %v", first, last, ok)
-	}
-}
-
-func TestSeriesOrderProperty(t *testing.T) {
-	f := func(offsets []int16) bool {
-		s := NewSeries(len(offsets))
-		for _, o := range offsets {
-			s.Add(t0.Add(time.Duration(o)*time.Minute), float64(o))
-		}
-		samples := s.Samples()
-		return sort.SliceIsSorted(samples, func(i, j int) bool {
-			return samples[i].At.Before(samples[j].At)
-		})
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestHourlyBasics(t *testing.T) {
 	h := NewHourly(t0.Add(30*time.Minute), 24) // start truncates to the hour
@@ -159,68 +78,5 @@ func TestHourlyAppend(t *testing.T) {
 	// Empty append is a no-op.
 	if err := h.Append(NewHourly(t0, 0)); err != nil {
 		t.Errorf("empty append err = %v", err)
-	}
-}
-
-func TestMergeCarriesForward(t *testing.T) {
-	h := NewHourly(t0, 6)
-	for i := range h.Values() {
-		h.Set(i, float64(-10*i))
-	}
-	obs := NewSeries(0)
-	obs.Add(t0.Add(90*time.Minute), 550) // first TLE arrives mid hour 1
-	obs.Add(t0.Add(4*time.Hour), 540)
-
-	m := Merge(h, obs)
-	if len(m) != 6 {
-		t.Fatalf("merged length = %d", len(m))
-	}
-	if m[0].HasObs || m[1].HasObs {
-		t.Error("hours before the first observation must have no obs")
-	}
-	if !m[2].HasObs || m[2].Obs != 550 {
-		t.Errorf("hour 2 = %+v, want obs 550 carried forward", m[2])
-	}
-	if !m[3].HasObs || m[3].Obs != 550 {
-		t.Errorf("hour 3 = %+v", m[3])
-	}
-	if !m[4].HasObs || m[4].Obs != 540 {
-		t.Errorf("hour 4 = %+v, want refreshed 540", m[4])
-	}
-	if m[5].Obs != 540 || m[5].Context != -50 {
-		t.Errorf("hour 5 = %+v", m[5])
-	}
-}
-
-func TestMergeEmptyObs(t *testing.T) {
-	h := NewHourly(t0, 3)
-	m := Merge(h, NewSeries(0))
-	for _, p := range m {
-		if p.HasObs {
-			t.Fatalf("point %+v claims an observation", p)
-		}
-	}
-}
-
-func TestMergeMatchesAtProperty(t *testing.T) {
-	// Merge's carry-forward must agree with Series.At for every hour.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 24
-		h := NewHourly(t0, n)
-		obs := NewSeries(0)
-		for i := 0; i < rng.Intn(10); i++ {
-			obs.Add(t0.Add(time.Duration(rng.Intn(n*60))*time.Minute), rng.Float64()*100)
-		}
-		m := Merge(h, obs)
-		for i, p := range m {
-			sm, ok := obs.At(h.TimeAt(i))
-			if ok != p.HasObs {
-				t.Fatalf("trial %d hour %d: HasObs=%v but At ok=%v", trial, i, p.HasObs, ok)
-			}
-			if ok && sm.Value != p.Obs {
-				t.Fatalf("trial %d hour %d: obs=%v At=%v", trial, i, p.Obs, sm.Value)
-			}
-		}
 	}
 }

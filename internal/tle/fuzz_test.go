@@ -109,7 +109,7 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReader feeds arbitrary text through the non-strict stream reader: it
+// FuzzReader feeds arbitrary text through the stream reader: it
 // must terminate without panicking regardless of input shape.
 func FuzzReader(f *testing.F) {
 	f.Add("STARLINK-1\n" + issLine1 + "\n" + issLine2 + "\n")

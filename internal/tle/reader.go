@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Reader streams element sets from 2LE or 3LE (name line + two element
@@ -14,12 +13,6 @@ import (
 type Reader struct {
 	s       *bufio.Scanner
 	pending string // a lookahead line not yet consumed
-	line    int
-	// Strict controls error handling: when false (the default for bulk
-	// archive ingestion), records that fail to parse are skipped and counted
-	// instead of aborting the stream, because real tracking archives contain
-	// corrupt records.
-	Strict  bool
 	skipped int
 }
 
@@ -30,7 +23,7 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{s: s}
 }
 
-// Skipped reports how many malformed records were skipped (non-strict mode).
+// Skipped reports how many malformed records were skipped.
 func (r *Reader) Skipped() int { return r.skipped }
 
 func (r *Reader) next() (string, bool) {
@@ -40,7 +33,6 @@ func (r *Reader) next() (string, bool) {
 		return l, true
 	}
 	for r.s.Scan() {
-		r.line++
 		l := strings.TrimRight(r.s.Text(), "\r\n")
 		if strings.TrimSpace(l) == "" {
 			continue
@@ -66,26 +58,17 @@ func (r *Reader) Read() (*TLE, error) {
 			name = strings.TrimSpace(strings.TrimPrefix(l, "0 "))
 			l, ok = r.next()
 			if !ok {
-				if r.Strict {
-					return nil, fmt.Errorf("tle: line %d: name %q with no element lines", r.line, name)
-				}
 				r.skipped++
 				return nil, io.EOF
 			}
 		}
 		l2, ok := r.next()
 		if !ok {
-			if r.Strict {
-				return nil, fmt.Errorf("tle: line %d: element set truncated after line 1", r.line)
-			}
 			r.skipped++
 			return nil, io.EOF
 		}
 		t, err := Parse(l, l2)
 		if err != nil {
-			if r.Strict {
-				return nil, fmt.Errorf("tle: at input line %d: %w", r.line, err)
-			}
 			r.skipped++
 			// The second line may actually start the next record.
 			if strings.HasPrefix(l2, "1 ") {
@@ -162,106 +145,4 @@ func Dedupe(sets []*TLE) []*TLE {
 		out = append(out, t)
 	}
 	return out
-}
-
-// History is the time-ordered element-set history of one object.
-type History struct {
-	CatalogNumber int
-	Sets          []*TLE // ascending by epoch
-}
-
-// Catalog groups element sets by catalog number, the shape CosmicDance works
-// with after the Space-Track historical fetch.
-type Catalog struct {
-	byNumber map[int]*History
-}
-
-// NewCatalog builds a catalog from a flat list of element sets.
-func NewCatalog(sets []*TLE) *Catalog {
-	c := &Catalog{byNumber: make(map[int]*History)}
-	for _, t := range sets {
-		c.Add(t)
-	}
-	return c
-}
-
-// Add inserts one element set, keeping per-object history epoch-ordered.
-func (c *Catalog) Add(t *TLE) {
-	if c.byNumber == nil {
-		c.byNumber = make(map[int]*History)
-	}
-	h := c.byNumber[t.CatalogNumber]
-	if h == nil {
-		h = &History{CatalogNumber: t.CatalogNumber}
-		c.byNumber[t.CatalogNumber] = h
-	}
-	// Insert in order; appends are the common case because archives are
-	// written chronologically.
-	i := sort.Search(len(h.Sets), func(i int) bool { return h.Sets[i].Epoch.After(t.Epoch) })
-	h.Sets = append(h.Sets, nil)
-	copy(h.Sets[i+1:], h.Sets[i:])
-	h.Sets[i] = t
-}
-
-// Object returns the history for one catalog number, or nil.
-func (c *Catalog) Object(catalogNumber int) *History {
-	if c.byNumber == nil {
-		return nil
-	}
-	return c.byNumber[catalogNumber]
-}
-
-// Numbers returns all catalog numbers in ascending order.
-func (c *Catalog) Numbers() []int {
-	nums := make([]int, 0, len(c.byNumber))
-	for n := range c.byNumber {
-		nums = append(nums, n)
-	}
-	sort.Ints(nums)
-	return nums
-}
-
-// Len returns the number of distinct objects.
-func (c *Catalog) Len() int { return len(c.byNumber) }
-
-// TotalSets returns the number of element sets across all objects.
-func (c *Catalog) TotalSets() int {
-	n := 0
-	for _, h := range c.byNumber {
-		n += len(h.Sets)
-	}
-	return n
-}
-
-// Latest returns the most recent element set, or nil for an empty history.
-func (h *History) Latest() *TLE {
-	if h == nil || len(h.Sets) == 0 {
-		return nil
-	}
-	return h.Sets[len(h.Sets)-1]
-}
-
-// At returns the element set in effect at time t (latest epoch <= t).
-func (h *History) At(at time.Time) *TLE {
-	if h == nil {
-		return nil
-	}
-	i := sort.Search(len(h.Sets), func(i int) bool { return h.Sets[i].Epoch.After(at) })
-	if i == 0 {
-		return nil
-	}
-	return h.Sets[i-1]
-}
-
-// Window returns the element sets with from <= epoch <= to.
-func (h *History) Window(from, to time.Time) []*TLE {
-	if h == nil {
-		return nil
-	}
-	lo := sort.Search(len(h.Sets), func(i int) bool { return !h.Sets[i].Epoch.Before(from) })
-	hi := sort.Search(len(h.Sets), func(i int) bool { return h.Sets[i].Epoch.After(to) })
-	if lo >= hi {
-		return nil
-	}
-	return h.Sets[lo:hi]
 }

@@ -105,7 +105,7 @@ func TestReaderSkipsCorruptRecordsNonStrict(t *testing.T) {
 			break
 		}
 		if err != nil {
-			t.Fatalf("non-strict Read: %v", err)
+			t.Fatalf("Read: %v", err)
 		}
 		sets = append(sets, tl)
 	}
@@ -117,16 +117,6 @@ func TestReaderSkipsCorruptRecordsNonStrict(t *testing.T) {
 	}
 }
 
-func TestReaderStrictFailsOnCorrupt(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("1 GARBAGE\nALSO GARBAGE\n")
-	r := NewReader(&buf)
-	r.Strict = true
-	if _, err := r.Read(); err == nil || err == io.EOF {
-		t.Fatalf("strict Read err = %v, want parse error", err)
-	}
-}
-
 func TestReaderTruncatedStream(t *testing.T) {
 	l1, _, err := sampleTLE(44713, epoch0, 15.05).Format()
 	if err != nil {
@@ -134,12 +124,10 @@ func TestReaderTruncatedStream(t *testing.T) {
 	}
 	r := NewReader(strings.NewReader(l1 + "\n"))
 	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("truncated non-strict err = %v, want EOF", err)
+		t.Fatalf("truncated err = %v, want EOF", err)
 	}
-	r2 := NewReader(strings.NewReader(l1 + "\n"))
-	r2.Strict = true
-	if _, err := r2.Read(); err == nil || err == io.EOF {
-		t.Fatalf("truncated strict err = %v, want error", err)
+	if r.Skipped() != 1 {
+		t.Errorf("Skipped() = %d, want 1", r.Skipped())
 	}
 }
 
@@ -173,66 +161,6 @@ func TestWritePropagatesFormatError(t *testing.T) {
 	bad.Eccentricity = 2 // unformattable
 	if err := Write(io.Discard, []*TLE{bad}); err == nil {
 		t.Error("Write accepted unformattable TLE")
-	}
-}
-
-func TestCatalogGrouping(t *testing.T) {
-	c := NewCatalog([]*TLE{
-		sampleTLE(45766, epoch0.Add(24*time.Hour), 15.06),
-		sampleTLE(44713, epoch0, 15.05),
-		sampleTLE(45766, epoch0, 15.05),
-		sampleTLE(45766, epoch0.Add(12*time.Hour), 15.055),
-	})
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if c.TotalSets() != 4 {
-		t.Errorf("TotalSets = %d", c.TotalSets())
-	}
-	nums := c.Numbers()
-	if len(nums) != 2 || nums[0] != 44713 || nums[1] != 45766 {
-		t.Errorf("Numbers = %v", nums)
-	}
-	h := c.Object(45766)
-	if h == nil || len(h.Sets) != 3 {
-		t.Fatalf("history = %+v", h)
-	}
-	// Epoch-ordered regardless of insertion order.
-	for i := 1; i < len(h.Sets); i++ {
-		if h.Sets[i].Epoch.Before(h.Sets[i-1].Epoch) {
-			t.Errorf("history out of order at %d", i)
-		}
-	}
-	if c.Object(99999) != nil {
-		t.Error("missing object should be nil")
-	}
-}
-
-func TestHistoryLatestAtWindow(t *testing.T) {
-	c := NewCatalog(nil)
-	for i := 0; i < 5; i++ {
-		c.Add(sampleTLE(44713, epoch0.Add(time.Duration(i)*12*time.Hour), 15.05))
-	}
-	h := c.Object(44713)
-	if h.Latest().Epoch != epoch0.Add(48*time.Hour) {
-		t.Errorf("Latest epoch = %v", h.Latest().Epoch)
-	}
-	if got := h.At(epoch0.Add(13 * time.Hour)); !got.Epoch.Equal(epoch0.Add(12 * time.Hour)) {
-		t.Errorf("At(+13h).Epoch = %v", got.Epoch)
-	}
-	if got := h.At(epoch0.Add(-time.Hour)); got != nil {
-		t.Errorf("At before history = %v", got)
-	}
-	w := h.Window(epoch0.Add(12*time.Hour), epoch0.Add(36*time.Hour))
-	if len(w) != 3 {
-		t.Errorf("Window len = %d, want 3", len(w))
-	}
-	if got := h.Window(epoch0.Add(100*time.Hour), epoch0.Add(200*time.Hour)); got != nil {
-		t.Errorf("empty window = %v", got)
-	}
-	var nilH *History
-	if nilH.Latest() != nil || nilH.At(epoch0) != nil || nilH.Window(epoch0, epoch0) != nil {
-		t.Error("nil history must be safe")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"cosmicdance/internal/constellation"
 	"cosmicdance/internal/dst"
-	"cosmicdance/internal/timeseries"
 	"cosmicdance/internal/tle"
 	"cosmicdance/internal/units"
 )
@@ -68,22 +67,6 @@ func BenchmarkStormDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if storms := weather.Storms(units.StormThreshold); len(storms) == 0 {
 			b.Fatal("no storms")
-		}
-	}
-}
-
-func BenchmarkTimeSeriesMerge(b *testing.B) {
-	start := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	hourly := timeseries.NewHourly(start, 365*24)
-	obs := timeseries.NewSeries(0)
-	for i := 0; i < 730; i++ {
-		obs.Add(start.Add(time.Duration(i)*12*time.Hour), 550)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m := timeseries.Merge(hourly, obs); len(m) == 0 {
-			b.Fatal("empty merge")
 		}
 	}
 }

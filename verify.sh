@@ -37,7 +37,8 @@
 #      which compile it against obs, spacetrack, artifact and
 #      constellation — the root `go test ./...` never reaches it (the
 #      short tier skips its end-to-end smoke run),
-#  12. every fuzz target, seeds + 10s of new coverage each.
+#  12. every fuzz target, seeds + 10s of new coverage each (scripts/fuzz.sh
+#      finds them in the code).
 #
 # Pass -short as $1 to run the fast tier (skips the year-long substrate
 # builds and the fuzz sessions).
@@ -158,22 +159,7 @@ if [ -z "$SHORT" ]; then
 fi
 
 if [ "$FUZZ" = 1 ]; then
-    fuzz() {
-        pkg=$1
-        target=$2
-        echo "== fuzz $pkg $target (10s)"
-        go test -run='^$' -fuzz="^${target}\$" -fuzztime=10s "$pkg"
-    }
-    fuzz ./internal/tle FuzzParse
-    fuzz ./internal/tle FuzzReader
-    fuzz ./internal/tle FuzzRoundTrip
-    fuzz ./internal/dst FuzzParseRecord
-    fuzz ./internal/wdc FuzzIndexRoundTrip
-    fuzz ./internal/artifact FuzzSnapshotRoundTrip
-    fuzz ./internal/artifact FuzzSegmentRoundTrip
-    fuzz ./internal/incremental FuzzDstHandler
-    fuzz ./internal/constellation FuzzStream
-    fuzz ./internal/stats FuzzSortFloat64s
+    ./scripts/fuzz.sh
 fi
 
 echo "verify: OK"
