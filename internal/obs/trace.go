@@ -240,15 +240,16 @@ func (t TraceID) String() string {
 	return string(b[:])
 }
 
-// ParseTraceID parses the 16-hex-digit wire form. It returns 0 (the "no
-// trace" sentinel) for anything malformed: a bad header must degrade to an
-// untraced request, never an error path.
+// ParseTraceID parses the wire form, exactly 16 lower-case hex digits, so
+// that a parsed ID renders back to the header it came from. It returns 0
+// (the "no trace" sentinel) for anything else, upper-case digits included:
+// a bad header must degrade to an untraced request, never an error path.
 func ParseTraceID(s string) TraceID {
 	if len(s) != 16 {
 		return 0
 	}
 	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
+	if err != nil || TraceID(v).String() != s {
 		return 0
 	}
 	return TraceID(v)

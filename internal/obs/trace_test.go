@@ -232,11 +232,35 @@ func TestTraceIDWireForm(t *testing.T) {
 }
 
 func TestParseTraceIDMalformed(t *testing.T) {
-	for _, s := range []string{"", "deadbeef", "00000000deadbee", "00000000deadbeef0", "zzzzzzzzzzzzzzzz", "00000000DEADBEEF-"} {
+	for _, s := range []string{"", "deadbeef", "00000000deadbee", "00000000deadbeef0", "zzzzzzzzzzzzzzzz", "00000000DEADBEEF-",
+		"ABCDEF0123456789", "00000000deadBeef", "+0000000deadbeef", "0x000000deadbeef", "00000000_eadbeef"} {
 		if got := obs.ParseTraceID(s); got != 0 {
 			t.Fatalf("ParseTraceID(%q) = %#x, want 0", s, uint64(got))
 		}
 	}
+}
+
+// FuzzParseTraceID holds ParseTraceID to the wire form: a nonzero ID
+// parses only from its own rendering, so the header a server echoes is
+// byte for byte the one the client sent.
+func FuzzParseTraceID(f *testing.F) {
+	f.Add("0123456789abcdef")
+	f.Add("ABCDEF0123456789")
+	f.Add("ffffffffffffffff")
+	f.Add("0000000000000000")
+	f.Add("+123456789abcdef")
+	f.Fuzz(func(t *testing.T, s string) {
+		id := obs.ParseTraceID(s)
+		if id == 0 {
+			return
+		}
+		if back := obs.ParseTraceID(id.String()); back != id {
+			t.Fatalf("%q parses to %#x, whose rendering parses to %#x", s, uint64(id), uint64(back))
+		}
+		if s != id.String() {
+			t.Fatalf("%q parses to %#x, which renders as %q", s, uint64(id), id.String())
+		}
+	})
 }
 
 // TestIDStreamDeterministic pins the property the byte-identical report gate

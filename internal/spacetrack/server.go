@@ -76,8 +76,9 @@ type IngestArchive interface {
 //
 // Group responses carry ETag and Last-Modified validators; conditional
 // requests (If-None-Match / If-Modified-Since) answer 304 without a body.
-// Responses are gzip-compressed when the client accepts it, and history
-// windows stream element set by element set when the archive supports it.
+// Responses are gzip-compressed when the client accepts it, through pooled
+// gzip writers, and history windows are encoded as the archive streams
+// them, through one buffer that goes to the client whenever it fills.
 type Server struct {
 	archive Archive
 	// Now reports the service's current time (the frontier of the archive);
@@ -472,16 +473,65 @@ func notModified(r *http.Request, etag string, lastMod time.Time) bool {
 	return false
 }
 
+// gzipWriters recycles gzip writers across responses: each one holds about
+// 1 MB of deflate state that a fresh writer would allocate and zero.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // compressed negotiates gzip: it returns the body writer and a finish
-// function that must run after the body is complete.
+// function that must run after the body is complete. A gzip writer comes
+// from gzipWriters and goes back after finish closes it; a response
+// abandoned before finish leaves its writer to the garbage collector.
 func compressed(w http.ResponseWriter, r *http.Request) (io.Writer, func() error) {
 	if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 		return w, func() error { return nil }
 	}
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Add("Vary", "Accept-Encoding")
-	zw := gzip.NewWriter(w)
-	return zw, zw.Close
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	return zw, func() error {
+		err := zw.Close()
+		zw.Reset(nil)
+		gzipWriters.Put(zw)
+		return err
+	}
+}
+
+// flushBytes is the size at which a response's encoded text goes to the
+// response writer, so a bulk window never materializes on the server.
+const flushBytes = 32 << 10
+
+// writeLines writes the element lines of every set walk yields to w, with
+// no name lines, through one buffer that goes to w whenever it passes
+// flushBytes.
+func writeLines(w io.Writer, walk func(yield func(*tle.TLE) error) error) error {
+	buf := make([]byte, 0, flushBytes)
+	err := walk(func(t *tle.TLE) error {
+		var err error
+		if buf, err = t.AppendLines(buf); err != nil || len(buf) < flushBytes {
+			return err
+		}
+		_, err = w.Write(buf)
+		buf = buf[:0]
+		return err
+	})
+	if err != nil || len(buf) == 0 {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// eachOf walks sets in order.
+func eachOf(sets []*tle.TLE) func(yield func(*tle.TLE) error) error {
+	return func(yield func(*tle.TLE) error) error {
+		for _, t := range sets {
+			if err := yield(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // handleGroup serves the CelesTrak-style current catalog.
@@ -532,14 +582,16 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if format == "tle" {
-		// 2LE: strip names.
-		sets = stripNames(sets)
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	defer tr.Start("gzip").End()
 	out, finish := compressed(w, r)
-	if err := tle.Write(out, sets); err != nil {
+	var err error
+	if format == "tle" {
+		err = writeLines(out, eachOf(sets)) // 2LE: no name lines
+	} else {
+		err = tle.Write(out, sets)
+	}
+	if err != nil {
 		// Too late for a status change; the client will see a short read.
 		return
 	}
@@ -548,9 +600,9 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleHistory serves the Space-Track-style windowed history, streaming
-// element set by element set when the archive supports it so a bulk window
-// never materializes server-side.
+// handleHistory serves the Space-Track-style windowed history. A
+// StreamingArchive's window is encoded as it is walked, through writeLines'
+// one buffer, so a bulk window never materializes server-side.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	catalog, err := strconv.Atoi(q.Get("catalog"))
@@ -591,20 +643,16 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	defer tr.Start("catalog_read").End()
 	out, finish := compressed(w, r)
+	var walk func(yield func(*tle.TLE) error) error
 	if sa, ok := s.archive.(StreamingArchive); ok {
-		one := make([]*tle.TLE, 1)
-		if err := sa.HistoryEach(catalog, from, to, func(t *tle.TLE) error {
-			c := *t
-			c.Name = ""
-			one[0] = &c
-			return tle.Write(out, one)
-		}); err != nil {
-			return
+		walk = func(yield func(*tle.TLE) error) error {
+			return sa.HistoryEach(catalog, from, to, yield)
 		}
 	} else {
-		if err := tle.Write(out, stripNames(s.archive.History(catalog, from, to))); err != nil {
-			return
-		}
+		walk = eachOf(s.archive.History(catalog, from, to))
+	}
+	if err := writeLines(out, walk); err != nil {
+		return
 	}
 	if err := finish(); err != nil {
 		return
@@ -643,6 +691,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("%d unparseable element sets", reader.Skipped()), http.StatusBadRequest)
 		return
 	}
+	// The parser accepts some sets the server cannot serve back: the
+	// encoder rejects an ndot of 1.0 or more, say, and a name beginning
+	// "1 " reads back as an element line. Once applied, every response
+	// holding one would be cut short or fail to parse, so encode each set
+	// before applying any.
+	var buf []byte
+	for _, t := range sets {
+		var err error
+		if buf, err = t.AppendLines(buf[:0]); err == nil && strings.HasPrefix(t.Name, "1 ") {
+			err = fmt.Errorf("name %q reads as an element line", t.Name)
+		}
+		if err != nil {
+			http.Error(w, fmt.Sprintf("unservable element set %d: %v", t.CatalogNumber, err), http.StatusBadRequest)
+			return
+		}
+	}
 	tr := obs.TracerFrom(r.Context())
 	read := tr.Start("catalog_read")
 	applied := ia.Ingest(group, sets, s.now())
@@ -662,15 +726,4 @@ func parseTimeParam(v string, def time.Time) (time.Time, error) {
 		return def, nil
 	}
 	return time.Parse(time.RFC3339, v)
-}
-
-// stripNames returns copies without the 3LE name line.
-func stripNames(sets []*tle.TLE) []*tle.TLE {
-	out := make([]*tle.TLE, len(sets))
-	for i, t := range sets {
-		c := *t
-		c.Name = ""
-		out[i] = &c
-	}
-	return out
 }

@@ -21,10 +21,17 @@ var stStart = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 // buildArchive runs a small constellation and wraps it as an archive.
 func buildArchive(t *testing.T, days int) (*ResultArchive, *constellation.Result, time.Time) {
 	t.Helper()
+	return buildFleetArchive(t, days, 20)
+}
+
+// buildFleetArchive runs a constellation of sats satellites for days and
+// wraps it as an archive.
+func buildFleetArchive(t testing.TB, days, sats int) (*ResultArchive, *constellation.Result, time.Time) {
+	t.Helper()
 	cfg := constellation.DefaultConfig()
 	cfg.Start = stStart
 	cfg.Hours = days * 24
-	cfg.InitialFleet = 20
+	cfg.InitialFleet = sats
 	cfg.GrossErrorProb = 0
 	cfg.DecommissionPerYear = 0
 	vals := make([]float64, cfg.Hours)

@@ -2,7 +2,6 @@ package tle
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -97,27 +96,33 @@ func ReadAll(rd io.Reader) ([]*TLE, error) {
 	}
 }
 
-// Write encodes element sets to w, in 3LE form when names are present.
+// writeChunk is how much encoded text Write gathers before handing it to w.
+const writeChunk = 32 << 10
+
+// Write encodes element sets to w, in 3LE form when names are present. It
+// hands w the text in chunks of about writeChunk bytes.
 func Write(w io.Writer, sets []*TLE) error {
-	bw := bufio.NewWriter(w)
+	var buf []byte
 	for _, t := range sets {
-		l1, l2, err := t.Format()
-		if err != nil {
+		if t.Name != "" {
+			buf = append(append(buf, t.Name...), '\n')
+		}
+		var err error
+		if buf, err = t.AppendLines(buf); err != nil {
 			return err
 		}
-		if t.Name != "" {
-			if _, err := fmt.Fprintln(bw, t.Name); err != nil {
+		if len(buf) >= writeChunk {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-		}
-		if _, err := fmt.Fprintln(bw, l1); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(bw, l2); err != nil {
-			return err
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // Dedupe returns the element sets sorted by (catalog, epoch) with exact

@@ -79,7 +79,9 @@ var ErrChecksum = errors.New("tle: checksum mismatch")
 
 // Checksum computes the NORAD mod-10 checksum of the first 68 characters:
 // digits count as their value, '-' counts as 1, everything else as 0.
-func Checksum(line string) int {
+func Checksum(line string) int { return checksum(line) }
+
+func checksum[S string | []byte](line S) int {
 	sum := 0
 	n := len(line)
 	if n > 68 {

@@ -289,8 +289,11 @@ func TestFormatExpField(t *testing.T) {
 		{5, " 50000+1"},
 	}
 	for _, c := range cases {
-		if got := formatExpField(c.in); got != c.want {
-			t.Errorf("formatExpField(%v) = %q, want %q", c.in, got, c.want)
+		if got, ok := appendExpField(nil, c.in); !ok || string(got) != c.want {
+			t.Errorf("appendExpField(%v) = %q, %v, want %q", c.in, got, ok, c.want)
+		}
+		if got, err := refExpField("B*", c.in); err != nil || got != c.want {
+			t.Errorf("refExpField(%v) = %q, %v, want %q", c.in, got, err, c.want)
 		}
 	}
 }

@@ -22,7 +22,10 @@
 #   9. fail if internal/incremental (the watermark engine behind the live
 #      decay-risk feed — its prefix-replay determinism is load-bearing)
 #      covers < 80%,
-#  10. fail if the module-wide total covers < 70%.
+#  10. fail if internal/tle (the TLE codec: the only encoder behind every
+#      served element set, and the parser that validates every ingest)
+#      covers < 80%,
+#  11. fail if the module-wide total covers < 70%.
 #
 # The floors are deliberately asymmetric: the linter and the codec are
 # small and pure logic, so they are held to a higher bar than the
@@ -122,6 +125,15 @@ if [ -z "$incrementalpct" ]; then
     exit 1
 fi
 floor "internal/incremental" "$incrementalpct" 80
+
+tlepct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/tle" {
+    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
+}')"
+if [ -z "$tlepct" ]; then
+    echo "cover: no coverage line for cosmicdance/internal/tle" >&2
+    exit 1
+fi
+floor "internal/tle" "$tlepct" 80
 
 totalpct="$(go tool cover -func="$profile" | awk '/^total:/ {
     for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
