@@ -154,7 +154,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 	// The COW catalog layers live ingest over the immutable simulation
-	// archive: readers never block on writes, and /ingest is mounted.
+	// archive: readers never block on writes.
 	end := res.Start.Add(time.Duration(res.Hours) * time.Hour)
 	catalog := spacetrack.NewCatalog(spacetrack.NewResultArchive("starlink", res), end)
 	srv := spacetrack.NewServer(catalog, end)

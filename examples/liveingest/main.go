@@ -64,8 +64,8 @@ func main() {
 	wdcServer := httptest.NewServer(wdc.NewServer(weather).Handler())
 	defer wdcServer.Close()
 	end := fleet.Start.Add(time.Duration(fleet.Hours) * time.Hour)
-	var trackHandler http.Handler = spacetrack.NewServer(
-		spacetrack.NewResultArchive("starlink", fleet), end).Handler()
+	catalog := spacetrack.NewCatalog(spacetrack.NewResultArchive("starlink", fleet), end)
+	var trackHandler http.Handler = spacetrack.NewServer(catalog, end).Handler()
 	var injector *faultline.Injector
 	if len(sched.Rules) > 0 {
 		injector = faultline.New(trackHandler, sched, 42)

@@ -42,9 +42,9 @@ func main() {
 	}
 
 	// Publish the archive over HTTP, exactly like cmd/spacetrackd.
-	archive := spacetrack.NewResultArchive("starlink", fleet)
 	end := fleet.Start.Add(time.Duration(fleet.Hours) * time.Hour)
-	server := httptest.NewServer(spacetrack.NewServer(archive, end).Handler())
+	catalog := spacetrack.NewCatalog(spacetrack.NewResultArchive("starlink", fleet), end)
+	server := httptest.NewServer(spacetrack.NewServer(catalog, end).Handler())
 	defer server.Close()
 	client, err := spacetrack.NewClient(server.URL, server.Client())
 	if err != nil {

@@ -149,7 +149,7 @@ func TestWeatherRoundTrip(t *testing.T) {
 	if !got.Start().Equal(w.Start()) {
 		t.Fatalf("start %v, want %v", got.Start(), w.Start())
 	}
-	if !reflect.DeepEqual(got.Hourly().Values(), w.Hourly().Values()) {
+	if !reflect.DeepEqual(got.Values(), w.Values()) {
 		t.Fatal("hourly values changed across the round trip")
 	}
 	// Canonical form: re-encoding the decoded series is byte-identical.
@@ -198,7 +198,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotClean, wantClean) {
 		t.Fatal("cleaned-altitude distribution changed across the round trip")
 	}
-	if !reflect.DeepEqual(got.Weather().Hourly().Values(), d.Weather().Hourly().Values()) {
+	if !reflect.DeepEqual(got.Weather().Values(), d.Weather().Values()) {
 		t.Fatal("embedded weather changed across the round trip")
 	}
 	if !bytes.Equal(enc, encodeDatasetBytes(t, got)) {

@@ -20,7 +20,7 @@ func testEngine(t testing.TB) *incremental.Engine {
 	res := testArchive(t, w)
 	eng := incremental.New(incremental.DefaultConfig())
 	eng.IngestSamples(res.Samples)
-	if _, err := eng.IngestDst(w.Start(), w.Hourly().Values()); err != nil {
+	if _, err := eng.IngestDst(w.Start(), w.Values()); err != nil {
 		t.Fatal(err)
 	}
 	return eng

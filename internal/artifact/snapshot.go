@@ -44,7 +44,7 @@ func writeWeather(sw *sectionWriter, x *dst.Index) {
 	meta.i64(x.Start().Unix())
 	meta.u32(uint32(x.Len()))
 	sw.section(0, meta.buf)
-	sw.section(1, packF64(x.Hourly().Values()))
+	sw.section(1, packF64(x.Values()))
 }
 
 // readWeather reads the two weather sections writeWeather wrote, failing

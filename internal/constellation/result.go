@@ -1,11 +1,12 @@
 package constellation
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"time"
+
+	"cosmicdance/internal/tle"
 )
 
 // SatSeries is one satellite's time-ordered tracking history.
@@ -93,38 +94,34 @@ func (r *Result) TrackedCount(at time.Time) int {
 	return n
 }
 
+// tleBatch is how many element sets WriteTLEs hands tle.Write at a time,
+// so an archive (about 3M samples for the paper fleet) never exists as TLEs
+// all at once.
+const tleBatch = 1024
+
 // WriteTLEs streams the archive as a textual 3LE catalog, the format the
-// simulated Space-Track service serves. Samples whose altitude cannot be
-// expressed as a TLE mean motion (gross tracking errors near or beyond GEO
-// remain expressible; negative altitudes are not) are skipped.
+// simulated Space-Track service serves, through tle.Write in batches of
+// tleBatch sets. Samples whose altitude gives no TLE mean motion (an orbit
+// radius at or below zero) are skipped; gross tracking errors near or
+// beyond GEO remain expressible.
 func (r *Result) WriteTLEs(w io.Writer, withNames bool) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
 	names := make(map[int32]string)
 	if withNames {
 		for i := range r.Sats {
 			names[int32(r.Sats[i].Catalog)] = r.Sats[i].Name
 		}
 	}
-	for _, s := range r.Samples {
-		t, err := s.TLE(names[s.Catalog])
-		if err != nil {
-			continue
+	batch := make([]*tle.TLE, 0, tleBatch)
+	for i, s := range r.Samples {
+		if t, err := s.TLE(names[s.Catalog]); err == nil {
+			batch = append(batch, t)
 		}
-		l1, l2, err := t.Format()
-		if err != nil {
-			return fmt.Errorf("constellation: formatting catalog %d: %w", s.Catalog, err)
-		}
-		if t.Name != "" {
-			if _, err := fmt.Fprintln(bw, t.Name); err != nil {
-				return err
+		if len(batch) == tleBatch || i == len(r.Samples)-1 {
+			if err := tle.Write(w, batch); err != nil {
+				return fmt.Errorf("constellation: writing TLEs: %w", err)
 			}
-		}
-		if _, err := fmt.Fprintln(bw, l1); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(bw, l2); err != nil {
-			return err
+			batch = batch[:0]
 		}
 	}
-	return bw.Flush()
+	return nil
 }

@@ -1,7 +1,9 @@
 package constellation
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -579,3 +581,55 @@ func TestMay2024FleetIntegration(t *testing.T) {
 }
 
 var _ = units.StormThreshold // keep the import for helper clarity
+
+// TestWriteTLEsMatchesFormat pins WriteTLEs' text across its batch
+// boundaries: per expressible sample, its name line when names are asked
+// for and Format's two lines; nothing for a sample Sample.TLE refuses.
+func TestWriteTLEsMatchesFormat(t *testing.T) {
+	cfg := smallConfig(24 * 150)
+	res, err := Run(context.Background(), cfg, quietIndex(cfg.Hours))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) <= 2*tleBatch {
+		t.Fatalf("%d samples fill no two batches", len(res.Samples))
+	}
+	res.Samples[tleBatch].AltKm = -10000 // inside the Earth: no mean motion
+	names := map[int32]string{}
+	for _, s := range res.Sats {
+		names[int32(s.Catalog)] = s.Name
+	}
+	for _, withNames := range []bool{false, true} {
+		var got bytes.Buffer
+		if err := res.WriteTLEs(&got, withNames); err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		skipped := 0
+		for _, s := range res.Samples {
+			name := ""
+			if withNames {
+				name = names[s.Catalog]
+			}
+			tl, err := s.TLE(name)
+			if err != nil {
+				skipped++
+				continue
+			}
+			l1, l2, err := tl.Format()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != "" {
+				want.WriteString(name + "\n")
+			}
+			want.WriteString(l1 + "\n" + l2 + "\n")
+		}
+		if skipped != 1 {
+			t.Fatalf("%d samples inexpressible, want 1", skipped)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("names=%v: WriteTLEs wrote %d bytes, Format %d, and they differ", withNames, got.Len(), want.Len())
+		}
+	}
+}

@@ -78,26 +78,25 @@ func (d *Dataset) QuietEpochs(p float64, windowDays, count int, spacing time.Dur
 		return nil, err
 	}
 	var out []time.Time
-	hourly := d.weather.Hourly()
 	window := windowDays * 24
 	var lastPicked time.Time
 	// Precompute a running "next loud hour" scan for O(n) selection.
-	loudAfter := make([]int, hourly.Len()+1)
-	loudAfter[hourly.Len()] = math.MaxInt
-	for i := hourly.Len() - 1; i >= 0; i-- {
+	loudAfter := make([]int, d.weather.Len()+1)
+	loudAfter[d.weather.Len()] = math.MaxInt
+	for i := d.weather.Len() - 1; i >= 0; i-- {
 		// An hour is "loud" only when strictly more intense than the
 		// threshold; an hour exactly at the p-th percentile is not above it.
-		if units.NanoTesla(hourly.Values()[i]) < threshold {
+		if units.NanoTesla(d.weather.Values()[i]) < threshold {
 			loudAfter[i] = i
 		} else {
 			loudAfter[i] = loudAfter[i+1]
 		}
 	}
-	for i := 0; i+window <= hourly.Len(); i++ {
+	for i := 0; i+window <= d.weather.Len(); i++ {
 		if loudAfter[i] < i+window {
 			continue
 		}
-		t := hourly.TimeAt(i)
+		t := d.weather.TimeAt(i)
 		if !lastPicked.IsZero() && t.Sub(lastPicked) < spacing {
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cosmicdance/internal/stats"
-	"cosmicdance/internal/timeseries"
 	"cosmicdance/internal/units"
 )
 
@@ -20,18 +19,24 @@ type DailyDrag struct {
 	Samples int
 }
 
+// TimedValue is one timestamped value of a SuperStormReport series.
+type TimedValue struct {
+	At    time.Time
+	Value float64
+}
+
 // SuperStormReport is the Fig 7 product: the storm signal, the fleet's drag
 // response, and the tracked-satellite count over a window.
 type SuperStormReport struct {
 	From, To time.Time
 	// Dst is the hourly intensity over the window.
-	Dst []timeseries.Sample
+	Dst []TimedValue
 	// Drag holds per-day fleet drag aggregates.
 	Drag []DailyDrag
 	// Tracked holds per-day counts of distinct satellites with at least one
 	// observation in the trailing 72 hours (a TLE-visibility proxy for "still
 	// tracked").
-	Tracked []timeseries.Sample
+	Tracked []TimedValue
 	// PeakDragRatio is max(daily median B*) / quiet-baseline median B*.
 	PeakDragRatio float64
 	// MinTrackedRatio is min(daily tracked) / max(daily tracked): 1.0 means
@@ -52,8 +57,8 @@ func (d *Dataset) SuperStorm(from, to time.Time) (*SuperStormReport, error) {
 
 	// Hourly Dst trace.
 	slice := d.weather.Slice(from, to)
-	for i, v := range slice.Hourly().Values() {
-		rep.Dst = append(rep.Dst, timeseries.Sample{At: slice.Hourly().TimeAt(i), Value: v})
+	for i, v := range slice.Values() {
+		rep.Dst = append(rep.Dst, TimedValue{At: slice.TimeAt(i), Value: v})
 	}
 
 	// Daily fleet drag and tracked counts.
@@ -86,7 +91,7 @@ func (d *Dataset) SuperStorm(from, to time.Time) (*SuperStormReport, error) {
 				tracked++
 			}
 		}
-		rep.Tracked = append(rep.Tracked, timeseries.Sample{At: dayStart, Value: float64(tracked)})
+		rep.Tracked = append(rep.Tracked, TimedValue{At: dayStart, Value: float64(tracked)})
 	}
 
 	// Peak drag ratio vs the quietest day.

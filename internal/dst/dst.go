@@ -6,48 +6,89 @@
 package dst
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"time"
 
 	"cosmicdance/internal/stats"
-	"cosmicdance/internal/timeseries"
 	"cosmicdance/internal/units"
 )
 
-// Index is a contiguous hourly Dst series.
+// Index is a contiguous hourly Dst series: one reading per hour from its
+// start hour (UTC), NaN for a missing hour.
 type Index struct {
-	hourly *timeseries.Hourly
+	start  time.Time
+	values []float64
 }
 
-// NewIndex wraps an hourly series as a Dst index.
-func NewIndex(h *timeseries.Hourly) *Index { return &Index{hourly: h} }
+// ErrMisaligned is returned when Append is given an index that does not
+// start where the index it extends ends.
+var ErrMisaligned = errors.New("dst: hourly indexes are not hour-aligned")
 
-// FromValues builds an index over raw hourly readings starting at start.
+// FromValues builds an index over raw hourly readings starting at start,
+// truncated to the hour (UTC). values is not copied.
 func FromValues(start time.Time, values []float64) *Index {
-	return &Index{hourly: timeseries.FromValues(start, values)}
+	return &Index{start: start.UTC().Truncate(time.Hour), values: values}
 }
-
-// Hourly exposes the underlying series.
-func (x *Index) Hourly() *timeseries.Hourly { return x.hourly }
 
 // Len returns the number of hourly readings.
-func (x *Index) Len() int { return x.hourly.Len() }
+func (x *Index) Len() int { return len(x.values) }
 
 // Start returns the timestamp of the first reading.
-func (x *Index) Start() time.Time { return x.hourly.Start }
+func (x *Index) Start() time.Time { return x.start }
 
 // End returns the timestamp one hour past the last reading.
-func (x *Index) End() time.Time { return x.hourly.End() }
+func (x *Index) End() time.Time { return x.TimeAt(len(x.values)) }
+
+// Values returns the readings. Callers must not resize it.
+func (x *Index) Values() []float64 { return x.values }
+
+// TimeAt returns the timestamp of reading i.
+func (x *Index) TimeAt(i int) time.Time { return x.start.Add(time.Duration(i) * time.Hour) }
+
+// hour returns the slot for t, and whether t falls inside the index.
+func (x *Index) hour(t time.Time) (int, bool) {
+	i := int(t.UTC().Sub(x.start) / time.Hour)
+	return i, i >= 0 && i < len(x.values)
+}
 
 // At returns the reading covering t.
 func (x *Index) At(t time.Time) (units.NanoTesla, bool) {
-	v, ok := x.hourly.ValueAt(t)
-	return units.NanoTesla(v), ok
+	i, ok := x.hour(t)
+	if !ok {
+		return 0, false
+	}
+	return units.NanoTesla(x.values[i]), true
 }
 
-// Slice returns the sub-index covering [from, to).
+// Slice returns the sub-index covering [from, to), both bounds clamped to
+// the index's extent. It shares x's readings.
 func (x *Index) Slice(from, to time.Time) *Index {
-	return &Index{hourly: x.hourly.Slice(from, to)}
+	lo, _ := x.hour(from)
+	hi, _ := x.hour(to)
+	lo = max(lo, 0)
+	hi = min(hi, len(x.values))
+	if lo >= hi {
+		return &Index{start: x.TimeAt(lo)}
+	}
+	return &Index{start: x.TimeAt(lo), values: x.values[lo:hi]}
+}
+
+// Append extends x with the readings of next, which must start exactly
+// where x ends; an empty x takes next's start. This is how incremental Dst
+// fetches are stitched together.
+func (x *Index) Append(next *Index) error {
+	if next.Len() == 0 {
+		return nil
+	}
+	if x.Len() == 0 {
+		x.start = next.start
+	} else if !next.start.Equal(x.End()) {
+		return fmt.Errorf("%w: have end %v, append start %v", ErrMisaligned, x.End(), next.start)
+	}
+	x.values = append(x.values, next.values...)
+	return nil
 }
 
 // Min returns the most negative reading (peak storm intensity) and its time,
@@ -55,7 +96,7 @@ func (x *Index) Slice(from, to time.Time) *Index {
 // with no reading present returns 0 and the zero time, as an empty one does.
 func (x *Index) Min() (units.NanoTesla, time.Time) {
 	best, at := 0.0, -1
-	for i, v := range x.hourly.Values() {
+	for i, v := range x.values {
 		if !math.IsNaN(v) && (at < 0 || v < best) {
 			best, at = v, i
 		}
@@ -63,7 +104,7 @@ func (x *Index) Min() (units.NanoTesla, time.Time) {
 	if at < 0 {
 		return 0, time.Time{}
 	}
-	return units.NanoTesla(best), x.hourly.TimeAt(at)
+	return units.NanoTesla(best), x.TimeAt(at)
 }
 
 // IntensityPercentile returns the Dst level whose *intensity* (|negative
@@ -73,9 +114,8 @@ func (x *Index) Min() (units.NanoTesla, time.Time) {
 // (NaN) are not ranked: the percentile is over the hours present, and
 // stats.ErrEmpty when none is.
 func (x *Index) IntensityPercentile(p float64) (units.NanoTesla, error) {
-	vals := x.hourly.Values()
-	present := make([]float64, 0, len(vals))
-	for _, v := range vals {
+	present := make([]float64, 0, len(x.values))
+	for _, v := range x.values {
 		if !math.IsNaN(v) {
 			present = append(present, v)
 		}
@@ -90,7 +130,7 @@ func (x *Index) IntensityPercentile(p float64) (units.NanoTesla, error) {
 // HoursInClass counts readings in each G-scale class.
 func (x *Index) HoursInClass() map[units.GScale]int {
 	out := make(map[units.GScale]int)
-	for _, v := range x.hourly.Values() {
+	for _, v := range x.values {
 		if math.IsNaN(v) {
 			continue
 		}
@@ -136,20 +176,19 @@ func (x *Index) BandRuns(lo, hi units.NanoTesla) []Storm {
 // passed to in.
 func (x *Index) runs(in func(units.NanoTesla) bool) []Storm {
 	var out []Storm
-	vals := x.hourly.Values()
 	inRun := false
 	var cur Storm
-	for i, v := range vals {
+	for i, v := range x.values {
 		hit := !math.IsNaN(v) && in(units.NanoTesla(v))
 		switch {
 		case hit && !inRun:
 			inRun = true
-			cur = Storm{Start: x.hourly.TimeAt(i), Hours: 1, Peak: units.NanoTesla(v), PeakAt: x.hourly.TimeAt(i)}
+			cur = Storm{Start: x.TimeAt(i), Hours: 1, Peak: units.NanoTesla(v), PeakAt: x.TimeAt(i)}
 		case hit && inRun:
 			cur.Hours++
 			if units.NanoTesla(v) < cur.Peak {
 				cur.Peak = units.NanoTesla(v)
-				cur.PeakAt = x.hourly.TimeAt(i)
+				cur.PeakAt = x.TimeAt(i)
 			}
 		case !hit && inRun:
 			inRun = false

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cosmicdance/internal/stats"
-	"cosmicdance/internal/timeseries"
 	"cosmicdance/internal/units"
 )
 
@@ -256,11 +255,75 @@ func TestDurationSummary(t *testing.T) {
 	}
 }
 
-func TestNewIndexWrapsHourly(t *testing.T) {
-	h := timeseries.FromValues(t0, []float64{-1, -2})
-	x := NewIndex(h)
-	if x.Len() != 2 || x.Hourly() != h {
-		t.Errorf("NewIndex: len=%d", x.Len())
+func TestIndexBasics(t *testing.T) {
+	vals := make([]float64, 24)
+	vals[3] = -63
+	x := FromValues(t0.Add(30*time.Minute), vals) // start truncates to the hour
+	if !x.Start().Equal(t0) {
+		t.Errorf("Start = %v, want truncated %v", x.Start(), t0)
+	}
+	if x.Len() != 24 {
+		t.Errorf("Len = %d", x.Len())
+	}
+	if !x.End().Equal(t0.Add(24 * time.Hour)) {
+		t.Errorf("End = %v", x.End())
+	}
+	if v, ok := x.At(t0.Add(3*time.Hour + 45*time.Minute)); !ok || v != -63 {
+		t.Errorf("At = %v, %v", v, ok)
+	}
+	if _, ok := x.At(t0.Add(-time.Hour)); ok {
+		t.Error("At before start should be !ok")
+	}
+	if _, ok := x.At(t0.Add(24 * time.Hour)); ok {
+		t.Error("At at End should be !ok")
+	}
+	if !x.TimeAt(5).Equal(t0.Add(5 * time.Hour)) {
+		t.Errorf("TimeAt(5) = %v", x.TimeAt(5))
+	}
+}
+
+func TestIndexSlice(t *testing.T) {
+	vals := make([]float64, 48)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	x := FromValues(t0, vals)
+	sub := x.Slice(t0.Add(10*time.Hour), t0.Add(20*time.Hour))
+	if sub.Len() != 10 {
+		t.Fatalf("sub len = %d, want 10", sub.Len())
+	}
+	if sub.Values()[0] != 10 || sub.Values()[9] != 19 {
+		t.Errorf("sub values = %v", sub.Values())
+	}
+	// Clamping.
+	all := x.Slice(t0.Add(-100*time.Hour), t0.Add(1000*time.Hour))
+	if all.Len() != 48 {
+		t.Errorf("clamped slice len = %d, want 48", all.Len())
+	}
+	empty := x.Slice(t0.Add(20*time.Hour), t0.Add(10*time.Hour))
+	if empty.Len() != 0 {
+		t.Errorf("inverted slice len = %d, want 0", empty.Len())
+	}
+}
+
+func TestIndexAppend(t *testing.T) {
+	x := FromValues(t0, nil)
+	if err := x.Append(FromValues(t0, []float64{1, 2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Append(FromValues(t0.Add(2*time.Hour), []float64{3})); err != nil {
+		t.Fatal(err)
+	}
+	if x.Len() != 3 || x.Values()[2] != 3 {
+		t.Errorf("after append: len=%d values=%v", x.Len(), x.Values())
+	}
+	// Gap → error.
+	if err := x.Append(FromValues(t0.Add(10*time.Hour), []float64{9})); !errors.Is(err, ErrMisaligned) {
+		t.Errorf("gap append err = %v, want ErrMisaligned", err)
+	}
+	// Empty append is a no-op.
+	if err := x.Append(FromValues(t0, nil)); err != nil || x.Len() != 3 {
+		t.Errorf("empty append: err = %v, len = %d", err, x.Len())
 	}
 }
 

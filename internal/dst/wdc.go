@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"cosmicdance/internal/timeseries"
 )
 
 // Record is one day of hourly Dst readings in the WDC exchange layout: a
@@ -195,26 +193,24 @@ func ToIndex(records []*Record) (*Index, error) {
 		}
 		values = append(values, r.Hourly[:]...)
 	}
-	return &Index{hourly: timeseries.FromValues(start, values)}, nil
+	return FromValues(start, values), nil
 }
 
 // FromIndex splits an hourly index back into daily WDC records (the inverse
 // of ToIndex). The index must start at a UTC midnight and span whole days.
 func FromIndex(x *Index, version int) ([]*Record, error) {
-	h := x.Hourly()
-	if h.Len()%24 != 0 {
-		return nil, fmt.Errorf("dst: index spans %d hours, not whole days", h.Len())
+	if x.Len()%24 != 0 {
+		return nil, fmt.Errorf("dst: index spans %d hours, not whole days", x.Len())
 	}
-	if hh := h.Start.Hour(); hh != 0 {
+	if hh := x.start.Hour(); hh != 0 {
 		return nil, fmt.Errorf("dst: index starts at hour %d, want midnight", hh)
 	}
-	days := h.Len() / 24
+	days := x.Len() / 24
 	out := make([]*Record, days)
-	vals := h.Values()
 	for d := 0; d < days; d++ {
-		date := h.Start.AddDate(0, 0, d)
+		date := x.start.AddDate(0, 0, d)
 		r := &Record{Year: date.Year(), Month: date.Month(), Day: date.Day(), Version: version}
-		copy(r.Hourly[:], vals[d*24:(d+1)*24])
+		copy(r.Hourly[:], x.values[d*24:(d+1)*24])
 		out[d] = r
 	}
 	return out, nil

@@ -25,7 +25,7 @@ var detStart = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // detWorld builds the simulated world the suite ingests: 45 days of weather
 // with one sharp storm at day 20 noon, and a small fleet flown through it.
-func detWorld(t *testing.T) (*spacetrack.ResultArchive, *dst.Index, time.Time) {
+func detWorld(t *testing.T) (*spacetrack.Catalog, *dst.Index, time.Time) {
 	t.Helper()
 	days := 45
 	vals := make([]float64, days*24)
@@ -49,7 +49,7 @@ func detWorld(t *testing.T) (*spacetrack.ResultArchive, *dst.Index, time.Time) {
 		t.Fatal(err)
 	}
 	end := detStart.Add(time.Duration(cfg.Hours) * time.Hour)
-	return spacetrack.NewResultArchive("starlink", res), weather, end
+	return spacetrack.NewCatalog(spacetrack.NewResultArchive("starlink", res), end), weather, end
 }
 
 // ingestResult is everything the pipeline produces that science depends on.

@@ -95,7 +95,7 @@ func fleetObs(t testing.TB, seed int64, months int) (*dst.Index, []core.Observat
 // same prefix — at every prefix, not just the end.
 func TestPrefixReplayMatchesBatch(t *testing.T) {
 	weather, obs := fleetObs(t, 7, 6)
-	wx := weather.Hourly().Values()
+	wx := weather.Values()
 	cfg := DefaultConfig()
 
 	// Deterministically shuffle observations so batches interleave catalogs
@@ -225,7 +225,7 @@ func TestEventRetractionOnMaxHours(t *testing.T) {
 // equals one clean batch ingest with the batch dedupe's counters.
 func TestOutOfOrderDuplicateIngest(t *testing.T) {
 	weather, obs := fleetObs(t, 42, 4)
-	wx := weather.Hourly().Values()
+	wx := weather.Values()
 	cfg := DefaultConfig()
 
 	e := New(cfg)
@@ -313,7 +313,7 @@ func TestEmptyPrefix(t *testing.T) {
 // plus a continuous delta sequence.
 func TestSnapshotRestoreMidStorm(t *testing.T) {
 	weather, obs := fleetObs(t, 1234, 6)
-	wx := weather.Hourly().Values()
+	wx := weather.Values()
 	cfg := DefaultConfig()
 
 	// Find an hour index that lands strictly inside a storm.
@@ -388,7 +388,7 @@ func TestSnapshotRestoreMidStorm(t *testing.T) {
 func TestStateFailsClosed(t *testing.T) {
 	weather, obs := fleetObs(t, 7, 3)
 	e := New(DefaultConfig())
-	if _, err := e.IngestDst(weather.Start(), weather.Hourly().Values()); err != nil {
+	if _, err := e.IngestDst(weather.Start(), weather.Values()); err != nil {
 		t.Fatal(err)
 	}
 	e.IngestObservations(obs[:2000])
@@ -435,7 +435,7 @@ func TestDeltaStreamShape(t *testing.T) {
 		kinds[d.Kind]++
 	})
 	e.IngestObservations(obs)
-	if _, err := e.IngestDst(weather.Start(), weather.Hourly().Values()); err != nil {
+	if _, err := e.IngestDst(weather.Start(), weather.Values()); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []Kind{KindTrackNew, KindStormOpen, KindStormClose, KindEventOpen, KindDeviationNew} {

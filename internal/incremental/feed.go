@@ -419,5 +419,5 @@ func (f *Feed) handleDst(w http.ResponseWriter, r *http.Request) {
 // WeatherIndex seeds or extends the engine from a whole Dst index under the
 // feed lock — the daemon's boot path.
 func (f *Feed) WeatherIndex(x *dst.Index) (IngestStats, error) {
-	return f.IngestDst(x.Start(), slices.Clone(x.Hourly().Values()))
+	return f.IngestDst(x.Start(), slices.Clone(x.Values()))
 }

@@ -23,7 +23,7 @@ func seedFeed(t testing.TB, ringCap int) *Feed {
 	weather, obs := fleetObs(t, 7, 6)
 	f := NewFeed(New(DefaultConfig()), ringCap)
 	f.IngestObservations(obs)
-	if _, err := f.IngestDst(weather.Start(), weather.Hourly().Values()); err != nil {
+	if _, err := f.IngestDst(weather.Start(), weather.Values()); err != nil {
 		t.Fatal(err)
 	}
 	return f

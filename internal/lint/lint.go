@@ -91,6 +91,7 @@ var PipelinePackages = []string{
 	"internal/conjunction",
 	"internal/constellation",
 	"internal/core",
+	"internal/dst",
 	"internal/groundtrack",
 	"internal/incremental",
 	"internal/loadsim",
@@ -100,7 +101,6 @@ var PipelinePackages = []string{
 	"internal/scale",
 	"internal/spaceweather",
 	"internal/stats",
-	"internal/timeseries",
 	"internal/trigger",
 }
 

@@ -23,7 +23,7 @@ func Fig1(w io.Writer, x *dst.Index) error {
 	}
 	fmt.Fprintf(w, "window: %s .. %s (%d hours)\n",
 		x.Start().Format("2006-01-02"), x.End().Format("2006-01-02"), x.Len())
-	fmt.Fprintf(w, "dst: %s\n", Sparkline(Downsample(x.Hourly().Values(), 100)))
+	fmt.Fprintf(w, "dst: %s\n", Sparkline(Downsample(x.Values(), 100)))
 	classes := x.HoursInClass()
 	rows := [][]string{}
 	for _, c := range []units.GScale{units.GQuiet, units.G1Minor, units.G2Moderate, units.G4Severe, units.G5Extreme} {
@@ -201,7 +201,7 @@ func Fig8(w io.Writer, x *dst.Index, named []spaceweather.Override) error {
 	if err := Heading(w, "Fig 8: Dst indices over the last ~50 years"); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "dst: %s\n", Sparkline(Downsample(x.Hourly().Values(), 120)))
+	fmt.Fprintf(w, "dst: %s\n", Sparkline(Downsample(x.Values(), 120)))
 	// Yearly minima series.
 	rows := [][]string{}
 	for year := x.Start().Year(); year < x.End().Year(); year++ {

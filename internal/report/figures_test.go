@@ -14,7 +14,6 @@ import (
 	"cosmicdance/internal/groundtrack"
 	"cosmicdance/internal/spaceweather"
 	"cosmicdance/internal/stats"
-	"cosmicdance/internal/timeseries"
 )
 
 var r0 = time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -139,7 +138,7 @@ func TestFig8Render(t *testing.T) {
 	}
 	vals[1000] = -589
 	x := dst.FromValues(time.Date(1989, 1, 1, 0, 0, 0, 0, time.UTC), vals)
-	named := []spaceweather.Override{{At: x.Hourly().TimeAt(1000), Value: -589}}
+	named := []spaceweather.Override{{At: x.TimeAt(1000), Value: -589}}
 	var buf bytes.Buffer
 	if err := Fig8(&buf, x, named); err != nil {
 		t.Fatal(err)
@@ -243,5 +242,4 @@ func TestWindowToCSVAndSuperStormToCSV(t *testing.T) {
 	if !strings.Contains(buf.String(), "bstar_median") {
 		t.Errorf("csv:\n%s", buf.String())
 	}
-	_ = timeseries.Sample{}
 }

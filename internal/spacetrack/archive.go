@@ -15,19 +15,31 @@ import (
 	"cosmicdance/internal/tle"
 )
 
-// Archive is the data source a Server publishes.
+// Archive is what a Server serves: exactly the Catalog's methods. It is an
+// interface so that a wrapper can stand in for a Catalog, as the
+// benchmark's timing wrapper and the tests' fakes do.
 type Archive interface {
-	// Groups lists the constellation group names served.
+	// Groups lists the constellation group names served, sorted.
 	Groups() []string
 	// GroupLatest returns the latest element set of every object in the
-	// group as of time at (objects with no observations yet are omitted).
+	// group as of time at (objects with no observations yet are omitted),
+	// ordered by catalog number.
 	GroupLatest(group string, at time.Time) []*tle.TLE
-	// History returns the element sets of one object with epochs in
-	// [from, to], ascending.
-	History(catalog int, from, to time.Time) []*tle.TLE
+	// GroupVersion returns the group's monotonically increasing version and
+	// the service-clock instant of its last mutation, the inputs of the
+	// conditional-fetch validators (ETag / Last-Modified). ok is false for
+	// unknown groups.
+	GroupVersion(group string) (version uint64, lastMod time.Time, ok bool)
+	// HistoryEach calls yield for each element set of catalog with epoch in
+	// [from, to], ascending. A yield error aborts the walk and is returned.
+	HistoryEach(catalog int, from, to time.Time, yield func(*tle.TLE) error) error
+	// Ingest merges sets into group at service time at and returns how many
+	// (catalog, epoch) pairs were new.
+	Ingest(group string, sets []*tle.TLE, at time.Time) int
 }
 
-// ResultArchive adapts a constellation simulation result into an Archive.
+// ResultArchive indexes a constellation simulation result: the immutable
+// boot tier a Catalog overlays with ingested sets.
 type ResultArchive struct {
 	group  string
 	names  map[int]string
@@ -54,10 +66,11 @@ func NewResultArchive(group string, res *constellation.Result) *ResultArchive {
 	return a
 }
 
-// Groups implements Archive.
+// Groups lists the one group the result is indexed under.
 func (a *ResultArchive) Groups() []string { return []string{a.group} }
 
-// GroupLatest implements Archive.
+// GroupLatest returns each satellite's latest set with epoch not after at,
+// ordered by catalog number.
 func (a *ResultArchive) GroupLatest(group string, at time.Time) []*tle.TLE {
 	if group != a.group {
 		return nil
@@ -79,7 +92,8 @@ func (a *ResultArchive) GroupLatest(group string, at time.Time) []*tle.TLE {
 	return out
 }
 
-// History implements Archive.
+// History returns the sets of one satellite with epochs in [from, to],
+// ascending.
 func (a *ResultArchive) History(catalog int, from, to time.Time) []*tle.TLE {
 	samples := a.series[catalog]
 	lo := sort.Search(len(samples), func(i int) bool { return samples[i].Epoch >= from.Unix() })

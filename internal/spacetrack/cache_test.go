@@ -16,7 +16,7 @@ import (
 func cacheTestHarness(t *testing.T, dir string) (*CachingFetcher, *int32) {
 	t.Helper()
 	archive, _, end := buildArchive(t, 20)
-	srv := NewServer(archive, end)
+	srv := NewServer(NewCatalog(archive, end), end)
 	var hits int32
 	counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		atomic.AddInt32(&hits, 1)

@@ -25,30 +25,9 @@ var (
 // becomes the bottleneck.
 const catalogShards = 16
 
-// VersionedArchive is an Archive that can report a group's current version
-// and last-modified instant, the inputs of the server's conditional-fetch
-// validators (ETag / Last-Modified). Archives without versions get served
-// with clock-derived validators instead.
-type VersionedArchive interface {
-	Archive
-	// GroupVersion returns the group's monotonically increasing version and
-	// the service-clock instant of its last mutation. ok is false for
-	// unknown groups.
-	GroupVersion(group string) (version uint64, lastMod time.Time, ok bool)
-}
-
-// StreamingArchive is an Archive that can yield a history window one element
-// set at a time, so bulk responses stream instead of materializing.
-type StreamingArchive interface {
-	Archive
-	// HistoryEach calls yield for each element set of catalog with epoch in
-	// [from, to], ascending. A yield error aborts the walk and is returned.
-	HistoryEach(catalog int, from, to time.Time, yield func(*tle.TLE) error) error
-}
-
 // Catalog is the daemon's serving-grade data plane: an immutable base
-// archive (typically the simulation result the daemon booted from) overlaid
-// with live-ingested element sets held in copy-on-write shards indexed by
+// archive (the simulation result the daemon booted from) overlaid with
+// live-ingested element sets held in copy-on-write shards indexed by
 // (catalog, epoch).
 //
 // Reads never block ingest and ingest never blocks reads: readers load one
@@ -57,7 +36,7 @@ type StreamingArchive interface {
 // pointer. A reader that raced the swap simply serves the previous,
 // fully-consistent state.
 type Catalog struct {
-	base   Archive
+	base   *ResultArchive
 	shards [catalogShards]atomic.Pointer[shardState]
 	groups atomic.Pointer[groupState]
 
@@ -88,7 +67,7 @@ type groupMeta struct {
 // NewCatalog overlays copy-on-write shards on base. baseMod stamps the base
 // archive's last-modified instant (use the archive frontier); every group
 // starts at version 1.
-func NewCatalog(base Archive, baseMod time.Time) *Catalog {
+func NewCatalog(base *ResultArchive, baseMod time.Time) *Catalog {
 	c := &Catalog{base: base}
 	for i := range c.shards {
 		c.shards[i].Store(&shardState{series: map[int][]*tle.TLE{}})
@@ -129,7 +108,7 @@ func (c *Catalog) Groups() []string {
 	return out
 }
 
-// GroupVersion implements VersionedArchive.
+// GroupVersion implements Archive.
 func (c *Catalog) GroupVersion(group string) (uint64, time.Time, bool) {
 	gs := c.groups.Load()
 	m, ok := gs.byName[group]
@@ -159,12 +138,6 @@ func (c *Catalog) GroupLatest(group string, at time.Time) []*tle.TLE {
 	if m == nil || len(m.cats) == 0 {
 		return base
 	}
-	// Base archives serve catalog-ordered sets (ResultArchive does); sort
-	// defensively so the merge below never depends on that.
-	if !sort.SliceIsSorted(base, func(i, j int) bool { return base[i].CatalogNumber < base[j].CatalogNumber }) {
-		base = append([]*tle.TLE(nil), base...)
-		sort.Slice(base, func(i, j int) bool { return base[i].CatalogNumber < base[j].CatalogNumber })
-	}
 	out := make([]*tle.TLE, 0, len(base)+len(m.cats))
 	bi := 0
 	for _, cat := range m.cats {
@@ -192,20 +165,9 @@ func (c *Catalog) GroupLatest(group string, at time.Time) []*tle.TLE {
 	return out
 }
 
-// History implements Archive: base and delta windows merged ascending by
-// epoch, deduplicated by epoch with the delta winning.
-func (c *Catalog) History(catalog int, from, to time.Time) []*tle.TLE {
-	var out []*tle.TLE
-	// The walk over immutable state cannot fail; yield never errors.
-	_ = c.HistoryEach(catalog, from, to, func(t *tle.TLE) error {
-		out = append(out, t)
-		return nil
-	})
-	return out
-}
-
-// HistoryEach implements StreamingArchive: a two-pointer merge of the base
-// window and the delta window, yielding without materializing the union.
+// HistoryEach implements Archive: a two-pointer merge of the base window
+// and the delta window, ascending by epoch and deduplicated by epoch with
+// the delta winning, yielding without materializing the union.
 func (c *Catalog) HistoryEach(catalog int, from, to time.Time, yield func(*tle.TLE) error) error {
 	base := c.base.History(catalog, from, to)
 	all := c.shardFor(catalog).Load().series[catalog]
@@ -247,10 +209,10 @@ func (c *Catalog) HistoryEach(catalog int, from, to time.Time, yield func(*tle.T
 	return nil
 }
 
-// Ingest merges sets into group's delta at service time at, returning how
-// many (catalog, epoch) pairs were new. Duplicates of already-held pairs are
-// skipped, so replaying an ingest batch is idempotent. The group's version
-// bumps (and lastMod advances) even for an all-duplicate batch only when at
+// Ingest implements Archive: it merges sets into group's delta at service
+// time at, returning how many (catalog, epoch) pairs were new. Duplicates
+// of already-held pairs are skipped, so replaying an ingest batch is
+// idempotent. The group's version bumps (and lastMod advances) only when at
 // least one set applied, keeping conditional-fetch validators honest.
 func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 	if len(sets) == 0 {

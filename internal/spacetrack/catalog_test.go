@@ -3,6 +3,7 @@ package spacetrack
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,17 @@ func cloneSet(template *tle.TLE, catalog int, epoch time.Time) *tle.TLE {
 	c.Epoch = epoch.UTC()
 	c.Name = fmt.Sprintf("INGEST-%d", catalog)
 	return &c
+}
+
+// history collects the window an archive's HistoryEach yields.
+func history(a Archive, catalog int, from, to time.Time) []*tle.TLE {
+	var out []*tle.TLE
+	// A walk whose yield never errors returns nil.
+	_ = a.HistoryEach(catalog, from, to, func(t *tle.TLE) error {
+		out = append(out, t)
+		return nil
+	})
+	return out
 }
 
 func TestCatalogServesBaseUnchanged(t *testing.T) {
@@ -40,7 +52,7 @@ func TestCatalogServesBaseUnchanged(t *testing.T) {
 	}
 	catalog := base[0].CatalogNumber
 	wantHist := archive.History(catalog, stStart, end)
-	gotHist := cat.History(catalog, stStart, end)
+	gotHist := history(cat, catalog, stStart, end)
 	if len(gotHist) != len(wantHist) {
 		t.Fatalf("History = %d sets, want %d", len(gotHist), len(wantHist))
 	}
@@ -75,7 +87,7 @@ func TestCatalogIngestVisibilityAndVersions(t *testing.T) {
 	if !found {
 		t.Fatal("ingested satellite missing from GroupLatest")
 	}
-	if h := cat.History(90001, stStart, end); len(h) != 1 {
+	if h := history(cat, 90001, stStart, end); len(h) != 1 {
 		t.Fatalf("ingested history = %d sets, want 1", len(h))
 	}
 	v, mod, _ := cat.GroupVersion("starlink")
@@ -104,7 +116,7 @@ func TestCatalogIngestVisibilityAndVersions(t *testing.T) {
 			t.Fatalf("GroupLatest catalog %d epoch = %v, want superseding %v", existing, s.Epoch, newer.Epoch)
 		}
 	}
-	hist := cat.History(existing, stStart, end)
+	hist := history(cat, existing, stStart, end)
 	seen := map[int64]int{}
 	for i := 1; i < len(hist); i++ {
 		if hist[i].Epoch.Before(hist[i-1].Epoch) {
@@ -154,7 +166,9 @@ func TestCatalogHistoryEachMatchesHistory(t *testing.T) {
 	}
 	cat.Ingest("starlink", batch, end)
 
-	want := cat.History(existing, stStart, end)
+	// The referee: the base window with the batch merged in by epoch.
+	want := append(archive.History(existing, stStart, end), batch...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Epoch.Before(want[j].Epoch) })
 	var got []*tle.TLE
 	if err := cat.HistoryEach(existing, stStart, end, func(s *tle.TLE) error {
 		got = append(got, s)
@@ -163,10 +177,10 @@ func TestCatalogHistoryEachMatchesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("HistoryEach yielded %d, History returned %d", len(got), len(want))
+		t.Fatalf("HistoryEach yielded %d, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].CatalogNumber != want[i].CatalogNumber || !got[i].Epoch.Equal(want[i].Epoch) {
+		if got[i].Name != want[i].Name || !got[i].Epoch.Equal(want[i].Epoch) {
 			t.Fatalf("element %d diverges", i)
 		}
 	}
@@ -182,8 +196,8 @@ func TestCatalogHistoryEachMatchesHistory(t *testing.T) {
 }
 
 // TestCatalogCOWRaceStress is the serving-plane race gate: bulk readers
-// hammer GroupLatest and History while a writer live-ingests, all under the
-// race detector. Readers must always observe a fully consistent state —
+// hammer GroupLatest and HistoryEach while a writer live-ingests, all under
+// the race detector. Readers must always observe a fully consistent state —
 // ordered groups, ascending histories — and the writer must never lose a
 // set. A goroutine-count check mirrors the internal/parallel leak tests.
 func TestCatalogCOWRaceStress(t *testing.T) {
@@ -217,7 +231,7 @@ func TestCatalogCOWRaceStress(t *testing.T) {
 						return
 					}
 				}
-				hist := cat.History(90000+r, stStart, end)
+				hist := history(cat, 90000+r, stStart, end)
 				for i := 1; i < len(hist); i++ {
 					if hist[i].Epoch.Before(hist[i-1].Epoch) {
 						errs <- fmt.Errorf("reader %d: descending history", r)

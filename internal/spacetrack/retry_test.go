@@ -39,7 +39,7 @@ func noSleepClient(t *testing.T, ts *httptest.Server) (*Client, *int32) {
 
 func TestClientRetries5xxBurst(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	inner := NewServer(archive, end).Handler()
+	inner := NewServer(NewCatalog(archive, end), end).Handler()
 	for _, status := range []int{http.StatusInternalServerError, http.StatusServiceUnavailable} {
 		ts := httptest.NewServer(flakyHandler(3, func(w http.ResponseWriter, _ int32) {
 			http.Error(w, "upstream sad", status)
@@ -82,7 +82,7 @@ func TestClient5xxExhaustsBudget(t *testing.T) {
 
 func TestClientRetriesConnectionReset(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	inner := NewServer(archive, end).Handler()
+	inner := NewServer(NewCatalog(archive, end), end).Handler()
 	// panic(http.ErrAbortHandler) aborts the response mid-flight: the client
 	// sees a transport-level error, the shape of a reset connection.
 	ts := httptest.NewServer(flakyHandler(2, func(w http.ResponseWriter, _ int32) {
@@ -101,7 +101,7 @@ func TestClientRetriesConnectionReset(t *testing.T) {
 
 func TestClientRetriesTruncatedBody(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	inner := NewServer(archive, end).Handler()
+	inner := NewServer(NewCatalog(archive, end), end).Handler()
 	ts := httptest.NewServer(flakyHandler(2, func(w http.ResponseWriter, _ int32) {
 		// Declare more bytes than we send: the client's body read dies with
 		// an unexpected EOF when the handler returns.
@@ -135,7 +135,7 @@ func TestClientTruncationExhaustsTyped(t *testing.T) {
 
 func TestClientHonoursRetryAfterOver429(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	inner := NewServer(archive, end).Handler()
+	inner := NewServer(NewCatalog(archive, end), end).Handler()
 	ts := httptest.NewServer(flakyHandler(1, func(w http.ResponseWriter, _ int32) {
 		w.Header().Set("Retry-After", "7")
 		http.Error(w, "slow down", http.StatusTooManyRequests)
@@ -160,7 +160,7 @@ func TestClientHonoursRetryAfterOver429(t *testing.T) {
 
 func TestClientHonoursRetryAfterOver503(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	inner := NewServer(archive, end).Handler()
+	inner := NewServer(NewCatalog(archive, end), end).Handler()
 	// The admission layer's shape: a 503 carrying the computed refill delay.
 	ts := httptest.NewServer(flakyHandler(1, func(w http.ResponseWriter, _ int32) {
 		w.Header().Set("Retry-After", "3")
@@ -204,7 +204,7 @@ func TestClientHonoursRetryAfterOver503(t *testing.T) {
 
 func TestClientConditionalFetch(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	srv := NewServer(archive, end)
+	srv := NewServer(NewCatalog(archive, end), end)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client, err := NewClient(ts.URL, ts.Client())
@@ -300,7 +300,7 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 
 func TestFetchHistoriesTypedPermanentErrors(t *testing.T) {
 	archive, _, end := buildArchive(t, 10)
-	inner := NewServer(archive, end).Handler()
+	inner := NewServer(NewCatalog(archive, end), end).Handler()
 	// Catalog 44714 is permanently broken: a non-retryable 404.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("catalog") == "44714" {

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,20 +46,12 @@ func init() {
 	}
 }
 
-// IngestArchive is an Archive that accepts live element-set ingest — the
-// Catalog qualifies. Servers whose archive implements it expose POST
-// /ingest.
-type IngestArchive interface {
-	Archive
-	Ingest(group string, sets []*tle.TLE, at time.Time) int
-}
-
 // Server publishes an Archive over HTTP with CelesTrak- and Space-Track-
 // shaped endpoints:
 //
 //	GET  /NORAD/elements/gp.php?GROUP=<group>&FORMAT=tle
 //	GET  /history?catalog=<id>&from=<RFC3339>&to=<RFC3339>
-//	POST /ingest?group=<group>                     (IngestArchive backends)
+//	POST /ingest?group=<group>
 //	GET  /healthz
 //
 // Three admission layers guard the data endpoints, all running on the
@@ -177,9 +168,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/NORAD/elements/gp.php", s.admit("group", s.handleGroup))
 	mux.HandleFunc("/history", s.admit("history", s.handleHistory))
-	if _, ok := s.archive.(IngestArchive); ok {
-		mux.HandleFunc("/ingest", s.admit("ingest", s.handleIngest))
-	}
+	mux.HandleFunc("/ingest", s.admit("ingest", s.handleIngest))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
 }
@@ -207,18 +196,14 @@ type HealthStatus struct {
 // Health assembles the current HealthStatus — exported so the daemon's
 // shutdown log and tests share the handler's view.
 func (s *Server) Health() HealthStatus {
-	hs := HealthStatus{Status: "ok", Now: s.now().UTC().Format(time.RFC3339)}
-	if va, ok := s.archive.(VersionedArchive); ok {
-		groups := append([]string(nil), s.archive.Groups()...)
-		sort.Strings(groups)
-		for _, g := range groups {
-			if v, mod, known := va.GroupVersion(g); known {
-				hs.Groups = append(hs.Groups, GroupHealth{
-					Group:     g,
-					Version:   v,
-					UpdatedAt: mod.UTC().Format(time.RFC3339),
-				})
-			}
+	hs := HealthStatus{Status: "ok", Now: s.Now().UTC().Format(time.RFC3339)}
+	for _, g := range s.archive.Groups() {
+		if v, mod, known := s.archive.GroupVersion(g); known {
+			hs.Groups = append(hs.Groups, GroupHealth{
+				Group:     g,
+				Version:   v,
+				UpdatedAt: mod.UTC().Format(time.RFC3339),
+			})
 		}
 	}
 	if s.HealthInfo != nil {
@@ -248,15 +233,6 @@ func (s *Server) RateLimited() int64 { return s.rejected.Load() }
 // Overloaded reports how many requests the admission layer shed with 503
 // (capacity bucket or in-flight bound).
 func (s *Server) Overloaded() int64 { return s.overloaded.Load() }
-
-// now reads the service clock, falling back to wall clock for a Server
-// built as a bare struct literal (NewServer always sets Now).
-func (s *Server) now() time.Time {
-	if s.Now != nil {
-		return s.Now()
-	}
-	return time.Now() //cosmiclint:allow nondet fallback for bare struct literals only; NewServer always injects a clock
-}
 
 // clientKey identifies the requester for per-client limiting: the
 // self-reported X-Client-Id when present, else the peer host.
@@ -291,7 +267,7 @@ func (s *Server) admitClient(key string) (bool, time.Duration) {
 	if s.clients == nil {
 		s.clients = make(map[string]*bucket)
 	}
-	now := s.now()
+	now := s.Now()
 	b := s.clients[key]
 	if b == nil {
 		s.evictLocked(now)
@@ -328,7 +304,7 @@ func (s *Server) admitCapacity() (bool, time.Duration) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.capacity.take(s.now(), s.CapacityPerSec, s.CapacityBurst)
+	return s.capacity.take(s.Now(), s.CapacityPerSec, s.CapacityBurst)
 }
 
 // statusRecorder captures the status a handler writes so admit() can judge
@@ -373,39 +349,23 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		var tr *obs.Tracer
 		if trace != 0 {
-			tr = obs.NewTracer(s.now)
+			tr = obs.NewTracer(s.Now)
 		}
 		admission := tr.Start("admission")
 		if s.MaxInFlight > 0 {
 			if n := s.inflight.Add(1); n > s.MaxInFlight {
 				s.inflight.Add(-1)
-				s.overloaded.Add(1)
-				metricAdmitted["inflight"].Inc()
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "server saturated", http.StatusServiceUnavailable)
-				s.Flight.RecordReject(obs.FlightEvent{Trace: traceString(trace), Endpoint: endpoint, Status: http.StatusServiceUnavailable, Detail: "inflight"})
-				s.SLO.Record(endpoint, 0, true)
+				s.refuse(w, endpoint, trace, "inflight", http.StatusServiceUnavailable, 0, "server saturated")
 				return
 			}
 			defer s.inflight.Add(-1)
 		}
 		if ok, wait := s.admitCapacity(); !ok {
-			s.overloaded.Add(1)
-			metricAdmitted["capacity"].Inc()
-			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			http.Error(w, "over capacity", http.StatusServiceUnavailable)
-			s.Flight.RecordReject(obs.FlightEvent{Trace: traceString(trace), Endpoint: endpoint, Status: http.StatusServiceUnavailable, Detail: "capacity"})
-			s.SLO.Record(endpoint, 0, true)
+			s.refuse(w, endpoint, trace, "capacity", http.StatusServiceUnavailable, wait, "over capacity")
 			return
 		}
 		if ok, wait := s.admitClient(clientKey(r)); !ok {
-			s.rejected.Add(1)
-			metricRateLimited.Inc()
-			metricAdmitted["per_client"].Inc()
-			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-			s.Flight.RecordReject(obs.FlightEvent{Trace: traceString(trace), Endpoint: endpoint, Status: http.StatusTooManyRequests, Detail: "per_client"})
-			s.SLO.Record(endpoint, 0, true)
+			s.refuse(w, endpoint, trace, "per_client", http.StatusTooManyRequests, wait, "rate limit exceeded")
 			return
 		}
 		admission.End()
@@ -416,9 +376,9 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			r = r.WithContext(obs.WithTracer(r.Context(), tr))
 		}
 		sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := s.now()
+		start := s.Now()
 		h(sw, r)
-		elapsed := s.now().Sub(start)
+		elapsed := s.Now().Sub(start)
 		metricLatency[endpoint].ObserveExemplar(elapsed.Seconds(), trace)
 		s.SLO.Record(endpoint, elapsed, sw.status >= 500)
 		if s.Flight != nil {
@@ -434,6 +394,25 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// refuse answers a request admission turned away with status: a 429 counts
+// as rate limited, a 503 as overloaded. Retry-After is the wait until the
+// refusing bucket refills, at least a second; decision labels the admission
+// counter and the flight recorder's reject, and the SLO tracker counts a
+// failure.
+func (s *Server) refuse(w http.ResponseWriter, endpoint string, trace obs.TraceID, decision string, status int, wait time.Duration, body string) {
+	if status == http.StatusTooManyRequests {
+		s.rejected.Add(1)
+		metricRateLimited.Inc()
+	} else {
+		s.overloaded.Add(1)
+	}
+	metricAdmitted[decision].Inc()
+	w.Header().Set("Retry-After", retryAfterSeconds(wait))
+	http.Error(w, body, status)
+	s.Flight.RecordReject(obs.FlightEvent{Trace: traceString(trace), Endpoint: endpoint, Status: status, Detail: decision})
+	s.SLO.Record(endpoint, 0, true)
+}
+
 // validatorGranularity quantizes the clock component of the group
 // validators to the simulation's sample cadence: a group's ETag changes when
 // it is ingested into or when the service clock crosses an hour boundary,
@@ -445,14 +424,8 @@ const validatorGranularity = time.Hour
 // as the service clock advances, even without ingest), and Last-Modified is
 // the later of the group's last mutation and the quantum boundary.
 func (s *Server) validators(group string) (etag string, lastMod time.Time) {
-	cut := s.now().Truncate(validatorGranularity)
-	version := uint64(1)
-	var mod time.Time
-	if va, ok := s.archive.(VersionedArchive); ok {
-		if v, m, known := va.GroupVersion(group); known {
-			version, mod = v, m
-		}
-	}
+	cut := s.Now().Truncate(validatorGranularity)
+	version, mod, _ := s.archive.GroupVersion(group) // handleGroup has checked the group
 	if mod.Before(cut) {
 		mod = cut
 	}
@@ -473,9 +446,27 @@ func notModified(r *http.Request, etag string, lastMod time.Time) bool {
 	return false
 }
 
+// pooledGzip is a gzip writer bound for life to its own sink, which points
+// at the response being compressed, so a pooled writer holds no response
+// and clears its deflate state once per response, on the Reset that
+// rebinds it.
+type pooledGzip struct {
+	zw   *gzip.Writer
+	sink gzipSink
+}
+
+// gzipSink forwards to the current response.
+type gzipSink struct{ w io.Writer }
+
+func (s *gzipSink) Write(p []byte) (int, error) { return s.w.Write(p) }
+
 // gzipWriters recycles gzip writers across responses: each one holds about
 // 1 MB of deflate state that a fresh writer would allocate and zero.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+var gzipWriters = sync.Pool{New: func() any {
+	g := &pooledGzip{}
+	g.zw = gzip.NewWriter(&g.sink)
+	return g
+}}
 
 // compressed negotiates gzip: it returns the body writer and a finish
 // function that must run after the body is complete. A gzip writer comes
@@ -487,12 +478,13 @@ func compressed(w http.ResponseWriter, r *http.Request) (io.Writer, func() error
 	}
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Add("Vary", "Accept-Encoding")
-	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(w)
-	return zw, func() error {
-		err := zw.Close()
-		zw.Reset(nil)
-		gzipWriters.Put(zw)
+	g := gzipWriters.Get().(*pooledGzip)
+	g.sink.w = w
+	g.zw.Reset(&g.sink)
+	return g.zw, func() error {
+		err := g.zw.Close()
+		g.sink.w = nil
+		gzipWriters.Put(g)
 		return err
 	}
 }
@@ -567,7 +559,7 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.TracerFrom(r.Context())
 	read := tr.Start("catalog_read")
-	sets := s.archive.GroupLatest(group, s.now())
+	sets := s.archive.GroupLatest(group, s.Now())
 	read.End()
 	if format == "json" {
 		// Space-Track's OMM JSON shape.
@@ -600,9 +592,9 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleHistory serves the Space-Track-style windowed history. A
-// StreamingArchive's window is encoded as it is walked, through writeLines'
-// one buffer, so a bulk window never materializes server-side.
+// handleHistory serves the Space-Track-style windowed history. The text
+// window is encoded as the archive walks it, through writeLines' one
+// buffer, so a bulk window never materializes server-side.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	catalog, err := strconv.Atoi(q.Get("catalog"))
@@ -615,7 +607,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	to, err := parseTimeParam(q.Get("to"), s.now())
+	to, err := parseTimeParam(q.Get("to"), s.Now())
 	if err != nil {
 		http.Error(w, "bad to: "+err.Error(), http.StatusBadRequest)
 		return
@@ -624,10 +616,19 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "to precedes from", http.StatusBadRequest)
 		return
 	}
+	walk := func(yield func(*tle.TLE) error) error {
+		return s.archive.HistoryEach(catalog, from, to, yield)
+	}
 	tr := obs.TracerFrom(r.Context())
 	if q.Get("format") == "json" {
 		read := tr.Start("catalog_read")
-		sets := s.archive.History(catalog, from, to)
+		var sets []*tle.TLE
+		// The walk over the catalog's immutable state cannot fail, and
+		// this yield never errors.
+		_ = walk(func(t *tle.TLE) error {
+			sets = append(sets, t)
+			return nil
+		})
 		read.End()
 		w.Header().Set("Content-Type", "application/json")
 		defer tr.Start("gzip").End()
@@ -643,14 +644,6 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	defer tr.Start("catalog_read").End()
 	out, finish := compressed(w, r)
-	var walk func(yield func(*tle.TLE) error) error
-	if sa, ok := s.archive.(StreamingArchive); ok {
-		walk = func(yield func(*tle.TLE) error) error {
-			return sa.HistoryEach(catalog, from, to, yield)
-		}
-	} else {
-		walk = eachOf(s.archive.History(catalog, from, to))
-	}
 	if err := writeLines(out, walk); err != nil {
 		return
 	}
@@ -668,7 +661,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ingest requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	ia := s.archive.(IngestArchive) // admit() wires /ingest only for IngestArchive backends
 	group := r.URL.Query().Get("group")
 	if group == "" {
 		http.Error(w, "missing group", http.StatusBadRequest)
@@ -709,7 +701,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.TracerFrom(r.Context())
 	read := tr.Start("catalog_read")
-	applied := ia.Ingest(group, sets, s.now())
+	applied := s.archive.Ingest(group, sets, s.Now())
 	read.End()
 	if s.OnIngest != nil {
 		feed := tr.Start("feed_append")

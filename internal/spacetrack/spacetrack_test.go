@@ -49,7 +49,7 @@ func buildFleetArchive(t testing.TB, days, sats int) (*ResultArchive, *constella
 func newTestServer(t *testing.T, days int) (*Server, *httptest.Server, *Client) {
 	t.Helper()
 	archive, _, end := buildArchive(t, days)
-	srv := NewServer(archive, end)
+	srv := NewServer(NewCatalog(archive, end), end)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client, err := NewClient(ts.URL, ts.Client())
@@ -253,7 +253,7 @@ func TestNewClientBadURL(t *testing.T) {
 
 func TestCachingFetcherIncremental(t *testing.T) {
 	archive, _, end := buildArchive(t, 40)
-	srv := NewServer(archive, end)
+	srv := NewServer(NewCatalog(archive, end), end)
 	var hits int32
 	counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		atomic.AddInt32(&hits, 1)
@@ -320,7 +320,7 @@ func TestCachingFetcherIncremental(t *testing.T) {
 
 func TestCachingFetcherPersistsAcrossInstances(t *testing.T) {
 	archive, _, end := buildArchive(t, 10)
-	srv := NewServer(archive, end)
+	srv := NewServer(NewCatalog(archive, end), end)
 	var hits int32
 	counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		atomic.AddInt32(&hits, 1)

@@ -23,7 +23,7 @@ import (
 // in the flight recorder with its phase spans.
 func TestTraceHeaderPropagation(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	srv := NewServer(archive, end)
+	srv := NewServer(NewCatalog(archive, end), end)
 	srv.Trace = obs.NewIDStream(42, 0)
 	flight := obs.NewFlightRecorder(64, srv.Now)
 	srv.Flight = flight
@@ -144,7 +144,7 @@ func TestFlightRecorderGolden(t *testing.T) {
 // naming their trace IDs, and burn SLO error budget.
 func TestRejectsCarryTraces(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	srv := NewServer(archive, end) // pinned clock: the bucket never refills
+	srv := NewServer(NewCatalog(archive, end), end) // pinned clock: the bucket never refills
 	srv.RatePerSec = 1
 	srv.Burst = 2
 	flight := obs.NewFlightRecorder(64, srv.Now)
@@ -207,7 +207,7 @@ func TestRejectsCarryTraces(t *testing.T) {
 // trace ID on the latency bucket it landed in, JSON-snapshot only.
 func TestLatencyExemplars(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	srv := NewServer(archive, end)
+	srv := NewServer(NewCatalog(archive, end), end)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -237,7 +237,7 @@ func TestLatencyExemplars(t *testing.T) {
 // sees the same trace rejected and then served.
 func TestClientTraceReusedAcrossRetries(t *testing.T) {
 	archive, _, end := buildArchive(t, 5)
-	inner := NewServer(archive, end).Handler()
+	inner := NewServer(NewCatalog(archive, end), end).Handler()
 	var seen []string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = append(seen, r.Header.Get(obs.TraceHeader))

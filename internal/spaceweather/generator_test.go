@@ -33,7 +33,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	av, bv := a.Hourly().Values(), b.Hourly().Values()
+	av, bv := a.Values(), b.Values()
 	for i := range av {
 		if av[i] != bv[i] {
 			t.Fatalf("divergence at hour %d: %v vs %v", i, av[i], bv[i])
@@ -45,7 +45,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := true
-	for i, v := range c.Hourly().Values() {
+	for i, v := range c.Values() {
 		if v != av[i] {
 			same = false
 			break
@@ -62,7 +62,7 @@ func TestQuietBackgroundStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := x.Hourly().Values()
+	vals := x.Values()
 	var sum, ss float64
 	for _, v := range vals {
 		sum += v

@@ -154,7 +154,7 @@ func TestMay2024Scenario(t *testing.T) {
 	}
 	// WDC recorded ~23 hours below −200 nT.
 	below := 0
-	for _, v := range x.Hourly().Values() {
+	for _, v := range x.Values() {
 		if v <= -200 {
 			below++
 		}
@@ -219,7 +219,7 @@ func TestScenarioSolarCycleShape(t *testing.T) {
 		}
 		return n
 	}
-	e, l := stormHours(early.Hourly().Values()), stormHours(late.Hourly().Values())
+	e, l := stormHours(early.Values()), stormHours(late.Values())
 	if l <= e {
 		t.Errorf("late-window storm hours (%d) not above early window (%d)", l, e)
 	}
@@ -236,7 +236,7 @@ func TestFiftyYearsSolarCyclePeriodicity(t *testing.T) {
 	stormHours := func(year int) int {
 		from := time.Date(year, 1, 1, 0, 0, 0, 0, time.UTC)
 		n := 0
-		for _, v := range x.Slice(from, from.AddDate(1, 0, 0)).Hourly().Values() {
+		for _, v := range x.Slice(from, from.AddDate(1, 0, 0)).Values() {
 			if units.NanoTesla(v) <= units.StormThreshold {
 				n++
 			}

@@ -145,8 +145,9 @@ func TestAppendLinesMatchesReferee(t *testing.T) {
 		{"mean motion before epoch", func(tl *TLE) { tl.MeanMotion = 100; tl.Epoch = time.Time{} }},
 		{"epoch before B*", func(tl *TLE) { tl.Epoch = time.Time{}; tl.BStar = 1e10 }},
 		{"nddot before B*", func(tl *TLE) { tl.MeanMotionDDot = 1e10; tl.BStar = math.NaN() }},
-		{"B* before line 1", func(tl *TLE) { tl.BStar = 1e10; tl.MeanMotionDot = 1 }},
+		{"B* before line 1", func(tl *TLE) { tl.BStar = 1e10; tl.IntlDesignator = "98067ABCD" }},
 		{"line 1 before line 2", func(tl *TLE) { tl.MeanMotionDot = 1; tl.RevNumber = -12345 }},
+		{"line 1 columns before line 2", func(tl *TLE) { tl.IntlDesignator = "98067é"; tl.Inclination = 1e9 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -154,6 +155,52 @@ func TestAppendLinesMatchesReferee(t *testing.T) {
 			c.edit(&tl)
 			checkAgainstReferee(t, &tl)
 		})
+	}
+}
+
+// TestFormatNamesFieldErrors pins the field checks: a field whose value is
+// not finite, or whose text is wider than its columns, fails Format with an
+// error naming the field. The encoder used to write NaN and Inf into line 2
+// as text Parse rejects, and to report the other cases as a line of the
+// wrong width.
+func TestFormatNamesFieldErrors(t *testing.T) {
+	iss, err := Parse(issLine1, issLine2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		edit  func(*TLE)
+	}{
+		{"ndot", func(tl *TLE) { tl.MeanMotionDot = nan }},
+		{"ndot", func(tl *TLE) { tl.MeanMotionDot = -inf }},
+		{"ndot", func(tl *TLE) { tl.MeanMotionDot = -0.999999999 }},
+		{"nddot", func(tl *TLE) { tl.MeanMotionDDot = nan }},
+		{"B*", func(tl *TLE) { tl.BStar = inf }},
+		{"ephemeris type", func(tl *TLE) { tl.EphemerisType = 10 }},
+		{"element set", func(tl *TLE) { tl.ElementSet = -12345 }},
+		{"inclination", func(tl *TLE) { tl.Inclination = units.Degrees(nan) }},
+		{"inclination", func(tl *TLE) { tl.Inclination = units.Degrees(-inf) }},
+		{"inclination", func(tl *TLE) { tl.Inclination = 1e9 }},
+		{"RAAN", func(tl *TLE) { tl.RAAN = units.Degrees(nan) }},
+		{"RAAN", func(tl *TLE) { tl.RAAN = units.Degrees(inf) }},
+		{"eccentricity", func(tl *TLE) { tl.Eccentricity = nan }},
+		{"eccentricity", func(tl *TLE) { tl.Eccentricity = 0.99999999 }},
+		{"argument of perigee", func(tl *TLE) { tl.ArgPerigee = units.Degrees(nan) }},
+		{"mean anomaly", func(tl *TLE) { tl.MeanAnomaly = units.Degrees(-inf) }},
+		{"mean motion", func(tl *TLE) { tl.MeanMotion = units.RevsPerDay(nan) }},
+		{"mean motion", func(tl *TLE) { tl.MeanMotion = units.RevsPerDay(inf) }},
+		{"mean motion", func(tl *TLE) { tl.MeanMotion = 99.999999999 }},
+		{"rev number", func(tl *TLE) { tl.RevNumber = -12345 }},
+	}
+	for _, c := range cases {
+		tl := *iss
+		c.edit(&tl)
+		l1, l2, err := tl.Format()
+		if err == nil || !strings.HasPrefix(err.Error(), "tle: "+c.field+" ") {
+			t.Errorf("%+v: Format = %q, %q, %v; want an error naming %s", tl, l1, l2, err, c.field)
+		}
 	}
 }
 

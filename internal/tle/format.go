@@ -41,17 +41,19 @@ func (t *TLE) String() string {
 
 // AppendLines appends the element set's two 69-column lines, each ending in
 // a newline, to dst and returns the extended buffer; it writes no name line.
-// It makes Format's range checks and returns its errors, and on an error it
-// returns dst unextended. Each field is written as fmt's verb for it would
-// write it (%05d, %-8s, %8.4f, ...), without fmt.
+// It makes Format's checks and returns its errors, and on an error it
+// returns dst unextended. A field whose value is not finite, or whose text
+// does not fit its columns, is an error that names the field. Each field is
+// written as fmt's verb for it would write it (%05d, %-8s, %8.4f, ...),
+// without fmt.
 func (t *TLE) AppendLines(dst []byte) ([]byte, error) {
 	if t.CatalogNumber < 0 || t.CatalogNumber > 99999 {
 		return dst, fmt.Errorf("tle: catalog number %d outside 5-digit field", t.CatalogNumber)
 	}
-	if t.Eccentricity < 0 || t.Eccentricity >= 1 {
+	if !(t.Eccentricity >= 0 && t.Eccentricity < 1) {
 		return dst, fmt.Errorf("tle: eccentricity %v outside [0,1)", t.Eccentricity)
 	}
-	if t.MeanMotion < 0 || t.MeanMotion >= 100 {
+	if !(t.MeanMotion >= 0 && t.MeanMotion < 100) {
 		return dst, fmt.Errorf("tle: mean motion %v outside field range", t.MeanMotion)
 	}
 	at := t.Epoch.UTC()
@@ -63,76 +65,131 @@ func (t *TLE) AppendLines(dst []byte) ([]byte, error) {
 	if cls == 0 {
 		cls = 'U'
 	}
-	start := len(dst)
+	f := fields{b: dst}
 
 	// Line 1: "1 %05d%c %-8s %02d%012.8f %s %s %s %1d %4d" and the checksum.
-	dst = append(dst, '1', ' ')
-	dst = appendInt(dst, t.CatalogNumber, 5, '0')
+	f.b = append(f.b, '1', ' ')
+	f.int("catalog number", t.CatalogNumber, 5, '0')
 	// As %c and %-8s do, the classification is written as UTF-8 and the
 	// designator padded by runes, so a multi-byte character takes more
 	// bytes than columns and fails the line's column check.
-	dst = utf8.AppendRune(dst, rune(cls))
-	dst = append(dst, ' ')
-	dst = append(dst, t.IntlDesignator...)
+	f.b = utf8.AppendRune(f.b, rune(cls))
+	f.b = append(f.b, ' ')
+	f.b = append(f.b, t.IntlDesignator...)
 	for n := utf8.RuneCountInString(t.IntlDesignator); n < 8; n++ {
-		dst = append(dst, ' ')
+		f.b = append(f.b, ' ')
 	}
-	dst = append(dst, ' ')
+	f.b = append(f.b, ' ')
 	jan1 := time.Date(year, 1, 1, 0, 0, 0, 0, time.UTC)
-	dst = appendInt(dst, year%100, 2, '0')
-	dst = appendFixed(dst, 1+at.Sub(jan1).Seconds()/86400, 12, 8, '0')
-	dst = append(dst, ' ')
-	dst = appendSignedDecimal(dst, t.MeanMotionDot)
-	dst = append(dst, ' ')
-	dst, ok := appendExpField(dst, t.MeanMotionDDot)
-	if !ok {
-		return dst[:start], expFieldError("nddot", t.MeanMotionDDot)
-	}
-	dst = append(dst, ' ')
-	if dst, ok = appendExpField(dst, t.BStar); !ok {
-		return dst[:start], expFieldError("B*", t.BStar)
-	}
-	dst = append(dst, ' ')
-	dst = appendInt(dst, t.EphemerisType, 1, ' ')
-	dst = append(dst, ' ')
-	dst = appendInt(dst, t.ElementSet%10000, 4, ' ')
-	dst, err := endLine(dst, start, 1)
-	if err != nil {
-		return dst, err
-	}
+	f.int("epoch year", year%100, 2, '0')
+	f.fixed("epoch day", 1+at.Sub(jan1).Seconds()/86400, 12, 8, '0')
+	f.b = append(f.b, ' ')
+	f.signedDecimal("ndot", t.MeanMotionDot)
+	f.b = append(f.b, ' ')
+	f.exp("nddot", t.MeanMotionDDot)
+	f.b = append(f.b, ' ')
+	f.exp("B*", t.BStar)
+	f.b = append(f.b, ' ')
+	f.int("ephemeris type", t.EphemerisType, 1, ' ')
+	f.b = append(f.b, ' ')
+	f.int("element set", t.ElementSet%10000, 4, ' ')
+	f.endLine(len(dst), 1)
 
 	// Line 2: "2 %05d %8.4f %8.4f %07d %8.4f %8.4f %11.8f%5d" and the checksum.
-	l2 := len(dst)
-	dst = append(dst, '2', ' ')
-	dst = appendInt(dst, t.CatalogNumber, 5, '0')
-	dst = append(dst, ' ')
-	dst = appendFixed(dst, float64(t.Inclination), 8, 4, ' ')
-	dst = append(dst, ' ')
-	dst = appendFixed(dst, float64(t.RAAN.Normalize360()), 8, 4, ' ')
-	dst = append(dst, ' ')
-	dst = appendInt(dst, int(math.Round(t.Eccentricity*1e7)), 7, '0')
-	dst = append(dst, ' ')
-	dst = appendFixed(dst, float64(t.ArgPerigee.Normalize360()), 8, 4, ' ')
-	dst = append(dst, ' ')
-	dst = appendFixed(dst, float64(t.MeanAnomaly.Normalize360()), 8, 4, ' ')
-	dst = append(dst, ' ')
-	dst = appendFixed(dst, float64(t.MeanMotion), 11, 8, ' ')
-	dst = appendInt(dst, t.RevNumber%100000, 5, ' ')
-	if dst, err = endLine(dst, l2, 2); err != nil {
-		return dst[:start], err
+	l2 := len(f.b)
+	f.b = append(f.b, '2', ' ')
+	f.int("catalog number", t.CatalogNumber, 5, '0')
+	f.b = append(f.b, ' ')
+	f.fixed("inclination", float64(t.Inclination), 8, 4, ' ')
+	f.b = append(f.b, ' ')
+	f.fixed("RAAN", float64(t.RAAN.Normalize360()), 8, 4, ' ')
+	f.b = append(f.b, ' ')
+	f.int("eccentricity", int(math.Round(t.Eccentricity*1e7)), 7, '0')
+	f.b = append(f.b, ' ')
+	f.fixed("argument of perigee", float64(t.ArgPerigee.Normalize360()), 8, 4, ' ')
+	f.b = append(f.b, ' ')
+	f.fixed("mean anomaly", float64(t.MeanAnomaly.Normalize360()), 8, 4, ' ')
+	f.b = append(f.b, ' ')
+	f.fixed("mean motion", float64(t.MeanMotion), 11, 8, ' ')
+	f.int("rev number", t.RevNumber%100000, 5, ' ')
+	f.endLine(l2, 2)
+	if f.err != nil {
+		return dst, f.err
 	}
-	return dst, nil
+	return f.b, nil
+}
+
+// fields appends element-line fields to b and keeps the error of the first
+// one that fails: a checked field whose value is not finite or whose text
+// does not fill its columns, or a line that is not 69 columns.
+type fields struct {
+	b   []byte
+	err error
+}
+
+// int writes v as %Wd (pad ' ') or %0Wd (pad '0').
+func (f *fields) int(name string, v, width int, pad byte) {
+	start := len(f.b)
+	f.b = appendInt(f.b, v, width, pad)
+	if len(f.b)-start != width && f.err == nil {
+		f.err = fieldError(name, v, width)
+	}
+}
+
+// fixed writes v as %W.Pf (pad ' ') or %0W.Pf (pad '0').
+func (f *fields) fixed(name string, v float64, width, prec int, pad byte) {
+	start := len(f.b)
+	f.b = appendFixed(f.b, v, width, prec, pad)
+	f.checkFloat(name, v, start, width)
+}
+
+// signedDecimal writes the 10-column ndot/2 field, e.g. " .00002182": a
+// sign column, then |v| to 8 decimals with one leading zero dropped.
+func (f *fields) signedDecimal(name string, v float64) {
+	start := len(f.b)
+	sign := byte(' ')
+	if v < 0 {
+		sign = '-'
+	}
+	f.b = appendFixed(append(f.b, sign), math.Abs(v), 0, 8, ' ')
+	if f.b[start+1] == '0' {
+		f.b = append(f.b[:start+1], f.b[start+2:]...)
+	}
+	f.checkFloat(name, v, start, 10)
+}
+
+// checkFloat records name's error unless v is finite and the text written
+// from b[start] is width columns.
+func (f *fields) checkFloat(name string, v float64, start, width int) {
+	if (len(f.b)-start != width || math.IsNaN(v) || math.IsInf(v, 0)) && f.err == nil {
+		f.err = fieldError(name, v, width)
+	}
+}
+
+// exp writes the B* or nddot/6 exponent field.
+func (f *fields) exp(name string, v float64) {
+	var ok bool
+	if f.b, ok = appendExpField(f.b, v); !ok && f.err == nil {
+		f.err = expFieldError(name, v)
+	}
 }
 
 // endLine appends the checksum and newline to the line that begins at
-// dst[start], which must then be 69 columns; on error it returns dst cut
-// back to start.
-func endLine(dst []byte, start, lineNo int) ([]byte, error) {
-	dst = append(dst, byte('0'+checksum(dst[start:])))
-	if n := len(dst) - start; n != lineBytes-1 {
-		return dst[:start], fmt.Errorf("tle: internal error: line %d is %d columns", lineNo, n)
+// b[start], which must then be 69 columns. Every field but the
+// classification and the designator is checked as it is written, so only
+// a multi-byte character or a designator past 8 columns fails this check.
+func (f *fields) endLine(start, lineNo int) {
+	f.b = append(f.b, byte('0'+checksum(f.b[start:])))
+	if n := len(f.b) - start; n != lineBytes-1 && f.err == nil {
+		f.err = fmt.Errorf("tle: internal error: line %d is %d columns", lineNo, n)
 	}
-	return append(dst, '\n'), nil
+	f.b = append(f.b, '\n')
+}
+
+// fieldError is the error for a field value that is not finite or does not
+// fit its columns.
+func fieldError(name string, v any, width int) error {
+	return fmt.Errorf("tle: %s %v outside its %d-column field", name, v, width)
 }
 
 // padLeft right-aligns the text from dst[start] in width columns, as fmt
@@ -159,22 +216,6 @@ func appendInt(dst []byte, v, width int, pad byte) []byte {
 func appendFixed(dst []byte, v float64, width, prec int, pad byte) []byte {
 	start := len(dst)
 	return padLeft(strconv.AppendFloat(dst, v, 'f', prec, 64), start, width, pad)
-}
-
-// appendSignedDecimal writes the ndot/2 field, e.g. " .00002182": a sign
-// column, then |v| to 8 decimals with one leading zero dropped.
-func appendSignedDecimal(dst []byte, v float64) []byte {
-	sign := byte(' ')
-	if v < 0 {
-		sign = '-'
-	}
-	dst = append(dst, sign)
-	digits := len(dst)
-	dst = appendFixed(dst, math.Abs(v), 0, 8, ' ')
-	if dst[digits] == '0' {
-		dst = append(dst[:digits], dst[digits+1:]...)
-	}
-	return dst
 }
 
 // appendExpField writes the implied-decimal exponent notation of the B* and

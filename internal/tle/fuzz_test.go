@@ -106,6 +106,8 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(99999, int64(2000000000), 0.9999999, 179.9999, 16.5, -1.1e-3)
 	f.Add(1, int64(0), 0.0, 0.0, 0.1, 1e-14)
 	f.Add(1, int64(0), 0.0, 0.0, 0.1, 9.99999e8)
+	f.Add(1, int64(0), 0.0, 0.0, math.NaN(), 0.0)
+	f.Add(1, int64(0), 0.0, math.Inf(1), 15.05, 0.0)
 	f.Fuzz(func(t *testing.T, catalog int, epoch int64, ecc, incl, mm, bstar float64) {
 		in := &TLE{
 			CatalogNumber: catalog,

@@ -9,17 +9,19 @@ import (
 
 // refFormat is the fmt-based encoder that AppendLines replaced, kept as its
 // referee: for every element set, AppendLines must write the bytes refFormat
-// writes and return the errors it returns. It carries one change from the
+// writes and return the errors it returns. It carries two changes from the
 // encoder it preserves: refExpField writes values below 0.1e-9
-// denormalized and rejects values past exponent +9 instead of clamping.
+// denormalized and rejects values past exponent +9 instead of clamping, and
+// every field but the classification and the designator is checked, in
+// column order, for a finite value whose text fits its columns.
 func refFormat(t *TLE) (line1, line2 string, err error) {
 	if t.CatalogNumber < 0 || t.CatalogNumber > 99999 {
 		return "", "", fmt.Errorf("tle: catalog number %d outside 5-digit field", t.CatalogNumber)
 	}
-	if t.Eccentricity < 0 || t.Eccentricity >= 1 {
+	if !(t.Eccentricity >= 0 && t.Eccentricity < 1) {
 		return "", "", fmt.Errorf("tle: eccentricity %v outside [0,1)", t.Eccentricity)
 	}
-	if t.MeanMotion < 0 || t.MeanMotion >= 100 {
+	if !(t.MeanMotion >= 0 && t.MeanMotion < 100) {
 		return "", "", fmt.Errorf("tle: mean motion %v outside field range", t.MeanMotion)
 	}
 	cls := t.Classification
@@ -30,29 +32,53 @@ func refFormat(t *TLE) (line1, line2 string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	nddot, err := refExpField("nddot", t.MeanMotionDDot)
-	if err != nil {
-		return "", "", err
+	// field keeps the first field that fails; Go evaluates a call's
+	// arguments left to right, so that is the first in column order.
+	var first error
+	field := func(name, text string, v any, width int) string {
+		f, isFloat := v.(float64)
+		if first == nil && (len(text) != width || isFloat && (math.IsNaN(f) || math.IsInf(f, 0))) {
+			first = fmt.Errorf("tle: %s %v outside its %d-column field", name, v, width)
+		}
+		return text
 	}
-	bstar, err := refExpField("B*", t.BStar)
-	if err != nil {
-		return "", "", err
+	num := func(name, verb string, v any, width int) string {
+		return field(name, fmt.Sprintf(verb, v), v, width)
 	}
-	l1 := fmt.Sprintf("1 %05d%c %-8s %s %s %s %s %1d %4d",
+	exp := func(name string, v float64) string {
+		text, err := refExpField(name, v)
+		if first == nil {
+			first = err
+		}
+		return text
+	}
+
+	l1 := fmt.Sprintf("1 %05d%c %-8s %s %s %s %s %s %s",
 		t.CatalogNumber, cls, t.IntlDesignator, epoch,
-		refSignedDecimal(t.MeanMotionDot), nddot, bstar,
-		t.EphemerisType, t.ElementSet%10000)
+		field("ndot", refSignedDecimal(t.MeanMotionDot), t.MeanMotionDot, 10),
+		exp("nddot", t.MeanMotionDDot), exp("B*", t.BStar),
+		num("ephemeris type", "%1d", t.EphemerisType, 1),
+		num("element set", "%4d", t.ElementSet%10000, 4))
+	if first != nil {
+		return "", "", first
+	}
 	l1 = fmt.Sprintf("%s%d", l1, Checksum(l1))
 	if len(l1) != 69 {
 		return "", "", fmt.Errorf("tle: internal error: line 1 is %d columns", len(l1))
 	}
 
-	ecc := fmt.Sprintf("%07d", int(math.Round(t.Eccentricity*1e7)))
-	l2 := fmt.Sprintf("2 %05d %8.4f %8.4f %s %8.4f %8.4f %11.8f%5d",
+	l2 := fmt.Sprintf("2 %05d %s %s %s %s %s %s%s",
 		t.CatalogNumber,
-		float64(t.Inclination), float64(t.RAAN.Normalize360()), ecc,
-		float64(t.ArgPerigee.Normalize360()), float64(t.MeanAnomaly.Normalize360()),
-		float64(t.MeanMotion), t.RevNumber%100000)
+		num("inclination", "%8.4f", float64(t.Inclination), 8),
+		num("RAAN", "%8.4f", float64(t.RAAN.Normalize360()), 8),
+		num("eccentricity", "%07d", int(math.Round(t.Eccentricity*1e7)), 7),
+		num("argument of perigee", "%8.4f", float64(t.ArgPerigee.Normalize360()), 8),
+		num("mean anomaly", "%8.4f", float64(t.MeanAnomaly.Normalize360()), 8),
+		num("mean motion", "%11.8f", float64(t.MeanMotion), 11),
+		num("rev number", "%5d", t.RevNumber%100000, 5))
+	if first != nil {
+		return "", "", first
+	}
 	l2 = fmt.Sprintf("%s%d", l2, Checksum(l2))
 	if len(l2) != 69 {
 		return "", "", fmt.Errorf("tle: internal error: line 2 is %d columns", len(l2))

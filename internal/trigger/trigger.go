@@ -168,9 +168,8 @@ func (e *Engine) Restore(s State) {
 func (e *Engine) Replay(x *dst.Index) []Event {
 	var out []Event
 	e.Subscribe(func(ev Event) { out = append(out, ev) })
-	hourly := x.Hourly()
-	for i := 0; i < hourly.Len(); i++ {
-		e.Feed(hourly.TimeAt(i), units.NanoTesla(hourly.Values()[i]))
+	for i, v := range x.Values() {
+		e.Feed(x.TimeAt(i), units.NanoTesla(v))
 	}
 	return out
 }

@@ -50,8 +50,8 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.Hourly().Start.Equal(start) {
-			t.Fatalf("start moved: %v -> %v", start, out.Hourly().Start)
+		if !out.Start().Equal(start) {
+			t.Fatalf("start moved: %v -> %v", start, out.Start())
 		}
 		if out.Len() != in.Len() {
 			t.Fatalf("length changed: %d -> %d hours", in.Len(), out.Len())

@@ -154,7 +154,7 @@ func (c *Client) FetchIncremental(ctx context.Context, local *dst.Index, from, u
 	if local == nil || local.Len() == 0 {
 		return fresh, nil
 	}
-	if err := local.Hourly().Append(fresh.Hourly()); err != nil {
+	if err := local.Append(fresh); err != nil {
 		return local, fmt.Errorf("wdc: stitching increments: %w", err)
 	}
 	return local, nil

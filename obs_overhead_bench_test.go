@@ -72,7 +72,7 @@ func benchServeGroup(b *testing.B, wired bool) {
 		b.Fatal(err)
 	}
 	end := start.Add(time.Duration(ccfg.Hours) * time.Hour)
-	srv := spacetrack.NewServer(spacetrack.NewResultArchive("starlink", res), end)
+	srv := spacetrack.NewServer(spacetrack.NewCatalog(spacetrack.NewResultArchive("starlink", res), end), end)
 	srv.Now = func() time.Time { return end }
 	var stream *obs.IDStream
 	if wired {

@@ -103,7 +103,7 @@ func runChunkedPipeline(t testing.TB, weather *dst.Index, seed int64, parallelis
 // invariant: an engine is always some prefix replay of the stream.
 func runIncrementalPrefix(t *testing.T, weather *dst.Index, obs []core.Observation, nObs, nHours int) (got, ref pipelineRun) {
 	t.Helper()
-	vals := weather.Hourly().Values()[:nHours]
+	vals := weather.Values()[:nHours]
 	cfg := incremental.DefaultConfig()
 
 	eng := incremental.New(cfg)

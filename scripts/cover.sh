@@ -25,7 +25,9 @@
 #  10. fail if internal/tle (the TLE codec: the only encoder behind every
 #      served element set, and the parser that validates every ingest)
 #      covers < 80%,
-#  11. fail if the module-wide total covers < 70%.
+#  11. fail if internal/dst (the hourly Dst index every analysis reads,
+#      its storm detection and the WDC record codec) covers < 90%,
+#  12. fail if the module-wide total covers < 70%.
 #
 # The floors are deliberately asymmetric: the linter and the codec are
 # small and pure logic, so they are held to a higher bar than the
@@ -54,86 +56,29 @@ floor() {
     }'
 }
 
-lintpct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/lint" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$lintpct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/lint" >&2
-    exit 1
-fi
-floor "internal/lint" "$lintpct" 85
+pkgfloor() {
+    # pkgfloor <package> <minimum>, the package's percentage read from the
+    # test output
+    pct="$(printf '%s\n' "$out" | awk -v pkg="cosmicdance/$1" '$2 == pkg {
+        for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
+    }')"
+    if [ -z "$pct" ]; then
+        echo "cover: no coverage line for cosmicdance/$1" >&2
+        exit 1
+    fi
+    floor "$1" "$pct" "$2"
+}
 
-artifactpct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/artifact" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$artifactpct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/artifact" >&2
-    exit 1
-fi
-floor "internal/artifact" "$artifactpct" 80
-
-obspct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/obs" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$obspct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/obs" >&2
-    exit 1
-fi
-floor "internal/obs" "$obspct" 88
-
-spacetrackpct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/spacetrack" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$spacetrackpct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/spacetrack" >&2
-    exit 1
-fi
-floor "internal/spacetrack" "$spacetrackpct" 80
-
-loadsimpct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/loadsim" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$loadsimpct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/loadsim" >&2
-    exit 1
-fi
-floor "internal/loadsim" "$loadsimpct" 80
-
-constellationpct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/constellation" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$constellationpct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/constellation" >&2
-    exit 1
-fi
-floor "internal/constellation" "$constellationpct" 80
-
-corepct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/core" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$corepct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/core" >&2
-    exit 1
-fi
-floor "internal/core" "$corepct" 80
-
-incrementalpct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/incremental" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$incrementalpct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/incremental" >&2
-    exit 1
-fi
-floor "internal/incremental" "$incrementalpct" 80
-
-tlepct="$(printf '%s\n' "$out" | awk '$2 == "cosmicdance/internal/tle" {
-    for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
-}')"
-if [ -z "$tlepct" ]; then
-    echo "cover: no coverage line for cosmicdance/internal/tle" >&2
-    exit 1
-fi
-floor "internal/tle" "$tlepct" 80
+pkgfloor internal/lint 85
+pkgfloor internal/artifact 80
+pkgfloor internal/obs 88
+pkgfloor internal/spacetrack 80
+pkgfloor internal/loadsim 80
+pkgfloor internal/constellation 80
+pkgfloor internal/core 80
+pkgfloor internal/incremental 80
+pkgfloor internal/tle 80
+pkgfloor internal/dst 90
 
 totalpct="$(go tool cover -func="$profile" | awk '/^total:/ {
     for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }

@@ -14,30 +14,32 @@
 #   5. the artifact-cache identity gate: the same analyze run, cold then
 #      warm over one cache dir, must print byte-identical output (a cache
 #      hit is the cold build, bit for bit),
-#   6. the spaceload determinism gate: the closed-loop load harness, run
+#   6. the examples: stormwatch, and liveingest against a tracking service
+#      degraded by a fault schedule, each built and run to completion,
+#   7. the spaceload determinism gate: the closed-loop load harness, run
 #      twice with one seed/mix/fault schedule, must emit byte-identical
 #      reports (a report diff is a behaviour change, never noise),
-#   7. the telemetry-overhead gate: the instrumented hot paths — the group
+#   8. the telemetry-overhead gate: the instrumented hot paths — the group
 #      serving path with tracing, flight recorder and SLO accounting
 #      enabled included — may cost at most 2% more than a
 #      COSMICDANCE_OBS=off run (the short tier smoke-runs the serving
 #      quartet; the long tier enforces the bound),
-#   8. the chunk-equivalence gate: a 30k-satellite chunked run must print
+#   9. the chunk-equivalence gate: a 30k-satellite chunked run must print
 #      byte-identical reports at two different chunk sizes and through the
 #      disk cache, cold and warm (the scale-out refactor may not change a
 #      single output bit),
-#   9. the flat-RSS gate: a 100k-satellite run at chunk width 2 must peak
+#  10. the flat-RSS gate: a 100k-satellite run at chunk width 2 must peak
 #      under 64 MiB of resident memory — the streaming pipeline holds
 #      O(chunk × width), not O(fleet); the width is pinned so the verdict
 #      does not depend on the machine's core count,
-#  10. the benchdiff gate against the pinned BENCH_PR9.json baseline,
+#  11. the benchdiff gate against the pinned BENCH_PR9.json baseline,
 #      including the O(delta) ratio: one incremental append must stay
 #      under 1% of a cold rebuild at 100k satellites,
-#  11. the benchmark module (bench/, its own go.mod): vet plus its tests,
+#  12. the benchmark module (bench/, its own go.mod): vet plus its tests,
 #      which compile it against obs, spacetrack, artifact and
 #      constellation — the root `go test ./...` never reaches it (the
 #      short tier skips its end-to-end smoke run),
-#  12. every fuzz target, seeds + 10s of new coverage each (scripts/fuzz.sh
+#  13. every fuzz target, seeds + 10s of new coverage each (scripts/fuzz.sh
 #      finds them in the code).
 #
 # Pass -short as $1 to run the fast tier (skips the year-long substrate
@@ -86,6 +88,10 @@ cmp "$cold" "$warm" || {
     echo "verify: warm-cache analyze output differs from the cold build" >&2
     exit 1
 }
+
+echo "== examples run to completion (stormwatch; liveingest under faults)"
+go run ./examples/stormwatch > /dev/null
+go run ./examples/liveingest -faults '429:2/5,503:1/7,truncate:1/6,corrupt:1/9' > /dev/null
 
 echo "== benchmark module: go vet + go test $SHORT (bench/)"
 (cd bench && go vet ./... && go test $SHORT ./...)
