@@ -44,7 +44,7 @@ func (sw *sectionWriter) putU16(v uint16) {
 	if sw.err != nil {
 		return
 	}
-	binary.LittleEndian.PutUint16(sw.tmp[:2], v)
+	le.PutUint16(sw.tmp[:2], v)
 	_, sw.err = sw.bw.Write(sw.tmp[:2])
 }
 
@@ -52,7 +52,7 @@ func (sw *sectionWriter) putU32(v uint32) {
 	if sw.err != nil {
 		return
 	}
-	binary.LittleEndian.PutUint32(sw.tmp[:4], v)
+	le.PutUint32(sw.tmp[:4], v)
 	_, sw.err = sw.bw.Write(sw.tmp[:4])
 }
 
@@ -68,7 +68,7 @@ func (sw *sectionWriter) section(id uint32, payload []byte) {
 	sw.next++
 	sw.putU32(id)
 	if sw.err == nil {
-		binary.LittleEndian.PutUint64(sw.tmp[:8], uint64(len(payload)))
+		le.PutUint64(sw.tmp[:8], uint64(len(payload)))
 		_, sw.err = sw.bw.Write(sw.tmp[:8])
 	}
 	if sw.err == nil {
@@ -88,10 +88,14 @@ func (sw *sectionWriter) close() error {
 
 // sectionReader decodes the framing written by sectionWriter, failing closed
 // on any deviation: wrong magic, version skew, out-of-order sections, length
-// overruns, CRC mismatches, or trailing garbage.
+// overruns, CRC mismatches, or trailing garbage. Like sectionWriter it keeps
+// the first error, and every read after it returns a zero value (nil for a
+// payload), so a decoder reads straight through, checks err only before a
+// decoded value sizes an allocation, and takes the error from close.
 type sectionReader struct {
 	br   *bufio.Reader
 	src  lenReader // br's source, when it can say how many bytes remain
+	err  error
 	tmp  [8]byte
 	next uint32
 }
@@ -100,92 +104,102 @@ type sectionReader struct {
 // bytes.Reader and the cache's entry reader can.
 type lenReader interface{ Len() int }
 
+// le is the byte order of every integer and float in a snapshot.
+var le = binary.LittleEndian
+
 // newSectionReader validates the header and checks the kind and versions.
-func newSectionReader(r io.Reader, kind Kind) (*sectionReader, error) {
+func newSectionReader(r io.Reader, kind Kind) *sectionReader {
 	sr := &sectionReader{br: bufio.NewReaderSize(r, 1<<16)}
 	sr.src, _ = r.(lenReader)
-	magic, err := sr.u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
+	if magic := sr.u32(); magic != containerMagic {
+		sr.fail(ErrCorrupt, "not a CDAS snapshot (magic %#x)", magic)
 	}
-	if magic != containerMagic {
-		return nil, fmt.Errorf("%w: not a CDAS snapshot (magic %#x)", ErrCorrupt, magic)
+	if version := sr.u16(); version != containerVersion {
+		sr.fail(ErrVersionSkew, "container version %d (have %d)", version, containerVersion)
 	}
-	version, err := sr.u16()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading container version: %v", ErrCorrupt, err)
+	if k := Kind(sr.u16()); k != kind {
+		sr.fail(ErrCorrupt, "snapshot kind %s, want %s", k, kind)
 	}
-	if version != containerVersion {
-		return nil, fmt.Errorf("%w: container version %d (have %d)", ErrVersionSkew, version, containerVersion)
+	if schema := sr.u32(); schema != SchemaVersion {
+		sr.fail(ErrVersionSkew, "schema version %d (have %d)", schema, SchemaVersion)
 	}
-	k, err := sr.u16()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading kind: %v", ErrCorrupt, err)
-	}
-	if Kind(k) != kind {
-		return nil, fmt.Errorf("%w: snapshot kind %s, want %s", ErrCorrupt, Kind(k), kind)
-	}
-	schema, err := sr.u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading schema version: %v", ErrCorrupt, err)
-	}
-	if schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: schema version %d (have %d)", ErrVersionSkew, schema, SchemaVersion)
-	}
-	return sr, nil
+	return sr
 }
 
-func (sr *sectionReader) u16() (uint16, error) {
-	if _, err := io.ReadFull(sr.br, sr.tmp[:2]); err != nil {
-		return 0, err
+// fail records the first error, of class ErrCorrupt or ErrVersionSkew.
+func (sr *sectionReader) fail(class error, format string, args ...any) {
+	if sr.err == nil {
+		sr.err = fmt.Errorf("%w: %s", class, fmt.Sprintf(format, args...))
 	}
-	return binary.LittleEndian.Uint16(sr.tmp[:2]), nil
 }
 
-func (sr *sectionReader) u32() (uint32, error) {
-	if _, err := io.ReadFull(sr.br, sr.tmp[:4]); err != nil {
-		return 0, err
+// read returns the stream's next n bytes, n <= 8, or n zero bytes once the
+// reader has failed.
+func (sr *sectionReader) read(n int) []byte {
+	b := sr.tmp[:n]
+	if sr.err == nil {
+		if _, err := io.ReadFull(sr.br, b); err != nil {
+			sr.fail(ErrCorrupt, "snapshot truncated: %v", err)
+		}
 	}
-	return binary.LittleEndian.Uint32(sr.tmp[:4]), nil
+	if sr.err != nil {
+		clear(b)
+	}
+	return b
 }
 
-func (sr *sectionReader) u64() (uint64, error) {
-	if _, err := io.ReadFull(sr.br, sr.tmp[:8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(sr.tmp[:8]), nil
-}
+func (sr *sectionReader) u16() uint16 { return le.Uint16(sr.read(2)) }
+func (sr *sectionReader) u32() uint32 { return le.Uint32(sr.read(4)) }
+func (sr *sectionReader) u64() uint64 { return le.Uint64(sr.read(8)) }
 
 // section reads the next section, which must carry the expected id, and
 // returns its CRC-verified payload.
-func (sr *sectionReader) section(id uint32) ([]byte, error) {
-	got, err := sr.u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading section id: %v", ErrCorrupt, err)
-	}
-	if got != id || got != sr.next {
-		return nil, fmt.Errorf("%w: section id %d, want %d", ErrCorrupt, got, id)
+func (sr *sectionReader) section(id uint32) []byte {
+	if got := sr.u32(); got != id || got != sr.next {
+		sr.fail(ErrCorrupt, "section id %d, want %d", got, id)
 	}
 	sr.next++
-	n, err := sr.u64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading section %d length: %v", ErrCorrupt, id, err)
-	}
+	n := sr.u64()
 	if n > maxSectionBytes {
-		return nil, fmt.Errorf("%w: section %d claims %d bytes", ErrCorrupt, id, n)
+		sr.fail(ErrCorrupt, "section %d claims %d bytes", id, n)
+	}
+	if sr.err != nil {
+		return nil
 	}
 	payload, err := sr.payload(n)
 	if err != nil {
-		return nil, fmt.Errorf("%w: section %d truncated: %v", ErrCorrupt, id, err)
+		sr.fail(ErrCorrupt, "section %d truncated: %v", id, err)
 	}
-	sum, err := sr.u32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading section %d checksum: %v", ErrCorrupt, id, err)
+	if sum := sr.u32(); sum != crc32.ChecksumIEEE(payload) {
+		sr.fail(ErrCorrupt, "section %d checksum mismatch", id)
 	}
-	if sum != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id)
+	if sr.err != nil {
+		return nil
 	}
-	return payload, nil
+	return payload
+}
+
+// anyLen is the count that lets column take every value its section holds.
+const anyLen = -1
+
+// column reads section id as a column of width-byte values and returns its
+// raw payload, which must hold exactly count values (any whole number of
+// them for anyLen). Decoders turn it into their records in one pass.
+func (sr *sectionReader) column(id uint32, width, count int) []byte {
+	b := sr.section(id)
+	if count == anyLen {
+		count = len(b) / width
+	}
+	if len(b) != width*count {
+		sr.fail(ErrCorrupt, "section %d has %d bytes, want %d values of %d bytes", id, len(b), count, width)
+		return nil
+	}
+	return b
+}
+
+// record reads section id as a fixed-order record.
+func (sr *sectionReader) record(id uint32) recordParser {
+	return recordParser{sr: sr, buf: sr.section(id)}
 }
 
 // payloadStep is the first allocation for a section payload read from a
@@ -221,104 +235,65 @@ func (sr *sectionReader) payload(n uint64) ([]byte, error) {
 	}
 }
 
-// closeTrailer consumes the trailer and requires clean EOF after it.
-func (sr *sectionReader) closeTrailer() error {
-	magic, err := sr.u32()
-	if err != nil {
-		return fmt.Errorf("%w: reading trailer: %v", ErrCorrupt, err)
+// close consumes the trailer, requires clean EOF after it, and returns the
+// first error the reader met.
+func (sr *sectionReader) close() error {
+	if magic := sr.u32(); magic != trailerMagic {
+		sr.fail(ErrCorrupt, "bad trailer magic %#x", magic)
 	}
-	if magic != trailerMagic {
-		return fmt.Errorf("%w: bad trailer magic %#x", ErrCorrupt, magic)
+	if sr.err == nil {
+		if _, err := sr.br.ReadByte(); err != io.EOF {
+			sr.fail(ErrCorrupt, "trailing garbage after snapshot")
+		}
 	}
-	if _, err := sr.br.ReadByte(); err != io.EOF {
-		return fmt.Errorf("%w: trailing garbage after snapshot", ErrCorrupt)
-	}
-	return nil
+	return sr.err
 }
 
-// --- column packing helpers ---
+// --- columns ---
 //
-// Each helper packs one typed column into (or out of) a payload buffer. The
-// encoders write into a preallocated byte slice with direct PutUintNN calls:
-// no reflection, no per-element interface boxing, one allocation per column.
+// A column section is count fixed-width values back to back. Encoders fill
+// the payload straight from their records and decoders read their records
+// straight from it; floats travel as IEEE-754 bit patterns, so the round
+// trip is exact for every value, NaN payloads included.
 
-func packI64(vals []int64) []byte {
-	buf := make([]byte, 8*len(vals))
+func getF32(col []byte, i int) float32    { return math.Float32frombits(le.Uint32(col[4*i:])) }
+func putF32(col []byte, i int, v float32) { le.PutUint32(col[4*i:], math.Float32bits(v)) }
+func putF64(col []byte, i int, v float64) { le.PutUint64(col[8*i:], math.Float64bits(v)) }
+
+// f64Column encodes a whole float64 slice as a column.
+func f64Column(vals []float64) []byte {
+	col := make([]byte, 8*len(vals))
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		putF64(col, i, v)
 	}
-	return buf
+	return col
 }
 
-func unpackI64(payload []byte) ([]int64, error) {
-	if len(payload)%8 != 0 {
-		return nil, fmt.Errorf("%w: int64 column of %d bytes", ErrCorrupt, len(payload))
-	}
-	out := make([]int64, len(payload)/8)
+// f64s decodes a whole float64 column.
+func f64s(col []byte) []float64 {
+	out := make([]float64, len(col)/8)
 	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
+		out[i] = math.Float64frombits(le.Uint64(col[8*i:]))
 	}
-	return out, nil
+	return out
 }
 
-func packI32(vals []int32) []byte {
-	buf := make([]byte, 4*len(vals))
+// i64Column encodes a whole integer slice as an int64 column.
+func i64Column[T int | int64](vals []T) []byte {
+	col := make([]byte, 8*len(vals))
 	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+		le.PutUint64(col[8*i:], uint64(v))
 	}
-	return buf
+	return col
 }
 
-func unpackI32(payload []byte) ([]int32, error) {
-	if len(payload)%4 != 0 {
-		return nil, fmt.Errorf("%w: int32 column of %d bytes", ErrCorrupt, len(payload))
-	}
-	out := make([]int32, len(payload)/4)
+// i64s decodes a whole int64 column.
+func i64s[T int | int64](col []byte) []T {
+	out := make([]T, len(col)/8)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
+		out[i] = T(le.Uint64(col[8*i:]))
 	}
-	return out, nil
-}
-
-// packF32 stores float32 bit patterns, so the round trip is exact for every
-// value including NaN payloads.
-func packF32(vals []float32) []byte {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	return buf
-}
-
-func unpackF32(payload []byte) ([]float32, error) {
-	if len(payload)%4 != 0 {
-		return nil, fmt.Errorf("%w: float32 column of %d bytes", ErrCorrupt, len(payload))
-	}
-	out := make([]float32, len(payload)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return out, nil
-}
-
-// packF64 stores float64 bit patterns — bit-exact, never a text round trip.
-func packF64(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
-func unpackF64(payload []byte) ([]float64, error) {
-	if len(payload)%8 != 0 {
-		return nil, fmt.Errorf("%w: float64 column of %d bytes", ErrCorrupt, len(payload))
-	}
-	out := make([]float64, len(payload)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return out, nil
+	return out
 }
 
 // recordBuf accumulates a small heterogeneous section (run metadata, config
@@ -329,17 +304,17 @@ type recordBuf struct {
 }
 
 func (b *recordBuf) u32(v uint32) {
-	binary.LittleEndian.PutUint32(b.tmp[:4], v)
+	le.PutUint32(b.tmp[:4], v)
 	b.buf = append(b.buf, b.tmp[:4]...)
 }
 
 func (b *recordBuf) i64(v int64) {
-	binary.LittleEndian.PutUint64(b.tmp[:8], uint64(v))
+	le.PutUint64(b.tmp[:8], uint64(v))
 	b.buf = append(b.buf, b.tmp[:8]...)
 }
 
 func (b *recordBuf) f64(v float64) {
-	binary.LittleEndian.PutUint64(b.tmp[:8], math.Float64bits(v))
+	le.PutUint64(b.tmp[:8], math.Float64bits(v))
 	b.buf = append(b.buf, b.tmp[:8]...)
 }
 
@@ -348,56 +323,48 @@ func (b *recordBuf) str(s string) {
 	b.buf = append(b.buf, s...)
 }
 
-// recordParser is the matching fixed-order reader.
+// recordParser is the matching fixed-order reader. It fails through its
+// sectionReader: reading past the record's end records the error, and from
+// the first error on every read returns a zero value.
 type recordParser struct {
-	buf []byte
-	off int
+	sr  *sectionReader
+	buf []byte // the unread rest of the record
 }
 
-func (p *recordParser) u32() (uint32, error) {
-	if p.off+4 > len(p.buf) {
-		return 0, fmt.Errorf("%w: record truncated", ErrCorrupt)
+// zeros backs the values a failed record read returns.
+var zeros [8]byte
+
+// take consumes the record's next n bytes, n <= 8.
+func (p *recordParser) take(n int) []byte {
+	if p.sr.err != nil || n > len(p.buf) {
+		p.sr.fail(ErrCorrupt, "record truncated")
+		p.buf = nil
+		return zeros[:n]
 	}
-	v := binary.LittleEndian.Uint32(p.buf[p.off:])
-	p.off += 4
-	return v, nil
+	b := p.buf[:n]
+	p.buf = p.buf[n:]
+	return b
 }
 
-func (p *recordParser) i64() (int64, error) {
-	if p.off+8 > len(p.buf) {
-		return 0, fmt.Errorf("%w: record truncated", ErrCorrupt)
-	}
-	v := int64(binary.LittleEndian.Uint64(p.buf[p.off:]))
-	p.off += 8
-	return v, nil
-}
+func (p *recordParser) u32() uint32  { return le.Uint32(p.take(4)) }
+func (p *recordParser) i64() int64   { return int64(le.Uint64(p.take(8))) }
+func (p *recordParser) f64() float64 { return math.Float64frombits(le.Uint64(p.take(8))) }
 
-func (p *recordParser) f64() (float64, error) {
-	if p.off+8 > len(p.buf) {
-		return 0, fmt.Errorf("%w: record truncated", ErrCorrupt)
+func (p *recordParser) str() string {
+	n := int(p.u32())
+	if n > len(p.buf) {
+		p.sr.fail(ErrCorrupt, "string of %d bytes overruns record", n)
+		p.buf = nil
+		return ""
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.buf[p.off:]))
-	p.off += 8
-	return v, nil
-}
-
-func (p *recordParser) str() (string, error) {
-	n, err := p.u32()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > len(p.buf)-p.off {
-		return "", fmt.Errorf("%w: string of %d bytes overruns record", ErrCorrupt, n)
-	}
-	s := string(p.buf[p.off : p.off+int(n)])
-	p.off += int(n)
-	return s, nil
+	s := string(p.buf[:n])
+	p.buf = p.buf[n:]
+	return s
 }
 
 // done requires the record to be fully consumed.
-func (p *recordParser) done() error {
-	if p.off != len(p.buf) {
-		return fmt.Errorf("%w: %d unconsumed record bytes", ErrCorrupt, len(p.buf)-p.off)
+func (p *recordParser) done() {
+	if len(p.buf) != 0 {
+		p.sr.fail(ErrCorrupt, "%d unconsumed record bytes", len(p.buf))
 	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -39,14 +38,14 @@ func EncodeEngineState(w io.Writer, st *incremental.EngineState) error {
 	meta.u32(boolU32(st.Trigger.HasCleared))
 	sw.section(0, meta.buf)
 
-	sw.section(1, packF64(st.Wx))
-	sw.section(2, packF64(st.RawAlts))
-	sw.section(3, packI64(intsToI64(st.Cats)))
-	sw.section(4, packI64(intsToI64(st.ObsCounts)))
-	sw.section(5, packI64(st.Epochs))
-	sw.section(6, packF64(st.Alts))
-	sw.section(7, packF64(st.BStars))
-	sw.section(8, packF64(st.Incls))
+	sw.section(1, f64Column(st.Wx))
+	sw.section(2, f64Column(st.RawAlts))
+	sw.section(3, i64Column(st.Cats))
+	sw.section(4, i64Column(st.ObsCounts))
+	sw.section(5, i64Column(st.Epochs))
+	sw.section(6, f64Column(st.Alts))
+	sw.section(7, f64Column(st.BStars))
+	sw.section(8, f64Column(st.Incls))
 	return sw.close()
 }
 
@@ -55,66 +54,31 @@ func EncodeEngineState(w io.Writer, st *incremental.EngineState) error {
 // enforces the cross-column invariants (history lengths, epoch order, the
 // cleaning-funnel identity) and fails closed in turn.
 func DecodeEngineState(r io.Reader) (*incremental.EngineState, error) {
-	sr, err := newSectionReader(r, KindIncremental)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := sr.section(0)
-	if err != nil {
-		return nil, err
-	}
-	p := &recordParser{buf: meta}
-	st := &incremental.EngineState{}
-	var total, gross, dups, seq, version int64
-	var trigActive, trigCleared uint32
-	var trigPeak float64
-	var trigCategory, trigClearedAt int64
-	fields := []struct {
-		i64 *int64
-		u32 *uint32
-		f64 *float64
-	}{
-		{i64: &st.WxStart},
-		{i64: &total},
-		{i64: &gross},
-		{i64: &dups},
-		{i64: &seq},
-		{i64: &version},
-		{u32: &trigActive},
-		{f64: &trigPeak},
-		{i64: &trigCategory},
-		{i64: &trigClearedAt},
-		{u32: &trigCleared},
-	}
-	for _, f := range fields {
-		switch {
-		case f.i64 != nil:
-			*f.i64, err = p.i64()
-		case f.u32 != nil:
-			*f.u32, err = p.u32()
-		default:
-			*f.f64, err = p.f64()
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
+	sr := newSectionReader(r, KindIncremental)
+	meta := sr.record(0)
+	st := &incremental.EngineState{WxStart: meta.i64()}
+	total := meta.i64()
+	gross := meta.i64()
+	dups := meta.i64()
+	st.Seq = uint64(meta.i64())
+	st.Version = uint64(meta.i64())
+	trigActive := meta.u32()
+	trigPeak := meta.f64()
+	trigCategory := meta.i64()
+	trigClearedAt := meta.i64()
+	trigCleared := meta.u32()
+	meta.done()
 	if total < 0 || gross < 0 || dups < 0 {
-		return nil, fmt.Errorf("%w: negative funnel counter in engine state", ErrCorrupt)
+		sr.fail(ErrCorrupt, "negative funnel counter in engine state")
 	}
 	// Strict canonical form: a flag is 0 or 1. Any other value would decode
 	// as true and re-encode as 1, breaking bit-identity.
 	if trigActive > 1 || trigCleared > 1 {
-		return nil, fmt.Errorf("%w: non-canonical trigger flag in engine state", ErrCorrupt)
+		sr.fail(ErrCorrupt, "non-canonical trigger flag in engine state")
 	}
 	st.TotalObservations = int(total)
 	st.GrossErrors = int(gross)
 	st.Duplicates = int(dups)
-	st.Seq = uint64(seq)
-	st.Version = uint64(version)
 	st.Trigger = trigger.State{
 		Active:     trigActive != 0,
 		Peak:       units.NanoTesla(trigPeak),
@@ -122,55 +86,18 @@ func DecodeEngineState(r io.Reader) (*incremental.EngineState, error) {
 		ClearedAt:  time.Unix(trigClearedAt, 0).UTC(),
 		HasCleared: trigCleared != 0,
 	}
-
-	if st.Wx, err = readF64Section(sr, 1); err != nil {
-		return nil, err
-	}
-	if st.RawAlts, err = readF64Section(sr, 2); err != nil {
-		return nil, err
-	}
-	cats, err := readI64Section(sr, 3)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := readI64Section(sr, 4)
-	if err != nil {
-		return nil, err
-	}
-	st.Cats = i64ToInts(cats)
-	st.ObsCounts = i64ToInts(counts)
-	if st.Epochs, err = readI64Section(sr, 5); err != nil {
-		return nil, err
-	}
-	if st.Alts, err = readF64Section(sr, 6); err != nil {
-		return nil, err
-	}
-	if st.BStars, err = readF64Section(sr, 7); err != nil {
-		return nil, err
-	}
-	if st.Incls, err = readF64Section(sr, 8); err != nil {
-		return nil, err
-	}
-	if err := sr.closeTrailer(); err != nil {
+	st.Wx = f64s(sr.column(1, 8, anyLen))
+	st.RawAlts = f64s(sr.column(2, 8, anyLen))
+	st.Cats = i64s[int](sr.column(3, 8, anyLen))
+	st.ObsCounts = i64s[int](sr.column(4, 8, anyLen))
+	st.Epochs = i64s[int64](sr.column(5, 8, anyLen))
+	st.Alts = f64s(sr.column(6, 8, anyLen))
+	st.BStars = f64s(sr.column(7, 8, anyLen))
+	st.Incls = f64s(sr.column(8, 8, anyLen))
+	if err := sr.close(); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-func readF64Section(sr *sectionReader, id uint32) ([]float64, error) {
-	payload, err := sr.section(id)
-	if err != nil {
-		return nil, err
-	}
-	return unpackF64(payload)
-}
-
-func readI64Section(sr *sectionReader, id uint32) ([]int64, error) {
-	payload, err := sr.section(id)
-	if err != nil {
-		return nil, err
-	}
-	return unpackI64(payload)
 }
 
 func boolU32(b bool) uint32 {
@@ -178,20 +105,4 @@ func boolU32(b bool) uint32 {
 		return 1
 	}
 	return 0
-}
-
-func intsToI64(vals []int) []int64 {
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-func i64ToInts(vals []int64) []int {
-	out := make([]int, len(vals))
-	for i, v := range vals {
-		out[i] = int(v)
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"fmt"
 	"io"
 
 	"cosmicdance/internal/core"
@@ -37,19 +36,17 @@ func EncodeSegment(w io.Writer, chunk int, p *core.ChunkPartial) error {
 // non-canonical content. It returns the chunk index the segment was encoded
 // for alongside the partial.
 func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
-	sr, err := newSectionReader(r, KindSegment)
-	if err != nil {
-		return 0, nil, err
-	}
-	chunk, p, err := readPartial(sr, 0)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := sr.closeTrailer(); err != nil {
+	sr := newSectionReader(r, KindSegment)
+	chunk, p := readPartial(sr, 0)
+	if err := sr.close(); err != nil {
 		return 0, nil, err
 	}
 	return chunk, p, nil
 }
+
+// dirEntryBytes is the size of one track directory entry: catalog, point
+// count, operational altitude and raising-removed count.
+const dirEntryBytes = 20
 
 // writePartial writes p, tagged with its chunk index, as the seven partial
 // sections starting at id base.
@@ -80,158 +77,117 @@ func writePartial(sw *sectionWriter, base uint32, chunk int, p *core.ChunkPartia
 	}
 	sw.section(base+1, dir.buf)
 
-	epochs := make([]int64, nPoints)
-	alts := make([]float32, nPoints)
-	bstars := make([]float32, nPoints)
-	incls := make([]float32, nPoints)
-	i := 0
-	for _, tr := range p.Tracks {
-		for _, pt := range tr.Points {
-			epochs[i] = pt.Epoch
-			alts[i] = pt.AltKm
-			bstars[i] = pt.BStar
-			incls[i] = pt.Incl
-			i++
+	// The five columns share one buffer, filled straight from the records
+	// one column at a time, so an encode holds a single column beside the
+	// bytes it has written; readPartial likewise holds one payload at a
+	// time. Holding every column at once raised the peak RSS of chunked
+	// runs, whose heaps are a few MB, through the collector's pacing.
+	col := make([]byte, 8*max(nPoints, len(p.RawAlts)))
+	for k, width := range [4]int{8, 4, 4, 4} {
+		i := 0
+		for _, tr := range p.Tracks {
+			for _, pt := range tr.Points {
+				switch k {
+				case 0:
+					le.PutUint64(col[8*i:], uint64(pt.Epoch))
+				case 1:
+					putF32(col, i, pt.AltKm)
+				case 2:
+					putF32(col, i, pt.BStar)
+				default:
+					putF32(col, i, pt.Incl)
+				}
+				i++
+			}
 		}
+		sw.section(base+2+uint32(k), col[:width*nPoints])
 	}
-	sw.section(base+2, packI64(epochs))
-	sw.section(base+3, packF32(alts))
-	sw.section(base+4, packF32(bstars))
-	sw.section(base+5, packF32(incls))
-	sw.section(base+6, packF64(p.RawAlts))
+	for i, v := range p.RawAlts {
+		putF64(col, i, v)
+	}
+	sw.section(base+6, col[:8*len(p.RawAlts)])
 }
 
 // readPartial reads the partial body writePartial wrote at base, returning
-// its chunk index and the partial. It fails closed on any damage or
-// non-canonical content.
-func readPartial(sr *sectionReader, base uint32) (int, *core.ChunkPartial, error) {
-	meta, err := sr.section(base)
-	if err != nil {
-		return 0, nil, err
+// its chunk index and the partial, or a nil partial once sr has failed. It
+// fails closed on any damage or non-canonical content.
+func readPartial(sr *sectionReader, base uint32) (int, *core.ChunkPartial) {
+	meta := sr.record(base)
+	chunk := meta.i64()
+	nTracks := meta.u32()
+	nPoints := meta.i64()
+	nRaw := meta.i64()
+	var stats [5]int64
+	for k := range stats {
+		stats[k] = meta.i64()
 	}
-	mp := &recordParser{buf: meta}
-	chunk, err := mp.i64()
-	if err != nil {
-		return 0, nil, err
-	}
-	nTracks, err := mp.u32()
-	if err != nil {
-		return 0, nil, err
-	}
-	var counts [2]int64 // points, raw
-	for k := range counts {
-		if counts[k], err = mp.i64(); err != nil {
-			return 0, nil, err
-		}
-	}
-	var statFields [5]int64
-	for k := range statFields {
-		if statFields[k], err = mp.i64(); err != nil {
-			return 0, nil, err
-		}
-	}
-	if err := mp.done(); err != nil {
-		return 0, nil, err
-	}
-	nPoints, nRaw := counts[0], counts[1]
+	meta.done()
 	if chunk < 0 || chunk > 1<<31 || nTracks > 1<<24 || nPoints < 0 || nPoints > 1<<31 || nRaw < 0 || nRaw > 1<<31 {
-		return 0, nil, fmt.Errorf("%w: partial claims chunk %d, %d tracks, %d points", ErrCorrupt, chunk, nTracks, nPoints)
+		sr.fail(ErrCorrupt, "partial claims chunk %d, %d tracks, %d points", chunk, nTracks, nPoints)
 	}
-	p := &core.ChunkPartial{Stats: core.CleaningStats{
-		TotalObservations: int(statFields[0]),
-		GrossErrors:       int(statFields[1]),
-		RaisingRemoved:    int(statFields[2]),
-		NonOperational:    int(statFields[3]),
-		Duplicates:        int(statFields[4]),
-	}}
-
-	dirPayload, err := sr.section(base + 1)
-	if err != nil {
-		return 0, nil, err
-	}
-	dp := &recordParser{buf: dirPayload}
-	type dirEntry struct {
-		catalog, nPoints, raisingRemoved uint32
-		opAlt                            float64
-	}
-	dir := make([]dirEntry, nTracks)
-	total := int64(0)
-	prevCat := int64(-1)
-	for i := range dir {
-		if dir[i].catalog, err = dp.u32(); err != nil {
-			return 0, nil, err
-		}
-		if dir[i].nPoints, err = dp.u32(); err != nil {
-			return 0, nil, err
-		}
-		if dir[i].opAlt, err = dp.f64(); err != nil {
-			return 0, nil, err
-		}
-		if dir[i].raisingRemoved, err = dp.u32(); err != nil {
-			return 0, nil, err
-		}
-		if int64(dir[i].catalog) <= prevCat {
-			return 0, nil, fmt.Errorf("%w: partial tracks out of catalog order", ErrCorrupt)
-		}
-		if dir[i].nPoints == 0 {
-			return 0, nil, fmt.Errorf("%w: partial track %d is empty", ErrCorrupt, dir[i].catalog)
-		}
-		prevCat = int64(dir[i].catalog)
-		total += int64(dir[i].nPoints)
-	}
-	if err := dp.done(); err != nil {
-		return 0, nil, err
-	}
-	if total != nPoints {
-		return 0, nil, fmt.Errorf("%w: partial directory sums to %d points, meta claims %d", ErrCorrupt, total, nPoints)
-	}
-
-	epochs, err := readI64Col(sr, base+2, int(nPoints))
-	if err != nil {
-		return 0, nil, err
-	}
-	alts, err := readF32Col(sr, base+3, int(nPoints))
-	if err != nil {
-		return 0, nil, err
-	}
-	bstars, err := readF32Col(sr, base+4, int(nPoints))
-	if err != nil {
-		return 0, nil, err
-	}
-	incls, err := readF32Col(sr, base+5, int(nPoints))
-	if err != nil {
-		return 0, nil, err
-	}
-	rawPayload, err := sr.section(base + 6)
-	if err != nil {
-		return 0, nil, err
-	}
-	if p.RawAlts, err = unpackF64(rawPayload); err != nil {
-		return 0, nil, err
-	}
-	if len(p.RawAlts) != int(nRaw) {
-		return 0, nil, fmt.Errorf("%w: partial raw-altitude column disagrees with meta", ErrCorrupt)
-	}
-	if !core.RawAltsCanonical(p.RawAlts) {
-		return 0, nil, fmt.Errorf("%w: partial raw altitudes not in canonical order", ErrCorrupt)
-	}
-
+	// Every count sizes an allocation only once the section it counts has
+	// arrived whole: the directory holds exactly nTracks entries and each
+	// column exactly nPoints (or nRaw) values.
+	dir := sr.column(base+1, dirEntryBytes, int(nTracks))
 	// One flat point arena, sliced per track: a single allocation for the
-	// whole body.
+	// whole body, sized once the epoch column has arrived. Each column is
+	// decoded into it as it arrives, so the body holds one column payload
+	// at a time beside the arena.
+	epochs := sr.column(base+2, 8, int(nPoints))
+	if sr.err != nil {
+		return 0, nil
+	}
 	points := make([]core.TrackPoint, nPoints)
 	for i := range points {
-		points[i] = core.TrackPoint{Epoch: epochs[i], AltKm: alts[i], BStar: bstars[i], Incl: incls[i]}
+		points[i].Epoch = int64(le.Uint64(epochs[8*i:]))
 	}
+	alts := sr.column(base+3, 4, int(nPoints))
+	for i := range len(alts) / 4 {
+		points[i].AltKm = getF32(alts, i)
+	}
+	bstars := sr.column(base+4, 4, int(nPoints))
+	for i := range len(bstars) / 4 {
+		points[i].BStar = getF32(bstars, i)
+	}
+	incls := sr.column(base+5, 4, int(nPoints))
+	for i := range len(incls) / 4 {
+		points[i].Incl = getF32(incls, i)
+	}
+	p := &core.ChunkPartial{
+		RawAlts: f64s(sr.column(base+6, 8, int(nRaw))),
+		Stats: core.CleaningStats{
+			TotalObservations: int(stats[0]),
+			GrossErrors:       int(stats[1]),
+			RaisingRemoved:    int(stats[2]),
+			NonOperational:    int(stats[3]),
+			Duplicates:        int(stats[4]),
+		},
+	}
+	if !core.RawAltsCanonical(p.RawAlts) {
+		sr.fail(ErrCorrupt, "partial raw altitudes not in canonical order")
+	}
+	// Canonical form: strictly catalog-ascending tracks, none empty, whose
+	// point counts sum to nPoints.
+	entries := recordParser{sr: sr, buf: dir}
 	p.Tracks = make([]*core.Track, nTracks)
 	off := 0
-	for i, de := range dir {
-		p.Tracks[i] = &core.Track{
-			Catalog:          int(de.catalog),
-			Points:           points[off : off+int(de.nPoints) : off+int(de.nPoints)],
-			OperationalAltKm: de.opAlt,
-			RaisingRemoved:   int(de.raisingRemoved),
+	for i := range p.Tracks {
+		tr := &core.Track{Catalog: int(entries.u32())}
+		n := int(entries.u32())
+		tr.OperationalAltKm = entries.f64()
+		tr.RaisingRemoved = int(entries.u32())
+		if (i > 0 && tr.Catalog <= p.Tracks[i-1].Catalog) || n == 0 || n > len(points)-off {
+			sr.fail(ErrCorrupt, "partial track %d (catalog %d, %d points) is out of catalog order, empty or past the %d points left",
+				i, tr.Catalog, n, len(points)-off)
+			return 0, nil
 		}
-		off += int(de.nPoints)
+		tr.Points = points[off : off+n : off+n]
+		p.Tracks[i] = tr
+		off += n
 	}
-	return int(chunk), p, nil
+	if off != len(points) {
+		sr.fail(ErrCorrupt, "partial directory sums to %d points, meta claims %d", off, nPoints)
+		return 0, nil
+	}
+	return int(chunk), p
 }

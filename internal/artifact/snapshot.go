@@ -24,15 +24,9 @@ func EncodeWeather(w io.Writer, x *dst.Index) error {
 
 // DecodeWeather reads a weather snapshot, failing closed on any damage.
 func DecodeWeather(r io.Reader) (*dst.Index, error) {
-	sr, err := newSectionReader(r, KindWeather)
-	if err != nil {
-		return nil, err
-	}
-	x, err := readWeather(sr)
-	if err != nil {
-		return nil, err
-	}
-	if err := sr.closeTrailer(); err != nil {
+	sr := newSectionReader(r, KindWeather)
+	x := readWeather(sr)
+	if err := sr.close(); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -44,49 +38,34 @@ func writeWeather(sw *sectionWriter, x *dst.Index) {
 	meta.i64(x.Start().Unix())
 	meta.u32(uint32(x.Len()))
 	sw.section(0, meta.buf)
-	sw.section(1, packF64(x.Values()))
+	sw.section(1, f64Column(x.Values()))
 }
 
-// readWeather reads the two weather sections writeWeather wrote, failing
-// closed on any damage.
-func readWeather(sr *sectionReader) (*dst.Index, error) {
-	meta, err := sr.section(0)
-	if err != nil {
-		return nil, err
+// readWeather reads the two weather sections writeWeather wrote. It returns
+// nil once sr has failed.
+func readWeather(sr *sectionReader) *dst.Index {
+	meta := sr.record(0)
+	startUnix := meta.i64()
+	n := int(meta.u32())
+	meta.done()
+	values := sr.column(1, 8, n)
+	if n == 0 {
+		sr.fail(ErrCorrupt, "empty weather series")
 	}
-	p := &recordParser{buf: meta}
-	startUnix, err := p.i64()
-	if err != nil {
-		return nil, err
+	if sr.err != nil {
+		return nil
 	}
-	n, err := p.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
-	col, err := sr.section(1)
-	if err != nil {
-		return nil, err
-	}
-	values, err := unpackF64(col)
-	if err != nil {
-		return nil, err
-	}
-	if len(values) != int(n) {
-		return nil, fmt.Errorf("%w: weather claims %d hours, column has %d", ErrCorrupt, n, len(values))
-	}
-	if len(values) == 0 {
-		return nil, fmt.Errorf("%w: empty weather series", ErrCorrupt)
-	}
-	return dst.FromValues(time.Unix(startUnix, 0).UTC(), values), nil
+	return dst.FromValues(time.Unix(startUnix, 0).UTC(), f64s(values))
 }
 
 // --- archive (constellation.Result) ---
 //
 // Sections: 0 = meta, 1 = per-satellite ground-truth table, 2..10 = one
 // column per Sample field (catalog, epoch, then the seven float32 elements).
+
+// minSatBytes is the smallest satellite record in an archive's table: the
+// fixed fields around an empty name.
+const minSatBytes = 68
 
 // EncodeArchive writes a constellation-run snapshot.
 func EncodeArchive(w io.Writer, res *constellation.Result) error {
@@ -127,163 +106,108 @@ func EncodeArchive(w io.Writer, res *constellation.Result) error {
 	sw.section(1, sats.buf)
 
 	n := len(res.Samples)
-	cats := make([]int32, n)
-	epochs := make([]int64, n)
-	cols := [7][]float32{}
-	for k := range cols {
-		cols[k] = make([]float32, n)
+	cats := make([]byte, 4*n)
+	epochs := make([]byte, 8*n)
+	var elems [7][]byte
+	for k := range elems {
+		elems[k] = make([]byte, 4*n)
 	}
 	for i := range res.Samples {
 		s := &res.Samples[i]
-		cats[i] = s.Catalog
-		epochs[i] = s.Epoch
-		cols[0][i] = s.AltKm
-		cols[1][i] = s.BStar
-		cols[2][i] = s.Inclination
-		cols[3][i] = s.RAAN
-		cols[4][i] = s.Eccentricity
-		cols[5][i] = s.ArgPerigee
-		cols[6][i] = s.MeanAnomaly
+		le.PutUint32(cats[4*i:], uint32(s.Catalog))
+		le.PutUint64(epochs[8*i:], uint64(s.Epoch))
+		putF32(elems[0], i, s.AltKm)
+		putF32(elems[1], i, s.BStar)
+		putF32(elems[2], i, s.Inclination)
+		putF32(elems[3], i, s.RAAN)
+		putF32(elems[4], i, s.Eccentricity)
+		putF32(elems[5], i, s.ArgPerigee)
+		putF32(elems[6], i, s.MeanAnomaly)
 	}
-	sw.section(2, packI32(cats))
-	sw.section(3, packI64(epochs))
-	for k := range cols {
-		sw.section(uint32(4+k), packF32(cols[k]))
+	sw.section(2, cats)
+	sw.section(3, epochs)
+	for k, col := range elems {
+		sw.section(uint32(4+k), col)
 	}
 	return sw.close()
 }
 
 // DecodeArchive reads an archive snapshot, failing closed on any damage.
 func DecodeArchive(r io.Reader) (*constellation.Result, error) {
-	sr, err := newSectionReader(r, KindArchive)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := sr.section(0)
-	if err != nil {
-		return nil, err
-	}
-	p := &recordParser{buf: meta}
-	startUnix, err := p.i64()
-	if err != nil {
-		return nil, err
-	}
-	hours, err := p.u32()
-	if err != nil {
-		return nil, err
-	}
-	nSats, err := p.u32()
-	if err != nil {
-		return nil, err
-	}
-	nSamples, err := p.i64()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.done(); err != nil {
-		return nil, err
-	}
+	sr := newSectionReader(r, KindArchive)
+	meta := sr.record(0)
+	startUnix := meta.i64()
+	hours := meta.u32()
+	nSats := meta.u32()
+	nSamples := meta.i64()
+	meta.done()
 	if nSats > 1<<24 || nSamples < 0 || nSamples > 1<<31 {
-		return nil, fmt.Errorf("%w: archive claims %d satellites, %d samples", ErrCorrupt, nSats, nSamples)
+		sr.fail(ErrCorrupt, "archive claims %d satellites, %d samples", nSats, nSamples)
 	}
 	res := &constellation.Result{Start: time.Unix(startUnix, 0).UTC(), Hours: int(hours)}
 
-	satsPayload, err := sr.section(1)
-	if err != nil {
-		return nil, err
+	// The table must have arrived and hold nSats records before nSats sizes
+	// anything.
+	sats := sr.record(1)
+	if len(sats.buf) < minSatBytes*int(nSats) {
+		sr.fail(ErrCorrupt, "satellite table of %d bytes cannot hold %d satellites", len(sats.buf), nSats)
 	}
-	sp := &recordParser{buf: satsPayload}
+	if sr.err != nil {
+		return nil, sr.err
+	}
 	res.Sats = make([]constellation.SatInfo, nSats)
 	for i := range res.Sats {
 		s := &res.Sats[i]
-		var cat, shell, launchedNs, fate, hasFate, fateAtNs uint32
-		var launched, fateAt int64
-		if cat, err = sp.u32(); err != nil {
-			return nil, err
-		}
-		if s.Name, err = sp.str(); err != nil {
-			return nil, err
-		}
-		if shell, err = sp.u32(); err != nil {
-			return nil, err
-		}
-		if launched, err = sp.i64(); err != nil {
-			return nil, err
-		}
-		if launchedNs, err = sp.u32(); err != nil {
-			return nil, err
-		}
-		if s.StagingAltKm, err = sp.f64(); err != nil {
-			return nil, err
-		}
-		if s.TargetAltKm, err = sp.f64(); err != nil {
-			return nil, err
-		}
-		if s.DragFactor, err = sp.f64(); err != nil {
-			return nil, err
-		}
-		if fate, err = sp.u32(); err != nil {
-			return nil, err
-		}
-		if hasFate, err = sp.u32(); err != nil {
-			return nil, err
-		}
-		if fateAt, err = sp.i64(); err != nil {
-			return nil, err
-		}
-		if fateAtNs, err = sp.u32(); err != nil {
-			return nil, err
-		}
+		s.Catalog = int(sats.u32())
+		s.Name = sats.str()
+		s.Shell = int(sats.u32())
+		launched := sats.i64()
+		launchedNs := sats.u32()
+		s.StagingAltKm = sats.f64()
+		s.TargetAltKm = sats.f64()
+		s.DragFactor = sats.f64()
+		s.Fate = constellation.Phase(sats.u32())
+		hasFate := sats.u32()
+		fateAt := sats.i64()
+		fateAtNs := sats.u32()
 		if launchedNs >= 1e9 || fateAtNs >= 1e9 {
-			return nil, fmt.Errorf("%w: satellite timestamp nanoseconds out of range", ErrCorrupt)
+			sr.fail(ErrCorrupt, "satellite timestamp nanoseconds out of range")
 		}
 		// Strict canonical form: the fate flag is 0 or 1, and an absent fate
 		// has zeroed timestamp fields. Anything else would decode to a value
 		// that re-encodes differently, breaking bit-identity.
 		if hasFate > 1 || (hasFate == 0 && (fateAt != 0 || fateAtNs != 0)) {
-			return nil, fmt.Errorf("%w: non-canonical satellite fate record", ErrCorrupt)
+			sr.fail(ErrCorrupt, "non-canonical satellite fate record")
 		}
-		s.Catalog = int(cat)
-		s.Shell = int(shell)
 		s.LaunchedAt = time.Unix(launched, int64(launchedNs)).UTC()
-		s.Fate = constellation.Phase(fate)
 		if hasFate != 0 {
 			s.FateAt = time.Unix(fateAt, int64(fateAtNs)).UTC()
 		}
 	}
-	if err := sp.done(); err != nil {
-		return nil, err
-	}
+	sats.done()
 
-	catCol, err := readI32Col(sr, 2, int(nSamples))
-	if err != nil {
+	n := int(nSamples)
+	cats := sr.column(2, 4, n)
+	epochs := sr.column(3, 8, n)
+	var elems [7][]byte
+	for k := range elems {
+		elems[k] = sr.column(uint32(4+k), 4, n)
+	}
+	if err := sr.close(); err != nil {
 		return nil, err
 	}
-	epochCol, err := readI64Col(sr, 3, int(nSamples))
-	if err != nil {
-		return nil, err
-	}
-	var cols [7][]float32
-	for k := range cols {
-		if cols[k], err = readF32Col(sr, uint32(4+k), int(nSamples)); err != nil {
-			return nil, err
-		}
-	}
-	if err := sr.closeTrailer(); err != nil {
-		return nil, err
-	}
-	res.Samples = make([]constellation.Sample, nSamples)
+	res.Samples = make([]constellation.Sample, n)
 	for i := range res.Samples {
 		res.Samples[i] = constellation.Sample{
-			Catalog:      catCol[i],
-			Epoch:        epochCol[i],
-			AltKm:        cols[0][i],
-			BStar:        cols[1][i],
-			Inclination:  cols[2][i],
-			RAAN:         cols[3][i],
-			Eccentricity: cols[4][i],
-			ArgPerigee:   cols[5][i],
-			MeanAnomaly:  cols[6][i],
+			Catalog:      int32(le.Uint32(cats[4*i:])),
+			Epoch:        int64(le.Uint64(epochs[8*i:])),
+			AltKm:        getF32(elems[0], i),
+			BStar:        getF32(elems[1], i),
+			Inclination:  getF32(elems[2], i),
+			RAAN:         getF32(elems[3], i),
+			Eccentricity: getF32(elems[4], i),
+			ArgPerigee:   getF32(elems[5], i),
+			MeanAnomaly:  getF32(elems[6], i),
 		}
 	}
 	return res, nil
@@ -315,22 +239,13 @@ func EncodeDataset(w io.Writer, d *core.Dataset) error {
 // pipeline parameters (the runtime Parallelism knob rides on cfg, never on
 // the snapshot). It fails closed on any damage.
 func DecodeDataset(r io.Reader, cfg core.Config) (*core.Dataset, error) {
-	sr, err := newSectionReader(r, KindDataset)
-	if err != nil {
-		return nil, err
-	}
-	weather, err := readWeather(sr)
-	if err != nil {
-		return nil, err
-	}
-	chunk, p, err := readPartial(sr, datasetPartialBase)
-	if err != nil {
-		return nil, err
-	}
+	sr := newSectionReader(r, KindDataset)
+	weather := readWeather(sr)
+	chunk, p := readPartial(sr, datasetPartialBase)
 	if chunk != 0 {
-		return nil, fmt.Errorf("%w: dataset body carries chunk index %d, want 0", ErrCorrupt, chunk)
+		sr.fail(ErrCorrupt, "dataset body carries chunk index %d, want 0", chunk)
 	}
-	if err := sr.closeTrailer(); err != nil {
+	if err := sr.close(); err != nil {
 		return nil, err
 	}
 	asm := core.NewPartialAssembler(cfg, weather)
@@ -342,51 +257,4 @@ func DecodeDataset(r io.Reader, cfg core.Config) (*core.Dataset, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return d, nil
-}
-
-// --- shared column readers ---
-
-func readI32Col(sr *sectionReader, id uint32, want int) ([]int32, error) {
-	payload, err := sr.section(id)
-	if err != nil {
-		return nil, err
-	}
-	col, err := unpackI32(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(col) != want {
-		return nil, fmt.Errorf("%w: section %d has %d values, want %d", ErrCorrupt, id, len(col), want)
-	}
-	return col, nil
-}
-
-func readI64Col(sr *sectionReader, id uint32, want int) ([]int64, error) {
-	payload, err := sr.section(id)
-	if err != nil {
-		return nil, err
-	}
-	col, err := unpackI64(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(col) != want {
-		return nil, fmt.Errorf("%w: section %d has %d values, want %d", ErrCorrupt, id, len(col), want)
-	}
-	return col, nil
-}
-
-func readF32Col(sr *sectionReader, id uint32, want int) ([]float32, error) {
-	payload, err := sr.section(id)
-	if err != nil {
-		return nil, err
-	}
-	col, err := unpackF32(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(col) != want {
-		return nil, fmt.Errorf("%w: section %d has %d values, want %d", ErrCorrupt, id, len(col), want)
-	}
-	return col, nil
 }

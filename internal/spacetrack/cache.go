@@ -23,7 +23,10 @@ import (
 type CachingFetcher struct {
 	client *Client
 	dir    string
-	mu     sync.Mutex
+	// locks holds one *sync.Mutex per catalog, so calls for one catalog
+	// never interleave their cache reads and writes while calls for
+	// different catalogs fetch in parallel.
+	locks sync.Map
 }
 
 // NewCachingFetcher creates the cache directory if needed.
@@ -37,8 +40,9 @@ func NewCachingFetcher(client *Client, dir string) (*CachingFetcher, error) {
 // History returns the element sets of catalog in [from, to], consulting the
 // cache first and fetching only the uncovered suffix.
 func (f *CachingFetcher) History(ctx context.Context, catalog int, from, to time.Time) ([]*tle.TLE, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	mu, _ := f.locks.LoadOrStore(catalog, new(sync.Mutex))
+	mu.(*sync.Mutex).Lock()
+	defer mu.(*sync.Mutex).Unlock()
 
 	cachedFrom, cachedTo, cached, err := f.load(catalog)
 	if err != nil {

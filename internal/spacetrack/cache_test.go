@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,6 +34,63 @@ func cacheTestHarness(t *testing.T, dir string) (*CachingFetcher, *int32) {
 		t.Fatal(err)
 	}
 	return fetcher, &hits
+}
+
+// TestCachingFetcherFetchesInParallel: FetchHistories through a
+// CachingFetcher keeps more than one request in flight. The server holds
+// each /history request until two are in flight at once, or until a shared
+// 5 s deadline passes. A fetcher that serialized every catalog behind one
+// lock reached the deadline with one request in flight. Each catalog is
+// asked for twice, so calls for one catalog also run side by side, and
+// both must return the same sets.
+func TestCachingFetcherFetchesInParallel(t *testing.T) {
+	archive, _, end := buildArchive(t, 5)
+	srv := NewServer(NewCatalog(archive, end), end).Handler()
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var inFlight atomic.Int32
+	both := make(chan struct{})
+	var once sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/history" {
+			if inFlight.Add(1) == 2 {
+				once.Do(func() { close(both) })
+			}
+			select {
+			case <-both:
+			case <-deadline.Done():
+			}
+			defer inFlight.Add(-1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	client, err := NewClient(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetcher, err := NewCachingFetcher(client, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats := append(archive.cats[:4:4], archive.cats[:4]...)
+	results, err := FetchHistories(context.Background(), fetcher, cats, stStart, end, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := Failures(results); len(failed) > 0 {
+		t.Fatal(failed[0])
+	}
+	for i, r := range results[:4] {
+		if twin := results[4+i]; len(r.Sets) == 0 || len(twin.Sets) != len(r.Sets) {
+			t.Fatalf("catalog %d: %d and %d sets from two calls", r.Catalog, len(r.Sets), len(twin.Sets))
+		}
+	}
+	select {
+	case <-both:
+	default:
+		t.Fatal("8 workers never had two /history requests in flight at once")
+	}
 }
 
 func TestCacheCorruptMetaIsMiss(t *testing.T) {

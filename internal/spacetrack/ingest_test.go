@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -117,8 +118,44 @@ func TestIngestRejectsUnservableSets(t *testing.T) {
 	}
 }
 
+// TestIngestBodyBounded pins POST /ingest's body bound: a batch of valid
+// sets just over maxIngestBody is refused whole with 413 and applies
+// nothing, while the same batch less its last set is accepted. Before the
+// bound the handler read and held any body, 15 MB of sets included.
+func TestIngestBodyBounded(t *testing.T) {
+	archive, _, end := buildArchive(t, 5)
+	template := archive.GroupLatest("starlink", end)[0]
+	var body strings.Builder
+	last := 0
+	for cat := 91000; body.Len() <= maxIngestBody; cat++ {
+		l1, l2, err := cloneSet(template, cat, end.Add(-time.Minute)).Format()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = body.Len()
+		fmt.Fprintf(&body, "INGEST-%d\n%s\n%s\n", cat, l1, l2)
+	}
+	cat := NewCatalog(archive, end)
+	h := NewServer(cat, end).Handler()
+	rec := serve(h, http.MethodPost, "/ingest?group=starlink", body.String(), false)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte batch: %d %s, want 413", body.Len(), rec.Code, rec.Body)
+	}
+	if n := cat.DeltaSets(); n != 0 {
+		t.Fatalf("a refused batch applied %d sets", n)
+	}
+	if v, _, _ := cat.GroupVersion("starlink"); v != 1 {
+		t.Fatalf("a refused batch moved the group to version %d", v)
+	}
+	rec = serve(h, http.MethodPost, "/ingest?group=starlink", body.String()[:last], false)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%d-byte batch: %d %s, want 200", last, rec.Code, rec.Body)
+	}
+}
+
 // FuzzIngestHandler drives POST /ingest with arbitrary bodies on a small
-// Catalog. The handler answers 200 or 400. A 400 applies nothing; a 200
+// Catalog. The handler answers 200, 400 or (for a body over
+// maxIngestBody) 413. A 400 or 413 applies nothing; a 200
 // applies exactly the sets it reports, and afterwards every catalog in the
 // batch serves a history, and the group a 3LE listing, that decodes whole.
 func FuzzIngestHandler(f *testing.F) {
@@ -140,12 +177,12 @@ func FuzzIngestHandler(f *testing.F) {
 		h := NewServer(cat, end).Handler()
 		rec := serve(h, http.MethodPost, "/ingest?group=starlink", body, false)
 		switch rec.Code {
-		case http.StatusBadRequest:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			if n := cat.DeltaSets(); n != 0 {
-				t.Fatalf("400 applied %d sets", n)
+				t.Fatalf("%d applied %d sets", rec.Code, n)
 			}
 			if v, _, _ := cat.GroupVersion("starlink"); v != 1 {
-				t.Fatalf("400 moved the group to version %d", v)
+				t.Fatalf("%d moved the group to version %d", rec.Code, v)
 			}
 			return
 		case http.StatusOK:

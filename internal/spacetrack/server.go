@@ -1,8 +1,10 @@
 package spacetrack
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -652,10 +654,15 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxIngestBody bounds a POST /ingest body, as POST /v1/dst's is bounded:
+// 1 MiB holds about 6,800 element sets in 3LE text.
+const maxIngestBody = 1 << 20
+
 // handleIngest accepts a POST of element sets in classic TLE text and
 // merges them into the archive at the current service time. The body must
 // parse completely: a batch with unreadable records is rejected whole, so a
-// partial ingest can never masquerade as a successful one.
+// partial ingest can never masquerade as a successful one. A body over
+// maxIngestBody is refused whole with 413.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "ingest requires POST", http.StatusMethodNotAllowed)
@@ -666,7 +673,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing group", http.StatusBadRequest)
 		return
 	}
-	reader := tle.NewReader(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading ingest body: "+err.Error(), code)
+		return
+	}
+	reader := tle.NewReader(bytes.NewReader(body))
 	var sets []*tle.TLE
 	for {
 		t, err := reader.Read()
