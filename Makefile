@@ -28,7 +28,8 @@ lint-fix:
 # Coverage floors: internal/lint >= 85%, internal/artifact >= 80%,
 # internal/obs >= 88%, internal/spacetrack >= 80%, internal/loadsim >= 80%,
 # internal/constellation >= 80%, internal/core >= 80%,
-# internal/incremental >= 80%, module total >= 70%.
+# internal/incremental >= 80%, internal/tle >= 80%, internal/dst >= 90%,
+# module total >= 70%.
 cover:
 	./scripts/cover.sh
 

@@ -1,14 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"cosmicdance/internal/constellation"
 	"cosmicdance/internal/core"
 	"cosmicdance/internal/dst"
 	"cosmicdance/internal/spaceweather"
@@ -67,29 +69,81 @@ func TestLoadWeatherFromWDCFile(t *testing.T) {
 }
 
 func TestLoadTrajectoriesFromTLEFile(t *testing.T) {
-	weather, err := loadWeather(context.Background(), "", "may2024")
+	ctx := context.Background()
+	weather, err := loadWeather(ctx, "", "may2024")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build a small archive file via the simulator's TLE writer.
+	// The simulated fleet feeds the builder directly.
 	b := core.NewBuilder(core.DefaultConfig(), weather)
-	if err := loadTrajectories(context.Background(), b, weather, "", "", "small", 7, 2); err != nil {
+	if err := loadTrajectories(ctx, b, weather, "", "", "small", 7, 2); err != nil {
 		t.Fatal(err)
 	}
-	d, err := b.Build(context.Background())
+	d, err := b.Build(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Tracks()) == 0 {
 		t.Fatal("no tracks from simulated fleet")
 	}
-	if err := loadTrajectories(context.Background(), core.NewBuilder(core.DefaultConfig(), weather), weather, "nonexistent.tle", "", "", 7, 0); err == nil {
+
+	// Write the same fleet as 3LE text with the simulator's TLE writer, as
+	// tlegen -names does, and load it back from the file.
+	cfg, err := fleetConfig("small", 7, weather)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := constellation.Run(ctx, cfg, weather)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := res.WriteTLEs(&text, true); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(text.String(), "\n")
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	written := len(lines) / 3
+	if written == 0 || len(lines)%3 != 0 {
+		t.Fatalf("%d lines of 3LE text", len(lines))
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "small.tle")
+	if err := os.WriteFile(path, text.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b = core.NewBuilder(core.DefaultConfig(), weather)
+	if err := loadTrajectories(ctx, b, weather, path, "", "", 7, 0); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = b.Build(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Cleaning().TotalObservations; n != written {
+		t.Fatalf("loaded %d observations from %d sets written", n, written)
+	}
+
+	// One flipped checksum digit fails the whole load, naming the file and
+	// the record's first line.
+	rec := written / 2
+	l2 := lines[3*rec+2]
+	lines[3*rec+2] = l2[:68] + string('0'+(l2[68]-'0'+1)%10) + l2[69:]
+	bad := filepath.Join(dir, "flipped.tle")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = loadTrajectories(ctx, core.NewBuilder(core.DefaultConfig(), weather), weather, bad, "", "", 7, 0)
+	if err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", 3*rec+1)) {
+		t.Fatalf("flipped checksum: err = %v, want it to name %s and line %d", err, bad, 3*rec+1)
+	}
+
+	if err := loadTrajectories(ctx, core.NewBuilder(core.DefaultConfig(), weather), weather, "nonexistent.tle", "", "", 7, 0); err == nil {
 		t.Error("missing TLE file accepted")
 	}
-	if err := loadTrajectories(context.Background(), core.NewBuilder(core.DefaultConfig(), weather), weather, "", "", "megafleet", 7, 0); err == nil {
+	if err := loadTrajectories(ctx, core.NewBuilder(core.DefaultConfig(), weather), weather, "", "", "megafleet", 7, 0); err == nil {
 		t.Error("unknown fleet accepted")
 	}
-	_ = time.Now
 }
 
 func TestCmdScale(t *testing.T) {

@@ -86,17 +86,17 @@ func (p *Pipeline) EachSegment(ctx context.Context, weatherCfg spaceweather.Conf
 			return nil, err
 		}
 		metricSegmentBuilds.Inc()
-		var buf bytes.Buffer
-		if err := EncodeSegment(&buf, i, part); err != nil {
+		blob, err := segmentBlob(i, part)
+		if err != nil {
 			return nil, err
 		}
 		if p.cache != nil {
 			p.warn(p.cache.store(KindSegment, fps[i], func(w io.Writer) error {
-				_, err := w.Write(buf.Bytes())
+				_, err := w.Write(blob)
 				return err
 			}))
 		}
-		return buf.Bytes(), nil
+		return blob, nil
 	}
 
 	// The producer decides hit or miss: a segment read from the cache is a

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"io"
 
 	"cosmicdance/internal/core"
@@ -47,6 +48,31 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 // dirEntryBytes is the size of one track directory entry: catalog, point
 // count, operational altitude and raising-removed count.
 const dirEntryBytes = 20
+
+// segmentBytes is the exact length of p's segment: the container header and
+// trailer, seven framed sections, the meta record, a directory entry per
+// track, the four column values per point and one float64 per raw
+// altitude. It sizes a segment's buffer before the first byte is written.
+func segmentBytes(p *core.ChunkPartial) int {
+	const (
+		container  = 12 + 4          // header, trailer
+		framing    = 7 * (4 + 8 + 4) // each section's id, length and CRC
+		metaBytes  = 8 + 4 + 7*8     // chunk, track count, seven int64 counts
+		pointBytes = 8 + 3*4         // epoch, three float32 columns
+	)
+	n := container + framing + metaBytes + dirEntryBytes*len(p.Tracks) + 8*len(p.RawAlts)
+	for _, tr := range p.Tracks {
+		n += pointBytes * len(tr.Points)
+	}
+	return n
+}
+
+// segmentBlob encodes p's segment into one buffer of its exact size.
+func segmentBlob(chunk int, p *core.ChunkPartial) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, segmentBytes(p)))
+	err := EncodeSegment(buf, chunk, p)
+	return buf.Bytes(), err
+}
 
 // writePartial writes p, tagged with its chunk index, as the seven partial
 // sections starting at id base.

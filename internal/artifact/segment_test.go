@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,6 +69,52 @@ func encodeSegmentBytes(t testing.TB, chunk int, p *core.ChunkPartial) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// widePartial is an 800-track partial of 86 points a track and one raw
+// altitude per point (68,800 each), the shape of an 800-satellite, 45-day
+// chunk.
+func widePartial() *core.ChunkPartial {
+	p := &core.ChunkPartial{}
+	for i := 0; i < 800; i++ {
+		tr := &core.Track{Catalog: 44000 + i, OperationalAltKm: 550}
+		for k := 0; k < 86; k++ {
+			alt := 550 - 0.01*float64(k)
+			tr.Points = append(tr.Points, core.TrackPoint{Epoch: int64(k) * 12600, AltKm: float32(alt), BStar: 1e-4, Incl: 53})
+			p.RawAlts = append(p.RawAlts, alt)
+		}
+		p.Tracks = append(p.Tracks, tr)
+	}
+	slices.Sort(p.RawAlts)
+	p.Stats.TotalObservations = len(p.RawAlts)
+	return p
+}
+
+// TestSegmentBytesExact pins segmentBytes to the length EncodeSegment
+// writes, and gates a chunk's encode: segmentBlob, sizing its buffer by
+// segmentBytes, allocates under 1.5 times the 800-track segment it returns.
+// An unsized buffer doubles its way up to the segment and allocates about
+// 2.45 times.
+func TestSegmentBytesExact(t *testing.T) {
+	wide := widePartial()
+	for _, p := range []*core.ChunkPartial{tinyPartial(), testPartial(t), wide} {
+		if got, want := segmentBytes(p), len(encodeSegmentBytes(t, 5, p)); got != want {
+			t.Fatalf("%d-track partial: segmentBytes = %d, EncodeSegment wrote %d", len(p.Tracks), got, want)
+		}
+	}
+	var blob []byte
+	var err error
+	n := allocated(func() { blob, err = segmentBlob(5, wide) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, encodeSegmentBytes(t, 5, wide)) || cap(blob) != len(blob) {
+		t.Fatalf("segmentBlob returned %d bytes in a %d-byte buffer, unlike EncodeSegment's", len(blob), cap(blob))
+	}
+	t.Logf("800-track segment: %d bytes, %d allocated (%.2fx)", len(blob), n, float64(n)/float64(len(blob)))
+	if float64(n) >= 1.5*float64(len(blob)) {
+		t.Fatalf("encoding a %d-byte segment allocated %d bytes, want under 1.5x", len(blob), n)
+	}
 }
 
 func TestSegmentRoundTrip(t *testing.T) {

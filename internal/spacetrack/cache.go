@@ -3,7 +3,6 @@ package spacetrack
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,21 +118,10 @@ func (f *CachingFetcher) load(catalog int) (from, to time.Time, sets []*tle.TLE,
 		return time.Time{}, time.Time{}, nil, err
 	}
 	defer file.Close()
-	r := tle.NewReader(file)
-	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Unreadable cache file: self-heal by treating it as a miss.
-			return time.Time{}, time.Time{}, nil, nil
-		}
-		sets = append(sets, t)
-	}
-	if r.Skipped() > 0 {
-		// Corrupt records on disk (partial write, bit rot): a silent skip here
-		// would permanently lose those epochs, so discard and refetch instead.
+	if sets, err = tle.ReadAll(file); err != nil {
+		// An unreadable cache file (partial write, bit rot): serving what
+		// still reads would permanently lose the other epochs, so self-heal
+		// by treating it as a miss and refetching.
 		return time.Time{}, time.Time{}, nil, nil
 	}
 	return from, to, sets, nil

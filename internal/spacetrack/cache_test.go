@@ -188,9 +188,4 @@ func TestClientRejectsCorruptServerBody(t *testing.T) {
 	if !errors.Is(err, ErrCorruptBody) || !errors.Is(err, ErrTooManyRetries) {
 		t.Fatalf("corrupt body err = %v, want ErrCorruptBody wrapped in ErrTooManyRetries", err)
 	}
-	// The JSON path must surface the same typed error.
-	client.UseJSON = true
-	if _, err := client.FetchGroup(context.Background(), "starlink"); !errors.Is(err, ErrCorruptBody) {
-		t.Errorf("garbage JSON err = %v, want ErrCorruptBody", err)
-	}
 }

@@ -69,7 +69,7 @@ var ErrTooManyRetries = errors.New("spacetrack: retries exhausted")
 var ErrTruncatedBody = errors.New("spacetrack: truncated response body")
 
 // ErrCorruptBody marks a response that arrived complete but failed to decode
-// (bit flips, garbled element sets, malformed JSON).
+// (bit flips, garbled or cut-short element sets).
 var ErrCorruptBody = errors.New("spacetrack: corrupt response body")
 
 // RetryError reports an exhausted retry budget. It wraps ErrTooManyRetries
@@ -101,9 +101,6 @@ type Client struct {
 	// MaxRetries bounds retries per request across every retryable fault
 	// class: rate limiting, 5xx, transport errors, truncation, corruption.
 	MaxRetries int
-	// UseJSON switches transfers to the Space-Track OMM JSON format instead
-	// of classic TLE text.
-	UseJSON bool
 	// Seed drives the deterministic retry jitter: two clients with the same
 	// seed issuing the same request sequence back off identically.
 	Seed int64
@@ -396,54 +393,31 @@ func retryAfter(resp *http.Response) time.Duration {
 // silently shrink the archive.
 func (c *Client) fetchSets(ctx context.Context, path string, query url.Values) ([]*tle.TLE, error) {
 	var sets []*tle.TLE
-	verify := func(body []byte) error {
-		var err error
-		sets, err = c.decodeSets(body)
-		return err
-	}
-	if _, err := c.get(ctx, path, query, verify); err != nil {
+	if _, err := c.get(ctx, path, query, readSets(&sets)); err != nil {
 		return nil, err
 	}
 	return sets, nil
 }
 
-// decodeSets parses a response body, enforcing that every record decoded.
-// The reader's silent skipping is exactly what a fault-tolerant ingest must
-// not inherit: a skipped record here becomes a missing satellite downstream.
-func (c *Client) decodeSets(body []byte) ([]*tle.TLE, error) {
-	if c.UseJSON {
-		sets, err := tle.ReadOMM(bytes.NewReader(body))
+// readSets is the verify hook of an element-set fetch: it reads a response
+// body into *sets, deduplicated. The body must read whole: a record that
+// does not parse, or a body cut inside a record, is corruption to refetch,
+// never a satellite to drop.
+func readSets(sets *[]*tle.TLE) func([]byte) error {
+	return func(body []byte) error {
+		read, err := tle.ReadAll(bytes.NewReader(body))
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorruptBody, err)
+			return fmt.Errorf("%w: %v", ErrCorruptBody, err)
 		}
-		return tle.Dedupe(sets), nil
+		*sets = tle.Dedupe(read)
+		return nil
 	}
-	r := tle.NewReader(bytes.NewReader(body))
-	var sets []*tle.TLE
-	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorruptBody, err)
-		}
-		sets = append(sets, t)
-	}
-	if r.Skipped() > 0 {
-		return nil, fmt.Errorf("%w: %d unparseable element sets", ErrCorruptBody, r.Skipped())
-	}
-	return tle.Dedupe(sets), nil
 }
 
 // FetchGroup downloads the current catalog of a constellation group — the
 // CelesTrak step CosmicDance performs once to learn the catalog numbers.
 func (c *Client) FetchGroup(ctx context.Context, group string) ([]*tle.TLE, error) {
-	format := "3le"
-	if c.UseJSON {
-		format = "json"
-	}
-	q := url.Values{"GROUP": {group}, "FORMAT": {format}}
+	q := url.Values{"GROUP": {group}, "FORMAT": {"3le"}}
 	return c.fetchSets(ctx, "/NORAD/elements/gp.php", q)
 }
 
@@ -462,18 +436,9 @@ type GroupPage struct {
 // workflow. Pass empty validators for an unconditional fetch; on a 304 the
 // returned page carries NotModified and echoes the validators back.
 func (c *Client) FetchGroupConditional(ctx context.Context, group, etag, lastModified string) (*GroupPage, error) {
-	format := "3le"
-	if c.UseJSON {
-		format = "json"
-	}
-	q := url.Values{"GROUP": {group}, "FORMAT": {format}}
+	q := url.Values{"GROUP": {group}, "FORMAT": {"3le"}}
 	var sets []*tle.TLE
-	verify := func(body []byte) error {
-		var err error
-		sets, err = c.decodeSets(body)
-		return err
-	}
-	res, err := c.getConditional(ctx, "/NORAD/elements/gp.php", q, conditional{etag: etag, lastModified: lastModified}, verify)
+	res, err := c.getConditional(ctx, "/NORAD/elements/gp.php", q, conditional{etag: etag, lastModified: lastModified}, readSets(&sets))
 	if err != nil {
 		return nil, err
 	}
@@ -500,9 +465,6 @@ func (c *Client) FetchHistory(ctx context.Context, catalog int, from, to time.Ti
 		"catalog": {strconv.Itoa(catalog)},
 		"from":    {from.UTC().Format(time.RFC3339)},
 		"to":      {to.UTC().Format(time.RFC3339)},
-	}
-	if c.UseJSON {
-		q.Set("format", "json")
 	}
 	return c.fetchSets(ctx, "/history", q)
 }

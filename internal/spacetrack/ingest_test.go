@@ -58,20 +58,9 @@ func decodeSets(t *testing.T, body []byte) []*tle.TLE {
 	if err != nil {
 		t.Fatalf("gzip stream: %v", err)
 	}
-	r := tle.NewReader(bytes.NewReader(text))
-	var sets []*tle.TLE
-	for {
-		s, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets = append(sets, s)
-	}
-	if r.Skipped() > 0 {
-		t.Fatalf("%d unreadable records in\n%s", r.Skipped(), text)
+	sets, err := tle.ReadAll(bytes.NewReader(text))
+	if err != nil {
+		t.Fatalf("%v in\n%s", err, text)
 	}
 	return sets
 }

@@ -536,7 +536,7 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := r.URL.Query().Get("FORMAT")
-	if format != "" && format != "tle" && format != "3le" && format != "json" {
+	if format != "" && format != "tle" && format != "3le" {
 		http.Error(w, fmt.Sprintf("unsupported FORMAT %q", format), http.StatusBadRequest)
 		return
 	}
@@ -563,19 +563,6 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	read := tr.Start("catalog_read")
 	sets := s.archive.GroupLatest(group, s.Now())
 	read.End()
-	if format == "json" {
-		// Space-Track's OMM JSON shape.
-		w.Header().Set("Content-Type", "application/json")
-		defer tr.Start("gzip").End()
-		out, finish := compressed(w, r)
-		if err := tle.WriteOMM(out, sets); err != nil {
-			return
-		}
-		if err := finish(); err != nil {
-			return
-		}
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	defer tr.Start("gzip").End()
 	out, finish := compressed(w, r)
@@ -594,11 +581,15 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleHistory serves the Space-Track-style windowed history. The text
-// window is encoded as the archive walks it, through writeLines' one
+// handleHistory serves the Space-Track-style windowed history as 2LE text.
+// The window is encoded as the archive walks it, through writeLines' one
 // buffer, so a bulk window never materializes server-side.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	if format := q.Get("format"); format != "" && format != "tle" {
+		http.Error(w, fmt.Sprintf("unsupported format %q", format), http.StatusBadRequest)
+		return
+	}
 	catalog, err := strconv.Atoi(q.Get("catalog"))
 	if err != nil {
 		http.Error(w, "bad catalog", http.StatusBadRequest)
@@ -621,30 +612,8 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	walk := func(yield func(*tle.TLE) error) error {
 		return s.archive.HistoryEach(catalog, from, to, yield)
 	}
-	tr := obs.TracerFrom(r.Context())
-	if q.Get("format") == "json" {
-		read := tr.Start("catalog_read")
-		var sets []*tle.TLE
-		// The walk over the catalog's immutable state cannot fail, and
-		// this yield never errors.
-		_ = walk(func(t *tle.TLE) error {
-			sets = append(sets, t)
-			return nil
-		})
-		read.End()
-		w.Header().Set("Content-Type", "application/json")
-		defer tr.Start("gzip").End()
-		out, finish := compressed(w, r)
-		if err := tle.WriteOMM(out, sets); err != nil {
-			return
-		}
-		if err := finish(); err != nil {
-			return
-		}
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	defer tr.Start("catalog_read").End()
+	defer obs.TracerFrom(r.Context()).Start("catalog_read").End()
 	out, finish := compressed(w, r)
 	if err := writeLines(out, walk); err != nil {
 		return
@@ -682,21 +651,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading ingest body: "+err.Error(), code)
 		return
 	}
-	reader := tle.NewReader(bytes.NewReader(body))
-	var sets []*tle.TLE
-	for {
-		t, err := reader.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			http.Error(w, "unparseable element set: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		sets = append(sets, t)
-	}
-	if reader.Skipped() > 0 {
-		http.Error(w, fmt.Sprintf("%d unparseable element sets", reader.Skipped()), http.StatusBadRequest)
+	sets, err := tle.ReadAll(bytes.NewReader(body))
+	if err != nil {
+		http.Error(w, "unparseable element set: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	// The parser accepts some sets the server cannot serve back: the

@@ -157,6 +157,8 @@ func TestServerBadRequests(t *testing.T) {
 	cases := []string{
 		"/NORAD/elements/gp.php",                           // missing GROUP
 		"/NORAD/elements/gp.php?GROUP=starlink&FORMAT=xml", // bad format
+		"/NORAD/elements/gp.php?GROUP=starlink&FORMAT=json",
+		"/history?catalog=44713&format=json",
 		"/history?catalog=abc",
 		"/history?catalog=44713&from=not-a-time",
 		"/history?catalog=44713&from=2023-02-01T00:00:00Z&to=2023-01-01T00:00:00Z",
@@ -427,47 +429,6 @@ func TestArchiveGroupLatestRespectsTime(t *testing.T) {
 		t.Fatalf("pre-launch latest = %d sets", len(got))
 	}
 	_ = res
-}
-
-func TestJSONFormatRoundTrip(t *testing.T) {
-	_, _, client := newTestServer(t, 20)
-	client.UseJSON = true
-	ctx := context.Background()
-	sets, err := client.FetchGroup(ctx, "starlink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 20 {
-		t.Fatalf("JSON group fetch = %d sets", len(sets))
-	}
-	if sets[0].Name == "" {
-		t.Error("OMM lost the object name")
-	}
-	history, err := client.FetchHistory(ctx, sets[0].CatalogNumber, stStart, stStart.Add(20*24*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(history) == 0 {
-		t.Fatal("JSON history empty")
-	}
-	// The JSON and text paths must agree.
-	client.UseJSON = false
-	textHistory, err := client.FetchHistory(ctx, sets[0].CatalogNumber, stStart, stStart.Add(20*24*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(history) != len(textHistory) {
-		t.Fatalf("JSON history = %d sets, text = %d", len(history), len(textHistory))
-	}
-	for i := range history {
-		if history[i].CatalogNumber != textHistory[i].CatalogNumber {
-			t.Fatalf("set %d catalog mismatch", i)
-		}
-		// Text TLE epochs round through the YYDDD.frac field; agree to ms.
-		if d := history[i].Epoch.Sub(textHistory[i].Epoch); d > time.Millisecond || d < -time.Millisecond {
-			t.Fatalf("set %d epoch mismatch: %v", i, d)
-		}
-	}
 }
 
 func TestFetchHistoriesBulk(t *testing.T) {

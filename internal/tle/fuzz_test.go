@@ -144,16 +144,23 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReader feeds arbitrary text through the stream reader: it
-// must terminate without panicking regardless of input shape.
+// FuzzReader feeds arbitrary text through the stream reader, which must
+// fail closed: an error never comes with sets, and input that is not all
+// blank reads either as at least one set or as an error, never as an empty
+// archive.
 func FuzzReader(f *testing.F) {
+	badChecksum := issLine2[:68] + strconv.Itoa((Checksum(issLine2)+1)%10)
 	f.Add("STARLINK-1\n" + issLine1 + "\n" + issLine2 + "\n")
 	f.Add("garbage\nmore garbage\n1 partial")
 	f.Add("")
+	f.Add(issLine1 + "\n" + issLine2 + "\n" + issLine1 + "\n" + badChecksum + "\n" + issLine1 + "\n" + issLine2 + "\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		sets, err := ReadAll(strings.NewReader(input))
-		if err != nil && sets == nil && len(input) == 0 {
-			t.Fatalf("empty input errored: %v", err)
+		if err != nil && len(sets) > 0 {
+			t.Fatalf("error %v came with %d sets", err, len(sets))
+		}
+		if err == nil && len(sets) == 0 && strings.TrimSpace(input) != "" {
+			t.Fatalf("non-blank input %q read as no sets and no error", input)
 		}
 	})
 }

@@ -2,98 +2,67 @@ package tle
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
 )
 
-// Reader streams element sets from 2LE or 3LE (name line + two element
-// lines) text, the formats CelesTrak and Space-Track serve.
-type Reader struct {
-	s       *bufio.Scanner
-	pending string // a lookahead line not yet consumed
-	skipped int
-}
+// maxLine bounds one line of TLE text. An element line is 69 columns; a
+// longer line is corruption, not a record.
+const maxLine = 1024
 
-// NewReader wraps r in a TLE stream reader.
-func NewReader(r io.Reader) *Reader {
+// ReadAll reads every element set of a 2LE or 3LE stream (a name line before
+// the two element lines), the formats CelesTrak and Space-Track serve,
+// skipping blank lines. It fails closed: a record that does not parse, a
+// stream that ends inside a record (io.ErrUnexpectedEOF) or an over-long
+// line fails the whole read, with no sets and an error naming the record's
+// first line, so a damaged stream can never pass for a shorter one.
+func ReadAll(r io.Reader) ([]*TLE, error) {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 256), 1024)
-	return &Reader{s: s}
-}
-
-// Skipped reports how many malformed records were skipped.
-func (r *Reader) Skipped() int { return r.skipped }
-
-func (r *Reader) next() (string, bool) {
-	if r.pending != "" {
-		l := r.pending
-		r.pending = ""
-		return l, true
-	}
-	for r.s.Scan() {
-		l := strings.TrimRight(r.s.Text(), "\r\n")
+	s.Buffer(make([]byte, 0, 256), maxLine)
+	var (
+		sets  []*TLE
+		rec   []string // the non-blank lines of the record being read
+		first int      // the line number of rec[0]
+		line  int
+	)
+	for s.Scan() {
+		line++
+		l := s.Text()
 		if strings.TrimSpace(l) == "" {
 			continue
 		}
-		return l, true
-	}
-	return "", false
-}
-
-// Read returns the next element set, or io.EOF at end of stream.
-func (r *Reader) Read() (*TLE, error) {
-	for {
-		l, ok := r.next()
-		if !ok {
-			if err := r.s.Err(); err != nil {
-				return nil, err
-			}
-			return nil, io.EOF
+		if len(rec) == 0 {
+			first = line
 		}
-		name := ""
-		if !strings.HasPrefix(l, "1 ") {
-			// 3LE name line.
-			name = strings.TrimSpace(strings.TrimPrefix(l, "0 "))
-			l, ok = r.next()
-			if !ok {
-				r.skipped++
-				return nil, io.EOF
-			}
-		}
-		l2, ok := r.next()
-		if !ok {
-			r.skipped++
-			return nil, io.EOF
-		}
-		t, err := Parse(l, l2)
-		if err != nil {
-			r.skipped++
-			// The second line may actually start the next record.
-			if strings.HasPrefix(l2, "1 ") {
-				r.pending = l2
-			}
+		rec = append(rec, l)
+		// A record ends at its second element line: its second line, or
+		// its third after a name line.
+		if len(rec) < 2 || len(rec) == 2 && !strings.HasPrefix(rec[0], "1 ") {
 			continue
 		}
-		t.Name = name
-		return t, nil
-	}
-}
-
-// ReadAll consumes the stream and returns every element set.
-func ReadAll(rd io.Reader) ([]*TLE, error) {
-	r := NewReader(rd)
-	var out []*TLE
-	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
+		t, err := Parse(rec[len(rec)-2], rec[len(rec)-1])
 		if err != nil {
-			return out, err
+			return nil, fmt.Errorf("tle: record at line %d: %w", first, err)
 		}
-		out = append(out, t)
+		if len(rec) == 3 {
+			t.Name = strings.TrimSpace(strings.TrimPrefix(rec[0], "0 "))
+		}
+		sets = append(sets, t)
+		rec = rec[:0]
 	}
+	err := s.Err()
+	if err == nil && len(rec) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		if len(rec) == 0 {
+			first = line + 1
+		}
+		return nil, fmt.Errorf("tle: record at line %d: %w", first, err)
+	}
+	return sets, nil
 }
 
 // writeChunk is how much encoded text Write gathers before handing it to w.

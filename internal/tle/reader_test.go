@@ -1,7 +1,9 @@
 package tle
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -91,29 +93,26 @@ func TestReaderSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestReaderSkipsCorruptRecordsNonStrict(t *testing.T) {
+func TestReaderRejectsCorruptRecord(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(mustFormat(t, sampleTLE(44713, epoch0, 15.05)))
 	buf.WriteString("1 GARBAGE LINE THAT IS NOT A TLE AT ALL\n")
 	buf.WriteString(mustFormat(t, sampleTLE(44714, epoch0, 15.05)))
 
-	r := NewReader(&buf)
-	var sets []*TLE
-	for {
-		tl, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Read: %v", err)
-		}
-		sets = append(sets, tl)
+	sets, err := ReadAll(&buf)
+	if err == nil || len(sets) != 0 {
+		t.Fatalf("read %d sets, err %v; want none and an error", len(sets), err)
 	}
-	if len(sets) != 2 {
-		t.Fatalf("parsed %d sets, want 2 (corrupt one skipped)", len(sets))
+	if !strings.Contains(err.Error(), "line 3:") {
+		t.Errorf("err = %v, want it to name line 3", err)
 	}
-	if r.Skipped() == 0 {
-		t.Error("Skipped() = 0, want > 0")
+}
+
+func TestReaderRejectsOverlongLine(t *testing.T) {
+	good := mustFormat(t, sampleTLE(44713, epoch0, 15.05))
+	sets, err := ReadAll(strings.NewReader(good + strings.Repeat("X", 2*maxLine) + "\n" + good))
+	if !errors.Is(err, bufio.ErrTooLong) || len(sets) != 0 || !strings.Contains(err.Error(), "line 3:") {
+		t.Fatalf("over-long line read %d sets, err %v; want none and bufio.ErrTooLong at line 3", len(sets), err)
 	}
 }
 
@@ -122,12 +121,9 @@ func TestReaderTruncatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(strings.NewReader(l1 + "\n"))
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("truncated err = %v, want EOF", err)
-	}
-	if r.Skipped() != 1 {
-		t.Errorf("Skipped() = %d, want 1", r.Skipped())
+	sets, err := ReadAll(strings.NewReader(mustFormat(t, sampleTLE(44714, epoch0, 15.05)) + l1 + "\n"))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || len(sets) != 0 {
+		t.Fatalf("truncated stream read %d sets, err %v; want none and io.ErrUnexpectedEOF", len(sets), err)
 	}
 }
 

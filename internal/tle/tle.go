@@ -47,18 +47,6 @@ type TLE struct {
 // paper's decay analysis is built on.
 func (t *TLE) Altitude() units.Kilometers { return orbit.AltitudeFromMeanMotion(t.MeanMotion) }
 
-// Elements extracts the six Keplerian elements.
-func (t *TLE) Elements() orbit.Elements {
-	return orbit.Elements{
-		Eccentricity: t.Eccentricity,
-		MeanMotion:   t.MeanMotion,
-		Inclination:  t.Inclination,
-		RAAN:         t.RAAN,
-		ArgPerigee:   t.ArgPerigee,
-		MeanAnomaly:  t.MeanAnomaly,
-	}
-}
-
 // ParseError describes a malformed TLE line.
 type ParseError struct {
 	Line   int // 1 or 2

@@ -314,21 +314,6 @@ func TestStringIncludesName(t *testing.T) {
 	}
 }
 
-func TestElementsExtraction(t *testing.T) {
-	tl, err := Parse(issLine1, issLine2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := tl.Elements()
-	if e.MeanMotion != tl.MeanMotion || e.Inclination != tl.Inclination ||
-		e.Eccentricity != tl.Eccentricity || e.RAAN != tl.RAAN {
-		t.Errorf("Elements() = %+v", e)
-	}
-	if err := e.Validate(); err != nil {
-		t.Errorf("ISS elements invalid: %v", err)
-	}
-}
-
 func TestParseErrorMessage(t *testing.T) {
 	e := &ParseError{Line: 2, Column: 27, Msg: "boom"}
 	if !strings.Contains(e.Error(), "line 2 col 27") {

@@ -14,32 +14,36 @@
 #   5. the artifact-cache identity gate: the same analyze run, cold then
 #      warm over one cache dir, must print byte-identical output (a cache
 #      hit is the cold build, bit for bit),
-#   6. the examples: stormwatch, and liveingest against a tracking service
+#   6. the -tles input end to end: `analyze -tles` on tlegen's 3LE output
+#      must count one observation per set written, and the same file with
+#      one checksum digit flipped must fail the run (the reader fails
+#      closed, so a damaged archive never passes for a shorter one),
+#   7. the examples: stormwatch, and liveingest against a tracking service
 #      degraded by a fault schedule, each built and run to completion,
-#   7. the spaceload determinism gate: the closed-loop load harness, run
+#   8. the spaceload determinism gate: the closed-loop load harness, run
 #      twice with one seed/mix/fault schedule, must emit byte-identical
 #      reports (a report diff is a behaviour change, never noise),
-#   8. the telemetry-overhead gate: the instrumented hot paths — the group
+#   9. the telemetry-overhead gate: the instrumented hot paths — the group
 #      serving path with tracing, flight recorder and SLO accounting
 #      enabled included — may cost at most 2% more than a
 #      COSMICDANCE_OBS=off run (the short tier smoke-runs the serving
 #      quartet; the long tier enforces the bound),
-#   9. the chunk-equivalence gate: a 30k-satellite chunked run must print
+#  10. the chunk-equivalence gate: a 30k-satellite chunked run must print
 #      byte-identical reports at two different chunk sizes and through the
 #      disk cache, cold and warm (the scale-out refactor may not change a
 #      single output bit),
-#  10. the flat-RSS gate: a 100k-satellite run at chunk width 2 must peak
+#  11. the flat-RSS gate: a 100k-satellite run at chunk width 2 must peak
 #      under 64 MiB of resident memory — the streaming pipeline holds
 #      O(chunk × width), not O(fleet); the width is pinned so the verdict
 #      does not depend on the machine's core count,
-#  11. the benchdiff gate against the pinned BENCH_PR9.json baseline,
+#  12. the benchdiff gate against the pinned BENCH_PR9.json baseline,
 #      including the O(delta) ratio: one incremental append must stay
 #      under 1% of a cold rebuild at 100k satellites,
-#  12. the benchmark module (bench/, its own go.mod): vet plus its tests,
+#  13. the benchmark module (bench/, its own go.mod): vet plus its tests,
 #      which compile it against obs, spacetrack, artifact and
 #      constellation — the root `go test ./...` never reaches it (the
 #      short tier skips its end-to-end smoke run),
-#  13. every fuzz target, seeds + 10s of new coverage each (scripts/fuzz.sh
+#  14. every fuzz target, seeds + 10s of new coverage each (scripts/fuzz.sh
 #      finds them in the code).
 #
 # Pass -short as $1 to run the fast tier (skips the year-long substrate
@@ -81,13 +85,31 @@ echo "== warm cache equals cold build (analyze output must be bit-identical)"
 cachedir="$(mktemp -d -t cosmicdance-cache.XXXXXX)"
 cold="$(mktemp -t cosmicdance-cold.XXXXXX)"
 warm="$(mktemp -t cosmicdance-warm.XXXXXX)"
-trap 'rm -rf "$cachedir" "$cold" "$warm"' EXIT
+tles="$(mktemp -t cosmicdance-tles.XXXXXX)"
+tles_bad="$(mktemp -t cosmicdance-tles-bad.XXXXXX)"
+trap 'rm -rf "$cachedir" "$cold" "$warm" "$tles" "$tles_bad"' EXIT
 go run ./cmd/cosmicdance analyze -scenario may2024 -fleet small -cache "$cachedir" > "$cold"
 go run ./cmd/cosmicdance analyze -scenario may2024 -fleet small -cache "$cachedir" > "$warm"
 cmp "$cold" "$warm" || {
     echo "verify: warm-cache analyze output differs from the cold build" >&2
     exit 1
 }
+
+echo "== -tles end to end (one observation per set tlegen wrote; one flipped checksum digit fails the run)"
+go run ./cmd/tlegen -fleet small -names -out "$tles" 2> /dev/null
+sets=$(( $(wc -l < "$tles") / 3 ))
+observations="$(go run ./cmd/cosmicdance analyze -tles "$tles" 2> /dev/null | awk '$1 == "observations:" { print $2 }')"
+[ "$sets" -gt 0 ] && [ "$observations" = "$sets" ] || {
+    echo "verify: analyze -tles counted ${observations:-no} observations from $sets sets" >&2
+    exit 1
+}
+# Line 3 is the first record's second element line; its column 69 is the
+# checksum digit.
+awk 'NR == 3 { $0 = substr($0, 1, 68) ((substr($0, 69, 1) + 1) % 10) } { print }' "$tles" > "$tles_bad"
+if go run ./cmd/cosmicdance analyze -tles "$tles_bad" > /dev/null 2>&1; then
+    echo "verify: analyze -tles accepted a file with a flipped checksum digit" >&2
+    exit 1
+fi
 
 echo "== examples run to completion (stormwatch; liveingest under faults)"
 go run ./examples/stormwatch > /dev/null
@@ -108,7 +130,7 @@ if [ -z "$SHORT" ]; then
     echo "== spaceload determinism (same seed/mix/schedule -> identical report bytes)"
     load_a="$(mktemp -t cosmicdance-load-a.XXXXXX)"
     load_b="$(mktemp -t cosmicdance-load-b.XXXXXX)"
-    trap 'rm -rf "$cachedir" "$cold" "$warm" "$load_a" "$load_b"' EXIT
+    trap 'rm -rf "$cachedir" "$cold" "$warm" "$tles" "$tles_bad" "$load_a" "$load_b"' EXIT
     LOAD_ARGS="-seed 42 -duration 10m -days 10 -faults 429:1/31,reset:1/37"
     go run ./cmd/spaceload $LOAD_ARGS -o "$load_a"
     go run ./cmd/spaceload $LOAD_ARGS -o "$load_b"
@@ -127,7 +149,7 @@ if [ -z "$SHORT" ]; then
     scale_d="$(mktemp -t cosmicdance-scale-d.XXXXXX)"
     scale_cache="$(mktemp -d -t cosmicdance-scale-cache.XXXXXX)"
     scale_rss="$(mktemp -t cosmicdance-scale-rss.XXXXXX)"
-    trap 'rm -rf "$cachedir" "$cold" "$warm" "$load_a" "$load_b" "$scale_a" "$scale_b" "$scale_c" "$scale_d" "$scale_cache" "$scale_rss"' EXIT
+    trap 'rm -rf "$cachedir" "$cold" "$warm" "$tles" "$tles_bad" "$load_a" "$load_b" "$scale_a" "$scale_b" "$scale_c" "$scale_d" "$scale_cache" "$scale_rss"' EXIT
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 4096 > "$scale_a" 2> /dev/null
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 2048 > "$scale_b" 2> /dev/null
     go run ./cmd/cosmicdance scale -sats 30000 -days 2 -seed 42 -chunk 4096 -cache "$scale_cache" > "$scale_c" 2> /dev/null
