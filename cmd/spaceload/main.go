@@ -1,5 +1,5 @@
 // Command spaceload is a deterministic closed-loop load generator for the
-// spacetrack serving plane. It drives the real server handler — COW catalog,
+// spacetrack serving plane. It drives the real server handler — catalog,
 // admission control, conditional fetches, gzip, live ingest — with a seeded
 // client mix on a virtual clock, entirely in process: no sockets, no wall
 // time, no goroutines. Two invocations with the same seed, mix and fault

@@ -23,8 +23,8 @@
 //	            [-slo SPEC] [-flight-ring N] [-flight-dump FILE] [-burst-threshold N]
 //	            [-pprof] [-metrics-json FILE]
 //
-// The archive is served through a sharded copy-on-write catalog, so /ingest
-// merges live element sets without ever blocking concurrent readers. -rate
+// The archive is served through a spacetrack.Catalog, so /ingest merges
+// live element sets over it, each batch visible to readers whole. -rate
 // throttles each client (X-Client-Id header or peer host) with 429s;
 // -capacity and -max-inflight shed aggregate overload with 503s. Both
 // rejections carry a Retry-After computed from the actual limiter state.
@@ -153,8 +153,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	// The COW catalog layers live ingest over the immutable simulation
-	// archive: readers never block on writes.
+	// The catalog layers live ingest over the immutable simulation archive.
 	end := res.Start.Add(time.Duration(res.Hours) * time.Hour)
 	catalog := spacetrack.NewCatalog(spacetrack.NewResultArchive("starlink", res), end)
 	srv := spacetrack.NewServer(catalog, end)

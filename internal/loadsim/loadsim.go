@@ -138,7 +138,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// The backing archive: the same deterministic constellation run the
-	// daemon serves, wrapped in the COW catalog so ingest works.
+	// daemon serves, wrapped in a Catalog so ingest works.
 	start := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 	ccfg := constellation.DefaultConfig()
 	ccfg.Start = start

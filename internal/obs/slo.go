@@ -179,9 +179,10 @@ func (w *sloWindow) prune(now time.Time) {
 	for i < len(w.samples) && !w.samples[i].at.After(cut) {
 		i++
 	}
-	if i > 0 {
-		w.samples = append(w.samples[:0], w.samples[i:]...)
-	}
+	// Reslice rather than copy the live tail down: a full window expires a
+	// sample on nearly every Record, and the copy ran under the tracker's
+	// lock. append reallocates from the live tail once capacity runs out.
+	w.samples = w.samples[i:]
 }
 
 // Report evaluates every objective against its current window and returns

@@ -1,6 +1,9 @@
 package obs_test
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -182,4 +185,104 @@ func TestSLOTrackerRejectsBadObjectives(t *testing.T) {
 		}
 	}()
 	obs.NewSLOTracker(nil, obs.DefaultObjectives(), nil)
+}
+
+// TestSLOReportMatchesNaiveWindow records a seeded mix of latencies and
+// failures across several windows, on a test clock that sometimes stands
+// still and sometimes jumps past a whole window, and compares every Report
+// field with a recomputation over the recorded samples inside the window.
+func TestSLOReportMatchesNaiveWindow(t *testing.T) {
+	obj := obs.Objective{Endpoint: "group", Availability: 0.99, LatencyP99Ms: 50, Window: time.Minute}
+	clock := testkit.NewClock(time.Unix(0, 0).UTC())
+	tr := obs.NewSLOTracker(nil, []obs.Objective{obj}, clock.Now)
+	type sample struct {
+		at     time.Time
+		ms     float64
+		failed bool
+	}
+	var all []sample
+	rng := rand.New(rand.NewSource(7))
+	check := func() {
+		t.Helper()
+		now := clock.Now()
+		want := obs.SLOResult{Endpoint: obj.Endpoint, P99TargetMs: obj.LatencyP99Ms}
+		var lats []float64
+		errs := 0
+		for _, s := range all {
+			want.Ops++
+			if s.failed {
+				want.Errors++
+			}
+			if s.at.After(now.Add(-obj.Window)) {
+				lats = append(lats, s.ms)
+				if s.failed {
+					errs++
+				}
+			}
+		}
+		nearestRank := func(p float64) float64 {
+			return lats[max(1, min(len(lats), int(math.Ceil(p*float64(len(lats))))))-1]
+		}
+		round := func(v float64) float64 { return math.Round(v*1000) / 1000 }
+		if n := len(lats); n > 0 {
+			sort.Float64s(lats)
+			rate := float64(errs) / float64(n)
+			want.ErrorRate = round(rate)
+			want.BurnRate = round(rate / (1 - obj.Availability))
+			want.P50Ms = round(nearestRank(0.50))
+			want.P99Ms = round(nearestRank(0.99))
+		}
+		want.AvailabilityPass = want.BurnRate <= 1
+		want.LatencyPass = want.P99Ms <= obj.LatencyP99Ms
+		want.Verdict = "fail"
+		if want.AvailabilityPass && want.LatencyPass {
+			want.Verdict = "pass"
+		}
+		if got := tr.Report(); len(got) != 1 || got[0] != want {
+			t.Fatalf("after %d samples at %v: Report = %+v, want %+v", len(all), now, got, want)
+		}
+	}
+	windows := 0
+	for i := 0; i < 20000; i++ {
+		switch r := rng.Intn(1000); {
+		case r == 0:
+			clock.Advance(obj.Window + time.Duration(rng.Intn(1000))*time.Millisecond)
+			windows++
+		case r < 100:
+			// The clock stands still: several samples share an instant.
+		default:
+			clock.Advance(time.Duration(rng.Intn(40)) * time.Millisecond)
+		}
+		latency := time.Duration(rng.ExpFloat64() * float64(15*time.Millisecond))
+		failed := rng.Intn(100) < 2
+		tr.Record(obj.Endpoint, latency, failed)
+		all = append(all, sample{clock.Now(), float64(latency) / float64(time.Millisecond), failed})
+		if i%97 == 0 {
+			check()
+		}
+	}
+	check()
+	clock.Advance(obj.Window) // every sample expires
+	check()
+	if span := clock.Now().Sub(time.Unix(0, 0)); span < 5*obj.Window || windows == 0 {
+		t.Fatalf("the run spanned %v with %d jumps, want several windows", span, windows)
+	}
+}
+
+// BenchmarkSLORecordFullWindow times Record once the default 5-minute
+// window is full: 300,000 samples at 1 ms spacing, so every Record expires
+// one sample.
+func BenchmarkSLORecordFullWindow(b *testing.B) {
+	clock := testkit.NewClock(time.Unix(0, 0).UTC())
+	tr := obs.NewSLOTracker(nil, obs.DefaultObjectives(), clock.Now)
+	for i := 0; i < 300000; i++ {
+		clock.Advance(time.Millisecond)
+		tr.Record("group", 10*time.Millisecond, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clock.Advance(time.Millisecond)
+		tr.Record("group", 10*time.Millisecond, false)
+	}
 }

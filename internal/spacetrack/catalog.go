@@ -1,9 +1,9 @@
 package spacetrack
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cosmicdance/internal/obs"
@@ -19,150 +19,117 @@ var (
 	metricCatalogDupes   = obs.Default().Counter("spacetrack_catalog_sets_duplicate_total")
 )
 
-// catalogShards is the number of copy-on-write shards a Catalog spreads its
-// delta over. Sixteen keeps the per-swap clone small (one sixteenth of the
-// live objects) while staying far below the point where the group index
-// becomes the bottleneck.
-const catalogShards = 16
-
 // Catalog is the daemon's serving-grade data plane: an immutable base
-// archive (the simulation result the daemon booted from) overlaid with
-// live-ingested element sets held in copy-on-write shards indexed by
-// (catalog, epoch).
+// archive (the simulation result the daemon booted from) overlaid with a
+// delta of live-ingested element sets indexed by (catalog, epoch).
 //
-// Reads never block ingest and ingest never blocks reads: readers load one
-// atomic pointer per shard and walk immutable state, while the single
-// writer clones only the touched shard's index, merges, and swaps the
-// pointer. A reader that raced the swap simply serves the previous,
-// fully-consistent state.
+// One RWMutex guards the delta and the group index. Ingest applies a whole
+// batch under the write lock, so a reader sees a batch entirely or not at
+// all. Readers copy out what they need under the read lock and merge it
+// with the base, which is immutable and read without the lock, after
+// releasing it.
 type Catalog struct {
-	base   *ResultArchive
-	shards [catalogShards]atomic.Pointer[shardState]
-	groups atomic.Pointer[groupState]
+	base *ResultArchive
 
-	// mu serializes writers (Ingest); readers take no locks.
-	mu sync.Mutex
-}
-
-// shardState is one shard's immutable delta index. series maps catalog
-// number to that object's ingested element sets, ascending by epoch and
-// deduplicated by (catalog, epoch).
-type shardState struct {
-	series map[int][]*tle.TLE
-}
-
-// groupState is the immutable group index over the delta.
-type groupState struct {
-	byName map[string]*groupMeta
-	names  []string // sorted; delta groups only
+	mu sync.RWMutex
+	// delta maps catalog number to that object's ingested element sets,
+	// ascending by epoch and deduplicated by (catalog, epoch). A series is
+	// never modified in place: a reader may still hold the old slice after
+	// unlocking, so Ingest stores a clone.
+	delta  map[int][]*tle.TLE
+	groups map[string]*groupMeta
+	sets   int // element sets held in delta
 }
 
 // groupMeta is one group's delta membership and conditional-fetch state.
 type groupMeta struct {
-	cats    []int // sorted delta catalogs
+	// cats is the sorted, distinct delta catalogs of the group. No reader
+	// keeps it after unlocking, so Ingest merges into it in place.
+	cats    []int
 	version uint64
 	lastMod time.Time
 }
 
-// NewCatalog overlays copy-on-write shards on base. baseMod stamps the base
+// NewCatalog overlays an empty delta on base. baseMod stamps the base
 // archive's last-modified instant (use the archive frontier); every group
 // starts at version 1.
 func NewCatalog(base *ResultArchive, baseMod time.Time) *Catalog {
-	c := &Catalog{base: base}
-	for i := range c.shards {
-		c.shards[i].Store(&shardState{series: map[int][]*tle.TLE{}})
-	}
-	gs := &groupState{byName: map[string]*groupMeta{}}
+	c := &Catalog{base: base, delta: map[int][]*tle.TLE{}, groups: map[string]*groupMeta{}}
 	for _, g := range base.Groups() {
-		gs.byName[g] = &groupMeta{version: 1, lastMod: baseMod}
+		c.groups[g] = &groupMeta{version: 1, lastMod: baseMod}
 	}
-	c.groups.Store(gs)
 	return c
 }
 
-// shardFor maps a catalog number onto its shard.
-func (c *Catalog) shardFor(catalog int) *atomic.Pointer[shardState] {
-	return &c.shards[uint(catalog)%catalogShards]
-}
-
 // Groups implements Archive: the base groups plus any groups created by
-// ingest, sorted and distinct.
+// ingest, sorted.
 func (c *Catalog) Groups() []string {
-	base := c.base.Groups()
-	gs := c.groups.Load()
-	out := make([]string, 0, len(base)+len(gs.names))
-	out = append(out, base...)
-	for _, g := range gs.names {
-		found := false
-		for _, b := range base {
-			if b == g {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, g)
-		}
+	c.mu.RLock()
+	out := make([]string, 0, len(c.groups))
+	for g := range c.groups {
+		out = append(out, g)
 	}
+	c.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // GroupVersion implements Archive.
 func (c *Catalog) GroupVersion(group string) (uint64, time.Time, bool) {
-	gs := c.groups.Load()
-	m, ok := gs.byName[group]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	m, ok := c.groups[group]
 	if !ok {
 		return 0, time.Time{}, false
 	}
 	return m.version, m.lastMod, true
 }
 
-// latestDelta returns the newest ingested element set of catalog with epoch
-// not after at, or nil.
-func (c *Catalog) latestDelta(catalog int, at time.Time) *tle.TLE {
-	sets := c.shardFor(catalog).Load().series[catalog]
-	i := sort.Search(len(sets), func(i int) bool { return sets[i].Epoch.After(at) })
-	if i == 0 {
+// latestDelta returns, for each delta member of group, its newest ingested
+// element set with epoch not after at, ordered by catalog number.
+func (c *Catalog) latestDelta(group string, at time.Time) []*tle.TLE {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	m := c.groups[group]
+	if m == nil || len(m.cats) == 0 {
 		return nil
 	}
-	return sets[i-1]
+	out := make([]*tle.TLE, 0, len(m.cats))
+	for _, cat := range m.cats {
+		sets := c.delta[cat]
+		if i := sort.Search(len(sets), func(i int) bool { return sets[i].Epoch.After(at) }); i > 0 {
+			out = append(out, sets[i-1])
+		}
+	}
+	return out
 }
 
 // GroupLatest implements Archive: the base's latest sets merged with the
 // delta's, the newer epoch winning per catalog, ordered by catalog number.
 func (c *Catalog) GroupLatest(group string, at time.Time) []*tle.TLE {
 	base := c.base.GroupLatest(group, at)
-	gs := c.groups.Load()
-	m := gs.byName[group]
-	if m == nil || len(m.cats) == 0 {
+	delta := c.latestDelta(group, at)
+	if len(delta) == 0 {
 		return base
 	}
-	out := make([]*tle.TLE, 0, len(base)+len(m.cats))
+	out := make([]*tle.TLE, 0, len(base)+len(delta))
 	bi := 0
-	for _, cat := range m.cats {
-		for bi < len(base) && base[bi].CatalogNumber < cat {
+	for _, d := range delta {
+		for bi < len(base) && base[bi].CatalogNumber < d.CatalogNumber {
 			out = append(out, base[bi])
 			bi++
 		}
-		d := c.latestDelta(cat, at)
-		if bi < len(base) && base[bi].CatalogNumber == cat {
+		if bi < len(base) && base[bi].CatalogNumber == d.CatalogNumber {
 			// Present in both tiers: the newer epoch wins, the delta on ties
 			// (an ingested set supersedes the boot archive's).
-			if d != nil && !d.Epoch.Before(base[bi].Epoch) {
-				out = append(out, d)
-			} else {
-				out = append(out, base[bi])
+			if d.Epoch.Before(base[bi].Epoch) {
+				d = base[bi]
 			}
 			bi++
-			continue
 		}
-		if d != nil {
-			out = append(out, d)
-		}
+		out = append(out, d)
 	}
-	out = append(out, base[bi:]...)
-	return out
+	return append(out, base[bi:]...)
 }
 
 // HistoryEach implements Archive: a two-pointer merge of the base window
@@ -170,7 +137,9 @@ func (c *Catalog) GroupLatest(group string, at time.Time) []*tle.TLE {
 // the delta winning, yielding without materializing the union.
 func (c *Catalog) HistoryEach(catalog int, from, to time.Time, yield func(*tle.TLE) error) error {
 	base := c.base.History(catalog, from, to)
-	all := c.shardFor(catalog).Load().series[catalog]
+	c.mu.RLock()
+	all := c.delta[catalog]
+	c.mu.RUnlock()
 	lo := sort.Search(len(all), func(i int) bool { return !all[i].Epoch.Before(from) })
 	hi := sort.Search(len(all), func(i int) bool { return all[i].Epoch.After(to) })
 	delta := all[lo:hi]
@@ -213,7 +182,9 @@ func (c *Catalog) HistoryEach(catalog int, from, to time.Time, yield func(*tle.T
 // time at, returning how many (catalog, epoch) pairs were new. Duplicates
 // of already-held pairs are skipped, so replaying an ingest batch is
 // idempotent. The group's version bumps (and lastMod advances) only when at
-// least one set applied, keeping conditional-fetch validators honest.
+// least one set applied, keeping conditional-fetch validators honest. The
+// batch applies under one write lock, in O(batch) plus one pass over the
+// group's membership when it gains a catalog.
 func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 	if len(sets) == 0 {
 		return 0
@@ -222,99 +193,69 @@ func (c *Catalog) Ingest(group string, sets []*tle.TLE, at time.Time) int {
 	defer c.mu.Unlock()
 	metricCatalogIngests.Inc()
 
-	// Partition the batch by shard, preserving input order within a shard.
-	byShard := make(map[uint][]*tle.TLE)
+	touched := make([]int, 0, len(sets)) // catalogs that gained a set
 	for _, t := range sets {
-		s := uint(t.CatalogNumber) % catalogShards
-		byShard[s] = append(byShard[s], t)
-	}
-	shardIDs := make([]uint, 0, len(byShard))
-	for s := range byShard {
-		shardIDs = append(shardIDs, s)
-	}
-	sort.Slice(shardIDs, func(i, j int) bool { return shardIDs[i] < shardIDs[j] })
-
-	applied := 0
-	newCats := map[int]bool{}
-	for _, sid := range shardIDs {
-		old := c.shards[sid].Load()
-		// Copy-on-write: clone the shard's index, share untouched series.
-		next := &shardState{series: make(map[int][]*tle.TLE, len(old.series)+len(byShard[sid]))}
-		for k, v := range old.series {
-			next.series[k] = v
+		cat := t.CatalogNumber
+		series := c.delta[cat]
+		i := sort.Search(len(series), func(i int) bool { return !series[i].Epoch.Before(t.Epoch) })
+		if i < len(series) && series[i].Epoch.Equal(t.Epoch) {
+			metricCatalogDupes.Inc()
+			continue
 		}
-		for _, t := range byShard[sid] {
-			cat := t.CatalogNumber
-			series := next.series[cat]
-			i := sort.Search(len(series), func(i int) bool { return !series[i].Epoch.Before(t.Epoch) })
-			if i < len(series) && series[i].Epoch.Equal(t.Epoch) {
-				metricCatalogDupes.Inc()
-				continue
-			}
-			// Clone before insert: the old slice may be shared with readers.
-			merged := make([]*tle.TLE, 0, len(series)+1)
-			merged = append(merged, series[:i]...)
-			merged = append(merged, t)
-			merged = append(merged, series[i:]...)
-			next.series[cat] = merged
-			newCats[cat] = true
-			applied++
-		}
-		c.shards[sid].Store(next)
+		merged := make([]*tle.TLE, 0, len(series)+1)
+		merged = append(merged, series[:i]...)
+		merged = append(merged, t)
+		c.delta[cat] = append(merged, series[i:]...)
+		touched = append(touched, cat)
 	}
+	applied := len(touched)
 	metricCatalogApplied.Add(int64(applied))
 	if applied == 0 {
 		return 0
 	}
+	c.sets += applied
 
-	// Publish the new group index: merged membership, bumped version.
-	oldGS := c.groups.Load()
-	nextGS := &groupState{byName: make(map[string]*groupMeta, len(oldGS.byName)+1)}
-	for k, v := range oldGS.byName {
-		nextGS.byName[k] = v
+	m := c.groups[group]
+	if m == nil {
+		m = &groupMeta{}
+		c.groups[group] = m
 	}
-	old := nextGS.byName[group]
-	meta := &groupMeta{version: 1, lastMod: at}
-	if old != nil {
-		meta.version = old.version + 1
-		meta.cats = old.cats
-	}
-	added := make([]int, 0, len(newCats))
-	for cat := range newCats {
-		added = append(added, cat)
-	}
-	sort.Ints(added)
-	cats := append([]int(nil), meta.cats...)
-	for _, cat := range added {
-		i := sort.SearchInts(cats, cat)
-		if i < len(cats) && cats[i] == cat {
-			continue
-		}
-		cats = append(cats, 0)
-		copy(cats[i+1:], cats[i:])
-		cats[i] = cat
-	}
-	meta.cats = cats
-	nextGS.byName[group] = meta
-	names := make([]string, 0, len(nextGS.byName))
-	for name := range nextGS.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	nextGS.names = names
-	c.groups.Store(nextGS)
+	m.version++
+	m.lastMod = at
+	m.cats = mergeCatalogs(m.cats, touched)
 	return applied
 }
 
-// DeltaSets reports how many ingested element sets the delta currently
-// holds, summed across shards — a cheap consistency probe for tests and the
-// load harness ("zero dropped ingests").
-func (c *Catalog) DeltaSets() int {
-	n := 0
-	for i := range c.shards {
-		for _, series := range c.shards[i].Load().series {
-			n += len(series)
+// mergeCatalogs merges the catalogs of add that cats lacks into cats, which
+// is sorted and distinct, and returns it. It sorts add in place and fills
+// cats from the back, so each member moves at most once.
+func mergeCatalogs(cats, add []int) []int {
+	sort.Ints(add)
+	fresh := add[:0]
+	for _, cat := range add {
+		if _, held := slices.BinarySearch(cats, cat); !held && (len(fresh) == 0 || fresh[len(fresh)-1] != cat) {
+			fresh = append(fresh, cat)
 		}
 	}
-	return n
+	n := len(cats)
+	cats = slices.Grow(cats, len(fresh))[:n+len(fresh)]
+	for i, j, k := n-1, len(fresh)-1, len(cats)-1; j >= 0; k-- {
+		if i >= 0 && cats[i] > fresh[j] {
+			cats[k] = cats[i]
+			i--
+		} else {
+			cats[k] = fresh[j]
+			j--
+		}
+	}
+	return cats
+}
+
+// DeltaSets reports how many ingested element sets the delta holds — a
+// cheap consistency probe for tests and the load harness ("zero dropped
+// ingests").
+func (c *Catalog) DeltaSets() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.sets
 }

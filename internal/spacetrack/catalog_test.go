@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,12 +196,12 @@ func TestCatalogHistoryEachMatchesHistory(t *testing.T) {
 	}
 }
 
-// TestCatalogCOWRaceStress is the serving-plane race gate: bulk readers
+// TestCatalogRaceStress is the serving-plane race gate: bulk readers
 // hammer GroupLatest and HistoryEach while a writer live-ingests, all under
 // the race detector. Readers must always observe a fully consistent state —
 // ordered groups, ascending histories — and the writer must never lose a
 // set. A goroutine-count check mirrors the internal/parallel leak tests.
-func TestCatalogCOWRaceStress(t *testing.T) {
+func TestCatalogRaceStress(t *testing.T) {
 	archive, _, end := buildArchive(t, 10)
 	cat := NewCatalog(archive, end)
 	template := archive.GroupLatest("starlink", end)[0]
@@ -274,4 +275,171 @@ func TestCatalogCOWRaceStress(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("goroutine leak: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestCatalogMembershipMerge ingests new catalogs out of order, repeated
+// within a batch and interleaved with held members: GroupLatest must list
+// every member once, ascending.
+func TestCatalogMembershipMerge(t *testing.T) {
+	archive, _, end := buildArchive(t, 1)
+	cat := NewCatalog(archive, end)
+	template := archive.GroupLatest("starlink", end)[0]
+	ingest := func(cats ...int) {
+		batch := make([]*tle.TLE, len(cats))
+		for i, c := range cats {
+			batch[i] = cloneSet(template, c, end.Add(-time.Duration(i+1)*time.Minute))
+		}
+		cat.Ingest("oneweb", batch, end)
+	}
+	ingest(70040, 70020)
+	ingest(70050, 70010, 70030, 70010, 70020, 70060)
+	var got []int
+	for _, s := range cat.GroupLatest("oneweb", end) {
+		got = append(got, s.CatalogNumber)
+	}
+	if want := "[70010 70020 70030 70040 70050 70060]"; fmt.Sprint(got) != want {
+		t.Fatalf("oneweb members = %v, want %s", got, want)
+	}
+}
+
+// TestCatalogBatchVisibleWhole pins whole-batch visibility: while a writer
+// gives two delta catalogs the same new epoch in each of 3,000 batches, two
+// readers polling GroupLatest must never see one catalog's new epoch beside
+// the other's old one.
+func TestCatalogBatchVisibleWhole(t *testing.T) {
+	archive, _, end := buildArchive(t, 2)
+	cat := NewCatalog(archive, end)
+	template := archive.GroupLatest("starlink", end)[0]
+	pair := func(epoch time.Time) []*tle.TLE {
+		return []*tle.TLE{cloneSet(template, 90000, epoch), cloneSet(template, 90001, epoch)}
+	}
+	cat.Ingest("starlink", pair(end), end)
+
+	const readers, batches = 2, 3000
+	at := end.Add(batches * time.Minute) // no batch's epoch is after it
+	stop := make(chan struct{})
+	var wg, started sync.WaitGroup
+	var reads, torn atomic.Int64
+	started.Add(readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for first := true; ; first = false {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var epochs []time.Time
+				for _, s := range cat.GroupLatest("starlink", at) {
+					if s.CatalogNumber == 90000 || s.CatalogNumber == 90001 {
+						epochs = append(epochs, s.Epoch)
+					}
+				}
+				reads.Add(1)
+				if len(epochs) != 2 || !epochs[0].Equal(epochs[1]) {
+					torn.Add(1)
+				}
+				if first {
+					started.Done()
+				}
+			}
+		}()
+	}
+	started.Wait() // both readers are reading before the first batch
+	for b := 1; b <= batches; b++ {
+		cat.Ingest("starlink", pair(end.Add(time.Duration(b)*time.Minute)), end)
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d reads during %d batches", reads.Load(), batches)
+	if torn.Load() > 0 {
+		t.Fatalf("%d of %d reads saw half a batch", torn.Load(), reads.Load())
+	}
+}
+
+// deltaBase numbers the delta-only catalogs of the ingest gate and
+// benchmark, above the test fleets' base catalogs.
+const deltaBase = 60000
+
+// warmDelta ingests batches of ten new catalogs each, numbered from
+// deltaBase, and returns how many catalogs it added.
+func warmDelta(c *Catalog, template *tle.TLE, at time.Time, batches int) int {
+	held := 0
+	for b := 0; b < batches; b++ {
+		batch := make([]*tle.TLE, 10)
+		for k := range batch {
+			batch[k] = cloneSet(template, deltaBase+held, at)
+			held++
+		}
+		c.Ingest("starlink", batch, at)
+	}
+	return held
+}
+
+// liveBatch is batch i in live-ingest's shape on a delta of held catalogs:
+// one new catalog numbered after them and nine refreshes of held ones, all
+// at an epoch i+1 minutes after at.
+func liveBatch(template *tle.TLE, held, i int, at time.Time) []*tle.TLE {
+	epoch := at.Add(time.Duration(i+1) * time.Minute)
+	batch := []*tle.TLE{cloneSet(template, deltaBase+held+i, epoch)}
+	for k := 0; k < 9; k++ {
+		batch = append(batch, cloneSet(template, deltaBase+(i*9+k)%held, epoch))
+	}
+	return batch
+}
+
+// TestCatalogIngestAllocation gates the write path: on a catalog holding
+// 20,000 delta catalogs, a live-ingest-shaped batch allocates under 4 KiB,
+// the clone of each set's series and little else. Copy-on-write shards
+// cloned a shard's map and the whole group index per batch, about 935 KB.
+func TestCatalogIngestAllocation(t *testing.T) {
+	archive, _, end := buildArchive(t, 1)
+	cat := NewCatalog(archive, end)
+	template := archive.GroupLatest("starlink", end)[0]
+	held := warmDelta(cat, template, end, 2000)
+	batches := make([][]*tle.TLE, 200)
+	for i := range batches {
+		batches[i] = liveBatch(template, held, i, end)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range batches {
+		cat.Ingest("starlink", b, end)
+	}
+	runtime.ReadMemStats(&after)
+	if got, want := cat.DeltaSets(), held+len(batches)*10; got != want {
+		t.Fatalf("DeltaSets = %d, want %d", got, want)
+	}
+	n := float64(len(batches))
+	perBatch := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("one batch on %d delta catalogs: %.0f B in %.1f allocations", held, perBatch, float64(after.Mallocs-before.Mallocs)/n)
+	if perBatch >= 4<<10 {
+		t.Fatalf("a batch allocates %.0f B, want < 4 KiB", perBatch)
+	}
+}
+
+// BenchmarkCatalogIngest times one live-ingest-shaped batch on a catalog
+// warmed to 20,000 delta catalogs.
+func BenchmarkCatalogIngest(b *testing.B) {
+	archive, _, end := buildFleetArchive(b, 1, 20)
+	cat := NewCatalog(archive, end)
+	template := archive.GroupLatest("starlink", end)[0]
+	held := warmDelta(cat, template, end, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var batches [][]*tle.TLE
+	for i := 0; i < b.N; i++ {
+		if i%1000 == 0 {
+			// Build the next thousand batches off the clock.
+			b.StopTimer()
+			batches = batches[:0]
+			for k := i; k < i+1000; k++ {
+				batches = append(batches, liveBatch(template, held, k, end))
+			}
+			b.StartTimer()
+		}
+		cat.Ingest("starlink", batches[i%1000], end)
+	}
 }

@@ -32,19 +32,18 @@ func init() {
 
 // retryCause buckets a retryable fault for the retries-by-cause counter.
 func retryCause(err error) string {
-	var ra *rateLimitError
-	if errors.As(err, &ra) {
-		return "rate_limit"
+	var se *StatusError
+	if errors.As(err, &se) {
+		if se.Code == http.StatusTooManyRequests {
+			return "rate_limit"
+		}
+		return "server_error"
 	}
 	switch {
 	case errors.Is(err, ErrTruncatedBody):
 		return "truncated"
 	case errors.Is(err, ErrCorruptBody):
 		return "corrupt"
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return "server_error"
 	}
 	return "transport"
 }
@@ -223,13 +222,13 @@ func (c *Client) getConditional(ctx context.Context, path string, query url.Valu
 		trace = c.Trace.Next()
 	}
 
-	var last error
+	var last retryableError
 	attempts := 0
 	for attempt := 0; attempt <= c.MaxRetries; attempt++ {
 		if attempt > 0 {
 			delay := c.backoff(reqID, attempt)
-			if d, ok := serverDelay(last); ok {
-				delay = d
+			if last.retryAfter >= 0 {
+				delay = last.retryAfter
 			}
 			if err := c.sleep(ctx, delay); err != nil {
 				return nil, err
@@ -240,71 +239,30 @@ func (c *Client) getConditional(ctx context.Context, path string, query url.Valu
 		if err == nil {
 			return res, nil
 		}
-		var retryable *retryableError
-		if !errors.As(err, &retryable) {
+		var fault *retryableError
+		if !errors.As(err, &fault) {
 			return nil, err
 		}
-		last = retryable.err
-		metricRetries[retryCause(last)].Inc()
+		last = *fault
+		metricRetries[retryCause(last.err)].Inc()
 	}
-	return nil, &RetryError{URL: u.String(), Attempts: attempts, Last: unwrapDelay(last)}
+	return nil, &RetryError{URL: u.String(), Attempts: attempts, Last: last.err}
 }
 
-// retryableError tags a fault the retry loop may try again.
-type retryableError struct{ err error }
+// retryableError tags a fault the retry loop may try again. retryAfter is
+// the delay a 429 or 503 asked for in Retry-After — the shape the server's
+// rate limiter and admission layer shed load with — and overrides the
+// computed backoff; it is -1 when the server sent none.
+type retryableError struct {
+	err        error
+	retryAfter time.Duration
+}
+
+// retryable tags err as retryable with no server-provided delay.
+func retryable(err error) *retryableError { return &retryableError{err: err, retryAfter: -1} }
 
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
-
-// rateLimitError carries a 429's server-provided Retry-After delay (-1 if
-// none).
-type rateLimitError struct {
-	err        error
-	retryAfter time.Duration
-}
-
-func (e *rateLimitError) Error() string { return e.err.Error() }
-func (e *rateLimitError) Unwrap() error { return e.err }
-
-// unavailableError carries a 503's Retry-After — the shape the server's
-// admission layer sheds load with. It stays a server_error for the retry
-// metrics (it unwraps to the StatusError) but its delay is honoured like a
-// 429's.
-type unavailableError struct {
-	err        error
-	retryAfter time.Duration
-}
-
-func (e *unavailableError) Error() string { return e.err.Error() }
-func (e *unavailableError) Unwrap() error { return e.err }
-
-// serverDelay extracts the server-provided retry delay from the last fault,
-// if it carried one.
-func serverDelay(err error) (time.Duration, bool) {
-	var ra *rateLimitError
-	if errors.As(err, &ra) && ra.retryAfter >= 0 {
-		return ra.retryAfter, true
-	}
-	var ua *unavailableError
-	if errors.As(err, &ua) && ua.retryAfter >= 0 {
-		return ua.retryAfter, true
-	}
-	return 0, false
-}
-
-// unwrapDelay strips the delay-carrying wrappers for the final RetryError,
-// so callers inspect the underlying StatusError directly.
-func unwrapDelay(err error) error {
-	var ra *rateLimitError
-	if errors.As(err, &ra) {
-		return ra.err
-	}
-	var ua *unavailableError
-	if errors.As(err, &ua) {
-		return ua.err
-	}
-	return err
-}
 
 // attempt performs one GET. Retryable faults come back wrapped in
 // *retryableError; anything else is permanent.
@@ -330,7 +288,7 @@ func (c *Client) attempt(ctx context.Context, url string, cond conditional, trac
 			return nil, ctx.Err()
 		}
 		// Transport-level failure: connection reset, refused, DNS, EOF.
-		return nil, &retryableError{err: err}
+		return nil, retryable(err)
 	}
 	defer resp.Body.Close()
 	switch {
@@ -342,11 +300,11 @@ func (c *Client) attempt(ctx context.Context, url string, cond conditional, trac
 			}
 			// Short read below the declared Content-Length or a mid-body
 			// reset: refetch rather than parse a partial archive.
-			return nil, &retryableError{err: fmt.Errorf("%w: %v", ErrTruncatedBody, err)}
+			return nil, retryable(fmt.Errorf("%w: %v", ErrTruncatedBody, err))
 		}
 		if verify != nil {
 			if err := verify(body); err != nil {
-				return nil, &retryableError{err: err}
+				return nil, retryable(err)
 			}
 		}
 		return &fetchResult{
@@ -361,17 +319,13 @@ func (c *Client) attempt(ctx context.Context, url string, cond conditional, trac
 			return nil, &StatusError{Code: resp.StatusCode, Body: "304 to an unconditional request"}
 		}
 		return &fetchResult{notModified: true, etag: cond.etag, lastModified: cond.lastModified}, nil
-	case resp.StatusCode == http.StatusTooManyRequests:
+	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		se := &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
-		return nil, &retryableError{err: &rateLimitError{err: se, retryAfter: retryAfter(resp)}}
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		se := &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
-		return nil, &retryableError{err: &unavailableError{err: se, retryAfter: retryAfter(resp)}}
+		return nil, &retryableError{err: se, retryAfter: retryAfter(resp)}
 	case resp.StatusCode >= 500:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &retryableError{err: &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}}
+		return nil, retryable(&StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))})
 	default:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}

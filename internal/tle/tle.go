@@ -52,6 +52,7 @@ type ParseError struct {
 	Line   int // 1 or 2
 	Column int // 1-indexed start column of the offending field, 0 if whole-line
 	Msg    string
+	Err    error // the sentinel the error matches, such as ErrChecksum; may be nil
 }
 
 // Error implements the error interface.
@@ -61,6 +62,9 @@ func (e *ParseError) Error() string {
 	}
 	return fmt.Sprintf("tle: line %d: %s", e.Line, e.Msg)
 }
+
+// Unwrap returns Err, so errors.Is matches a parse error to its sentinel.
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // ErrChecksum is wrapped by checksum-mismatch parse errors.
 var ErrChecksum = errors.New("tle: checksum mismatch")
@@ -107,7 +111,7 @@ func Parse(line1, line2 string) (*TLE, error) {
 	for i, l := range []string{l1, l2} {
 		want, err := strconv.Atoi(strings.TrimSpace(l[68:69]))
 		if err != nil || want != Checksum(l) {
-			return nil, &ParseError{Line: i + 1, Column: 69, Msg: fmt.Sprintf("%v: want %d", ErrChecksum, Checksum(l))}
+			return nil, &ParseError{Line: i + 1, Column: 69, Msg: fmt.Sprintf("checksum mismatch: want %d", Checksum(l)), Err: ErrChecksum}
 		}
 	}
 

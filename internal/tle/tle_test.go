@@ -102,6 +102,27 @@ func TestParseRejectsBadChecksum(t *testing.T) {
 	}
 }
 
+// TestChecksumErrorMatchesSentinel: a checksum mismatch matches
+// ErrChecksum from Parse and through ReadAll's wrap, and its message names
+// the package once.
+func TestChecksumErrorMatchesSentinel(t *testing.T) {
+	bad := issLine2[:68] + "8" // correct value is 7
+	_, parseErr := Parse(issLine1, bad)
+	_, readErr := ReadAll(strings.NewReader(issLine1 + "\n" + bad + "\n"))
+	const want = "tle: line 2 col 69: checksum mismatch: want 7"
+	for _, c := range []struct {
+		name string
+		err  error
+	}{{"Parse", parseErr}, {"ReadAll", readErr}} {
+		if !errors.Is(c.err, ErrChecksum) {
+			t.Errorf("%s: err = %v, want one matching ErrChecksum", c.name, c.err)
+		}
+		if c.err == nil || !strings.HasSuffix(c.err.Error(), want) {
+			t.Errorf("%s: err = %v, want one ending %q", c.name, c.err, want)
+		}
+	}
+}
+
 func TestParseRejectsMalformedLines(t *testing.T) {
 	cases := []struct {
 		name   string

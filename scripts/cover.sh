@@ -9,7 +9,7 @@
 #   4. fail if internal/obs (the telemetry layer every pipeline package
 #      links against — a bug here corrupts every diagnosis; now also the
 #      trace/flight-recorder/SLO plane) covers < 88% of its statements,
-#   5. fail if internal/spacetrack (the serving plane: COW catalog,
+#   5. fail if internal/spacetrack (the serving plane: the catalog,
 #      admission control, conditional fetch) covers < 80%,
 #   6. fail if internal/loadsim (the deterministic load harness whose
 #      reports gate serving changes) covers < 80%,

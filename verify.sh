@@ -5,45 +5,48 @@
 #   1. go vet over every package,
 #   2. a clean build,
 #   3. the entire test suite under the race detector,
-#   4. the parallel-equivalence suite at GOMAXPROCS=1 and GOMAXPROCS=4
+#   4. the catalog's concurrency tests ten times under the race detector
+#      (one race run per pass cannot catch a rare interleaving, and the
+#      full suite under -race is too slow to repeat),
+#   5. the parallel-equivalence suite at GOMAXPROCS=1 and GOMAXPROCS=4
 #      (worker-pool output must be bit-identical regardless of how many
 #      CPUs the scheduler actually has; the suite's prefix dimension is
 #      the live-feed gate — the incremental engine replayed over any
 #      prefix of the event stream must equal the batch pipeline at the
 #      same watermark),
-#   5. the artifact-cache identity gate: the same analyze run, cold then
+#   6. the artifact-cache identity gate: the same analyze run, cold then
 #      warm over one cache dir, must print byte-identical output (a cache
 #      hit is the cold build, bit for bit),
-#   6. the -tles input end to end: `analyze -tles` on tlegen's 3LE output
+#   7. the -tles input end to end: `analyze -tles` on tlegen's 3LE output
 #      must count one observation per set written, and the same file with
 #      one checksum digit flipped must fail the run (the reader fails
 #      closed, so a damaged archive never passes for a shorter one),
-#   7. the examples: stormwatch, and liveingest against a tracking service
+#   8. the examples: stormwatch, and liveingest against a tracking service
 #      degraded by a fault schedule, each built and run to completion,
-#   8. the spaceload determinism gate: the closed-loop load harness, run
+#   9. the spaceload determinism gate: the closed-loop load harness, run
 #      twice with one seed/mix/fault schedule, must emit byte-identical
 #      reports (a report diff is a behaviour change, never noise),
-#   9. the telemetry-overhead gate: the instrumented hot paths — the group
+#  10. the telemetry-overhead gate: the instrumented hot paths — the group
 #      serving path with tracing, flight recorder and SLO accounting
 #      enabled included — may cost at most 2% more than a
 #      COSMICDANCE_OBS=off run (the short tier smoke-runs the serving
 #      quartet; the long tier enforces the bound),
-#  10. the chunk-equivalence gate: a 30k-satellite chunked run must print
+#  11. the chunk-equivalence gate: a 30k-satellite chunked run must print
 #      byte-identical reports at two different chunk sizes and through the
 #      disk cache, cold and warm (the scale-out refactor may not change a
 #      single output bit),
-#  11. the flat-RSS gate: a 100k-satellite run at chunk width 2 must peak
+#  12. the flat-RSS gate: a 100k-satellite run at chunk width 2 must peak
 #      under 64 MiB of resident memory — the streaming pipeline holds
 #      O(chunk × width), not O(fleet); the width is pinned so the verdict
 #      does not depend on the machine's core count,
-#  12. the benchdiff gate against the pinned BENCH_PR9.json baseline,
+#  13. the benchdiff gate against the pinned BENCH_PR9.json baseline,
 #      including the O(delta) ratio: one incremental append must stay
 #      under 1% of a cold rebuild at 100k satellites,
-#  13. the benchmark module (bench/, its own go.mod): vet plus its tests,
+#  14. the benchmark module (bench/, its own go.mod): vet plus its tests,
 #      which compile it against obs, spacetrack, artifact and
 #      constellation — the root `go test ./...` never reaches it (the
 #      short tier skips its end-to-end smoke run),
-#  14. every fuzz target, seeds + 10s of new coverage each (scripts/fuzz.sh
+#  15. every fuzz target, seeds + 10s of new coverage each (scripts/fuzz.sh
 #      finds them in the code).
 #
 # Pass -short as $1 to run the fast tier (skips the year-long substrate
@@ -76,6 +79,9 @@ go build ./...
 
 echo "== go test -race $SHORT ./..."
 go test -race $SHORT ./...
+
+echo "== catalog concurrency tests, ten times under the race detector"
+go test -race -count=10 -run '^TestCatalog' ./internal/spacetrack
 
 echo "== parallel equivalence (widths, chunks, incremental prefix replay) at GOMAXPROCS=1 and GOMAXPROCS=4"
 GOMAXPROCS=1 go test -count=1 -run 'TestParallelEquivalence|TestDatasetConcurrentReaders' .
