@@ -43,8 +43,11 @@ import (
 // by IEEE total order instead of ingest order) so chunked and monolithic
 // builds share one byte representation, and introduced KindSegment. 3 made
 // KindDataset the weather sections plus one KindSegment body (chunk index 0)
-// and dropped its stored cleaned-altitude column.
-const SchemaVersion = 3
+// and dropped its stored cleaned-altitude column. 4 dropped the storm
+// trigger position from KindIncremental's meta record: the live engine
+// replays its Dst stream on restore, so the record holds only the weather
+// start, the funnel counters and the stream cursors.
+const SchemaVersion = 4
 
 // Kind identifies which intermediate a snapshot holds.
 type Kind uint16

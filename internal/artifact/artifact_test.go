@@ -217,7 +217,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 // build would no longer serve this one. A deliberate format change bumps
 // SchemaVersion and re-pins these values.
 func TestSnapshotBytesPinned(t *testing.T) {
-	if SchemaVersion != 3 {
+	if SchemaVersion != 4 {
 		t.Fatalf("SchemaVersion %d: re-pin the encodings below for the new format", SchemaVersion)
 	}
 	w := testWeather(t)
@@ -230,15 +230,15 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		sum  string
 	}{
 		{KindWeather, encodeWeatherBytes(t, w), 8700,
-			"9ac8edc4e31dd55560c444a05ddcfd6c83281b19e94f9165ccc1944612617288"},
+			"901143c3b8fd4df8b3514ac01a32ebbf78b487e0e36bf82ea168953997175243"},
 		{KindArchive, encodeArchiveBytes(t, res), 41868,
-			"ecb76b29230b61b3952753b891cf5857f876ec0f67611d77aef32c95e59daee9"},
+			"0e0aa4376560ee04c8f27cdc2ad4fd0460d0372568701044eeb702abe3cb62de"},
 		{KindDataset, encodeDatasetBytes(t, testDataset(t, w, res)), 31516,
-			"bd859fd963c6beedcbc63268b53ffd545b857d3add0ba3aa5cd79bad829becb4"},
+			"2ec000f0f825b63046594fa241ab39254ba755e6c081496344613a24ce7b5506"},
 		{KindSegment, encodeSegmentBytes(t, 3, testPartial(t)), 22832,
-			"b212db5b2719d37023c08971f231b8f68822580a413b3eb0e37685febf35904a"},
-		{KindIncremental, encodeEngineStateBytes(t, &st), 49752,
-			"e2996b4a09bb8d70175d0a583d31cec94f9178b5d1574ed3d4fe39ff2f78a398"},
+			"7e250418d718ac60a5d2a826dd80b5aabe87670cd8dc9daffaffaba4beddba2a"},
+		{KindIncremental, encodeEngineStateBytes(t, &st), 49720,
+			"f42e865957e89475ecda43ee7a5761194faeaa391cc965f93bf3f15de684b111"},
 	} {
 		sum := sha256.Sum256(c.enc)
 		if got := hex.EncodeToString(sum[:]); len(c.enc) != c.n || got != c.sum {

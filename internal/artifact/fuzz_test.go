@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cosmicdance/internal/core"
+	"cosmicdance/internal/incremental"
 )
 
 // FuzzSnapshotRoundTrip feeds arbitrary bytes to the weather, archive,
@@ -15,6 +16,9 @@ import (
 //  2. Any input that decodes successfully is in canonical form: re-encoding
 //     the decoded value reproduces the input byte for byte. (This is the
 //     cache's bit-identity guarantee, stated as a decoder invariant.)
+//  3. An engine state either fails incremental.FromState or restores an
+//     engine whose own snapshot is the input, byte for byte: the restart
+//     path from bytes to engine fails closed.
 //
 // The seed corpus holds one valid encoding of each kind, so the fuzzer
 // mutates real snapshots rather than hunting for the magic from scratch.
@@ -66,6 +70,20 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 			if !bytes.Equal(buf.Bytes(), data) {
 				t.Fatal("accepted engine-state snapshot is not canonical")
+			}
+			// The restart path: a state FromState accepts is one the
+			// restored engine snapshots back to the same bytes.
+			eng, err := incremental.FromState(incremental.DefaultConfig(), *st)
+			if err != nil {
+				return
+			}
+			restored := eng.State()
+			buf.Reset()
+			if err := EncodeEngineState(&buf, &restored); err != nil {
+				t.Fatalf("encode restored engine state: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatal("the engine restored from an accepted snapshot snapshots different bytes")
 			}
 		}
 	})

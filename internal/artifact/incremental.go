@@ -2,17 +2,14 @@ package artifact
 
 import (
 	"io"
-	"time"
 
 	"cosmicdance/internal/incremental"
-	"cosmicdance/internal/trigger"
-	"cosmicdance/internal/units"
 )
 
 // --- incremental engine state (incremental.EngineState) ---
 //
-// Sections: 0 = meta (weather start, funnel counters, stream cursors, the
-// trigger machine position), 1 = hourly Dst column, 2 = raw-altitude column,
+// Sections: 0 = meta (weather start, funnel counters, stream cursors),
+// 1 = hourly Dst column, 2 = raw-altitude column,
 // 3/4 = catalog + history-length columns, 5..8 = the concatenated
 // per-catalog histories (epoch, altitude, B*, inclination).
 //
@@ -31,11 +28,6 @@ func EncodeEngineState(w io.Writer, st *incremental.EngineState) error {
 	meta.i64(int64(st.Duplicates))
 	meta.i64(int64(st.Seq))
 	meta.i64(int64(st.Version))
-	meta.u32(boolU32(st.Trigger.Active))
-	meta.f64(float64(st.Trigger.Peak))
-	meta.i64(int64(st.Trigger.Category))
-	meta.i64(st.Trigger.ClearedAt.Unix())
-	meta.u32(boolU32(st.Trigger.HasCleared))
 	sw.section(0, meta.buf)
 
 	sw.section(1, f64Column(st.Wx))
@@ -62,30 +54,13 @@ func DecodeEngineState(r io.Reader) (*incremental.EngineState, error) {
 	dups := meta.i64()
 	st.Seq = uint64(meta.i64())
 	st.Version = uint64(meta.i64())
-	trigActive := meta.u32()
-	trigPeak := meta.f64()
-	trigCategory := meta.i64()
-	trigClearedAt := meta.i64()
-	trigCleared := meta.u32()
 	meta.done()
 	if total < 0 || gross < 0 || dups < 0 {
 		sr.fail(ErrCorrupt, "negative funnel counter in engine state")
 	}
-	// Strict canonical form: a flag is 0 or 1. Any other value would decode
-	// as true and re-encode as 1, breaking bit-identity.
-	if trigActive > 1 || trigCleared > 1 {
-		sr.fail(ErrCorrupt, "non-canonical trigger flag in engine state")
-	}
 	st.TotalObservations = int(total)
 	st.GrossErrors = int(gross)
 	st.Duplicates = int(dups)
-	st.Trigger = trigger.State{
-		Active:     trigActive != 0,
-		Peak:       units.NanoTesla(trigPeak),
-		Category:   units.GScale(trigCategory),
-		ClearedAt:  time.Unix(trigClearedAt, 0).UTC(),
-		HasCleared: trigCleared != 0,
-	}
 	st.Wx = f64s(sr.column(1, 8, anyLen))
 	st.RawAlts = f64s(sr.column(2, 8, anyLen))
 	st.Cats = i64s[int](sr.column(3, 8, anyLen))
@@ -98,11 +73,4 @@ func DecodeEngineState(r io.Reader) (*incremental.EngineState, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-func boolU32(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -158,11 +158,21 @@ func (s Sample) MeanMotion() (units.RevsPerDay, error) {
 
 // TLE materializes the sample as a full element set.
 func (s Sample) TLE(name string) (*tle.TLE, error) {
+	t := new(tle.TLE)
+	if err := s.FillTLE(t, name); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// FillTLE overwrites every field of t with the sample's element set, so a
+// caller walking many samples can reuse one TLE. On error t is unchanged.
+func (s Sample) FillTLE(t *tle.TLE, name string) error {
 	mm, err := s.MeanMotion()
 	if err != nil {
-		return nil, fmt.Errorf("constellation: sample for %d: %w", s.Catalog, err)
+		return fmt.Errorf("constellation: sample for %d: %w", s.Catalog, err)
 	}
-	return &tle.TLE{
+	*t = tle.TLE{
 		Name:           name,
 		CatalogNumber:  int(s.Catalog),
 		Classification: 'U',
@@ -175,7 +185,8 @@ func (s Sample) TLE(name string) (*tle.TLE, error) {
 		ArgPerigee:     units.Degrees(s.ArgPerigee).Normalize360(),
 		MeanAnomaly:    units.Degrees(s.MeanAnomaly).Normalize360(),
 		MeanMotion:     mm,
-	}, nil
+	}
+	return nil
 }
 
 // SatInfo is the per-satellite ground truth retained after a run.

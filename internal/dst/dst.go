@@ -159,7 +159,7 @@ func (s Storm) Category() units.GScale { return units.ClassifyDst(s.Peak) }
 // Storms returns every maximal run of consecutive hours with Dst <=
 // threshold, in time order. NaN readings (missing data) terminate runs.
 func (x *Index) Storms(threshold units.NanoTesla) []Storm {
-	return x.runs(func(v units.NanoTesla) bool { return v <= threshold })
+	return x.runs(NewStormScan(x.start, threshold))
 }
 
 // BandRuns returns every maximal run of consecutive hours whose reading lies
@@ -167,39 +167,73 @@ func (x *Index) Storms(threshold units.NanoTesla) []Storm {
 // duration notion behind Fig 2: the paper's "severe storm lasted 3 contiguous
 // hours" counts exactly the hours at severe depth.
 func (x *Index) BandRuns(lo, hi units.NanoTesla) []Storm {
-	return x.runs(func(v units.NanoTesla) bool { return v > lo && v <= hi })
+	return x.runs(RunScan{in: func(v units.NanoTesla) bool { return v > lo && v <= hi }, start: x.start})
 }
 
-// runs returns every maximal run of consecutive hours whose reading
-// satisfies in, in time order, with each run's most negative reading (the
-// first on a tie) as its peak. A NaN reading ends a run without being
-// passed to in.
-func (x *Index) runs(in func(units.NanoTesla) bool) []Storm {
+// runs steps s through every reading and returns the runs it finds, the
+// trailing open run included, in time order.
+func (x *Index) runs(s RunScan) []Storm {
 	var out []Storm
-	inRun := false
-	var cur Storm
-	for i, v := range x.values {
-		hit := !math.IsNaN(v) && in(units.NanoTesla(v))
-		switch {
-		case hit && !inRun:
-			inRun = true
-			cur = Storm{Start: x.TimeAt(i), Hours: 1, Peak: units.NanoTesla(v), PeakAt: x.TimeAt(i)}
-		case hit && inRun:
-			cur.Hours++
-			if units.NanoTesla(v) < cur.Peak {
-				cur.Peak = units.NanoTesla(v)
-				cur.PeakAt = x.TimeAt(i)
-			}
-		case !hit && inRun:
-			inRun = false
-			out = append(out, cur)
+	for _, v := range x.values {
+		if s.Step(v) {
+			run, _ := s.Run()
+			out = append(out, run)
 		}
 	}
-	if inRun {
-		out = append(out, cur)
+	if run, open := s.Run(); open {
+		out = append(out, run)
 	}
 	return out
 }
+
+// RunScan is the run scan, stepped one reading at a time through an hourly
+// stream: it finds maximal runs of consecutive hours whose reading
+// satisfies a predicate, each with its most negative reading (the first on
+// a tie) as its peak. A NaN reading (a missing hour) ends a run without
+// being passed to the predicate. Storms, BandRuns and CategoryRuns loop
+// over an index with one; the live engine holds one as its storm machine.
+type RunScan struct {
+	in    func(units.NanoTesla) bool
+	start time.Time // the stream's first hour
+	hours int       // readings stepped so far
+	open  bool
+	run   Storm // the open run, or else the last run to end
+}
+
+// NewStormScan returns a scan for storms, runs of hours at or below
+// threshold, through a stream whose first hour is start.
+func NewStormScan(start time.Time, threshold units.NanoTesla) RunScan {
+	return RunScan{in: func(v units.NanoTesla) bool { return v <= threshold }, start: start}
+}
+
+// Step feeds the stream's next reading and reports whether it ended the
+// open run, which Run then returns.
+func (s *RunScan) Step(v float64) (ended bool) {
+	i := s.hours
+	s.hours++
+	if math.IsNaN(v) || !s.in(units.NanoTesla(v)) {
+		ended = s.open
+		s.open = false
+		return ended
+	}
+	r := units.NanoTesla(v)
+	switch {
+	case !s.open:
+		at := s.start.Add(time.Duration(i) * time.Hour)
+		s.open = true
+		s.run = Storm{Start: at, Hours: 1, Peak: r, PeakAt: at}
+	case r < s.run.Peak:
+		s.run.Hours++
+		s.run.Peak, s.run.PeakAt = r, s.start.Add(time.Duration(i)*time.Hour)
+	default:
+		s.run.Hours++
+	}
+	return false
+}
+
+// Run returns the open run and true or, when no run is open, the last run
+// to end (the zero Storm before any) and false.
+func (s *RunScan) Run() (run Storm, open bool) { return s.run, s.open }
 
 // CategoryBand returns the Dst band (lo, hi] of a G-scale class under the
 // paper's operative classification. ok is false for GQuiet and unknown

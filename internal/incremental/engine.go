@@ -1,10 +1,10 @@
 // Package incremental is the O(delta) counterpart of the batch pipeline: an
 // append-only engine where per-track watermarks gate recomputation. New
 // observations fold into per-catalog sorted histories and re-clean only the
-// touched tracks; Dst hours advance an online storm state machine one reading
-// at a time; association maintains the (event, track) join as a materialized
-// map and emits delta events (new/updated deviations, decay-onset open/close)
-// instead of re-deriving the full join.
+// touched tracks; Dst hours step dst's run scan, the storm machine, one
+// reading at a time; association maintains the (event, track) join as a
+// materialized map and emits delta events (new/updated deviations,
+// decay-onset open/close) instead of re-deriving the full join.
 //
 // The headline invariant is prefix-replay equivalence: after ingesting any
 // prefix of an observation/Dst event stream — in any interleaving, with any
@@ -13,12 +13,14 @@
 // run over the same prefix. The equivalence is structural, not coincidental:
 // cleaning reuses core.CleanTrack, association reuses core.AssociateTrack,
 // onset detection reuses core.TrackDecayOnset, and materialization feeds one
-// ChunkPartial through the same PartialAssembler as Build.
+// ChunkPartial through the same PartialAssembler as Build. Storms are
+// dst.Storms because the engine steps the scanner dst.Storms loops over, and
+// events pass core.Qualifies, the gate core.WeatherEvents applies. Restoring
+// a snapshot (FromState) is a prefix replay through the same ingest paths.
 package incremental
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -27,7 +29,6 @@ import (
 	"cosmicdance/internal/dst"
 	"cosmicdance/internal/obs"
 	"cosmicdance/internal/tle"
-	"cosmicdance/internal/trigger"
 	"cosmicdance/internal/units"
 )
 
@@ -135,13 +136,12 @@ type trackState struct {
 type Engine struct {
 	cfg Config
 
-	// Weather stream and the online storm machine (mirrors dst.Storms: runs
-	// of hours at or below the threshold, NaN terminates, the trailing run
-	// stays open).
+	// Weather stream and the storm machine: dst's run scan, stepped one
+	// hour at a time, so the storms are exactly dst.Storms over the stream.
+	// The scan starts with the stream, at the first Dst ingest.
 	wxStart time.Time
 	wx      []float64
-	inRun   bool
-	cur     dst.Storm
+	scan    dst.RunScan
 	curQual bool        // whether the open storm currently passes the event gates
 	storms  []dst.Storm // closed storms, time-ascending
 	events  []time.Time // qualified storm starts, time-ascending
@@ -158,8 +158,6 @@ type Engine struct {
 	onsets    map[int]core.DecayOnset
 	lastEpoch int64 // newest observation epoch seen (unix)
 
-	trig *trigger.Engine
-
 	seq     uint64
 	version uint64
 	onDelta func(Delta)
@@ -175,26 +173,15 @@ type Engine struct {
 
 // New builds an empty engine.
 func New(cfg Config) *Engine {
-	// The trigger thresholds mirror the storm machine: onset at the storm
-	// threshold, clear one step less intense. New only fails when clear <=
-	// onset, which cannot happen here.
-	trig, err := trigger.New(units.StormThreshold, units.StormThreshold+1)
-	if err != nil {
-		panic(err)
-	}
 	return &Engine{
 		cfg:    cfg,
 		tracks: make(map[int]*trackState),
 		onsets: make(map[int]core.DecayOnset),
-		trig:   trig,
 	}
 }
 
 // OnDelta registers the delta-event sink (at most one; the Feed fans out).
 func (e *Engine) OnDelta(fn func(Delta)) { e.onDelta = fn }
-
-// Trigger exposes the storm trigger machine riding on the Dst stream.
-func (e *Engine) Trigger() *trigger.Engine { return e.trig }
 
 // Version increments on every ingest batch that changed state — the cheap
 // staleness check behind conditional GETs of the risk view.
@@ -332,6 +319,7 @@ func (e *Engine) IngestDst(start time.Time, vals []float64) (IngestStats, error)
 	}
 	if len(e.wx) == 0 {
 		e.wxStart = start
+		e.scan = dst.NewStormScan(start, units.StormThreshold)
 	} else {
 		off := start.Sub(e.wxStart)
 		if off%time.Hour != 0 {
@@ -363,64 +351,48 @@ func (e *Engine) IngestDst(start time.Time, vals []float64) (IngestStats, error)
 	return st, nil
 }
 
-// feedHour advances the online storm machine by one reading — the streaming
-// mirror of dst.Storms: maximal runs at or below the threshold, NaN
-// terminates a run, and the trailing run stays open at the watermark.
+// feedHour steps the storm machine by one reading and emits its
+// transitions: a storm opening or closing, and the open storm passing or
+// failing the event gates as it grows.
 func (e *Engine) feedHour(at time.Time, v float64) {
-	below := !math.IsNaN(v) && units.NanoTesla(v) <= units.StormThreshold
+	ended := e.scan.Step(v)
+	run, open := e.scan.Run()
 	switch {
-	case below && !e.inRun:
-		e.inRun = true
-		e.cur = dst.Storm{Start: at, Hours: 1, Peak: units.NanoTesla(v), PeakAt: at}
-		e.curQual = false
-		e.emit(Delta{Kind: KindStormOpen, Event: e.cur.Start.Unix(), At: at.Unix(), Hours: 1, PeakNT: float64(e.cur.Peak)})
-		e.syncOpenEvent()
-	case below && e.inRun:
-		e.cur.Hours++
-		if units.NanoTesla(v) < e.cur.Peak {
-			e.cur.Peak = units.NanoTesla(v)
-			e.cur.PeakAt = at
+	case ended:
+		e.storms = append(e.storms, run)
+		e.emit(Delta{Kind: KindStormClose, Event: run.Start.Unix(), At: at.Unix(), Hours: run.Hours, PeakNT: float64(run.Peak)})
+	case open:
+		if run.Hours == 1 {
+			e.curQual = false
+			e.emit(Delta{Kind: KindStormOpen, Event: run.Start.Unix(), At: at.Unix(), Hours: 1, PeakNT: float64(run.Peak)})
 		}
-		e.syncOpenEvent()
-	case !below && e.inRun:
-		e.inRun = false
-		e.storms = append(e.storms, e.cur)
-		e.emit(Delta{Kind: KindStormClose, Event: e.cur.Start.Unix(), At: at.Unix(), Hours: e.cur.Hours, PeakNT: float64(e.cur.Peak)})
+		e.syncOpenEvent(run)
 	}
-	e.trig.Feed(at, units.NanoTesla(v))
 }
 
-// qualifies applies the event-selection gates to a storm.
+// qualifies applies the configured event gates to a storm.
 func (e *Engine) qualifies(s dst.Storm) bool {
-	if s.Peak > e.cfg.MaxPeak {
-		return false
-	}
-	if s.Hours < e.cfg.MinHours {
-		return false
-	}
-	if e.cfg.MaxHours > 0 && s.Hours > e.cfg.MaxHours {
-		return false
-	}
-	return true
+	return core.Qualifies(s, e.cfg.MaxPeak, e.cfg.MinHours, e.cfg.MaxHours)
 }
 
-// syncOpenEvent reconciles the open storm against the event gates. While a
-// storm is open its duration grows and its peak deepens, so it can qualify
-// (reaching MinHours or MaxPeak) or disqualify (outgrowing MaxHours) — and
-// only the open storm can: closed storms are frozen. Qualification triggers
-// the only O(world) sweep in the engine, a one-time association of the new
-// event against every track; it is rare (once per storm) and is exactly the
-// work the batch pipeline redoes for every event on every rebuild.
-func (e *Engine) syncOpenEvent() {
-	q := e.qualifies(e.cur)
+// syncOpenEvent reconciles the open storm cur against the event gates.
+// While a storm is open its duration grows and its peak deepens, so it can
+// qualify (reaching MinHours or MaxPeak) or disqualify (outgrowing MaxHours)
+// — and only the open storm can: closed storms are frozen. Qualification
+// triggers the only O(world) sweep in the engine, a one-time association of
+// the new event against every track; it is rare (once per storm) and is
+// exactly the work the batch pipeline redoes for every event on every
+// rebuild.
+func (e *Engine) syncOpenEvent(cur dst.Storm) {
+	q := e.qualifies(cur)
 	if q == e.curQual {
 		return
 	}
-	start := e.cur.Start
+	start := cur.Start
 	if q {
 		e.curQual = true
 		e.events = append(e.events, start)
-		e.emit(Delta{Kind: KindEventOpen, Event: start.Unix(), Hours: e.cur.Hours, PeakNT: float64(e.cur.Peak)})
+		e.emit(Delta{Kind: KindEventOpen, Event: start.Unix(), Hours: cur.Hours, PeakNT: float64(cur.Peak)})
 		ev := core.Event{Storm: dst.Storm{Start: start}}
 		for _, cat := range e.cats {
 			e.refreshPair(ev, cat)
@@ -437,7 +409,7 @@ func (e *Engine) syncOpenEvent() {
 			e.devCount--
 		}
 	}
-	e.emit(Delta{Kind: KindEventRetract, Event: key, Hours: e.cur.Hours, PeakNT: float64(e.cur.Peak)})
+	e.emit(Delta{Kind: KindEventRetract, Event: key, Hours: cur.Hours, PeakNT: float64(cur.Peak)})
 }
 
 // refreshTrack re-cleans one catalog after its watermark advanced, then
@@ -518,8 +490,8 @@ func (e *Engine) Weather() (*dst.Index, error) {
 // included — exactly dst.Storms over the ingested stream.
 func (e *Engine) Storms() []dst.Storm {
 	out := slices.Clone(e.storms)
-	if e.inRun {
-		out = append(out, e.cur)
+	if run, open := e.scan.Run(); open {
+		out = append(out, run)
 	}
 	return out
 }

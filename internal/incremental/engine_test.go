@@ -3,6 +3,7 @@ package incremental
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -182,7 +183,7 @@ func TestStormMachineMatchesBatchScan(t *testing.T) {
 		}
 	}
 	// The final storm must still be open (watermark inside a storm).
-	if len(e.Storms()) == 0 || !e.inRun {
+	if _, open := e.scan.Run(); len(e.Storms()) == 0 || !open {
 		t.Fatal("expected an open storm at the watermark")
 	}
 }
@@ -308,7 +309,7 @@ func TestEmptyPrefix(t *testing.T) {
 }
 
 // TestSnapshotRestoreMidStorm snapshots the engine with the watermark inside
-// a storm (and the trigger machine active), restores into a fresh engine,
+// a storm, restores into a fresh engine,
 // feeds both the same suffix, and requires byte-identical materialized state
 // plus a continuous delta sequence.
 func TestSnapshotRestoreMidStorm(t *testing.T) {
@@ -334,11 +335,9 @@ func TestSnapshotRestoreMidStorm(t *testing.T) {
 	if _, err := e.IngestDst(weather.Start(), wx[:cut]); err != nil {
 		t.Fatal(err)
 	}
-	if !e.inRun {
+	eCur, eOpen := e.scan.Run()
+	if !eOpen {
 		t.Fatal("cut hour is not inside a storm")
-	}
-	if !e.Trigger().Active() {
-		t.Fatal("trigger machine not active mid-storm")
 	}
 
 	st := e.State()
@@ -349,11 +348,8 @@ func TestSnapshotRestoreMidStorm(t *testing.T) {
 	if r.Seq() != e.Seq() || r.Version() != e.Version() {
 		t.Fatalf("restore lost counters: seq %d/%d version %d/%d", r.Seq(), e.Seq(), r.Version(), e.Version())
 	}
-	if !r.inRun || r.cur != e.cur || r.curQual != e.curQual {
-		t.Fatalf("restore lost the open storm: inRun=%v cur=%+v", r.inRun, r.cur)
-	}
-	if !r.Trigger().Active() {
-		t.Fatal("restore lost the trigger state")
+	if rCur, rOpen := r.scan.Run(); !rOpen || rCur != eCur || r.curQual != e.curQual {
+		t.Fatalf("restore lost the open storm: open=%v cur=%+v", rOpen, rCur)
 	}
 
 	// Both engines consume the same suffix; every derived product must agree.
@@ -408,6 +404,19 @@ func TestStateFailsClosed(t *testing.T) {
 		{"epoch order", func(s *EngineState) { s.Epochs[0], s.Epochs[1] = s.Epochs[1], s.Epochs[0] }},
 		{"gross error row", func(s *EngineState) { s.Alts[0] = 9999 }},
 		{"zero history", func(s *EngineState) { s.ObsCounts[0] = 0 }},
+		// Four lengths past the columns whose sum wraps back to the rows.
+		{"history lengths wrap", func(s *EngineState) {
+			for i := range 4 {
+				s.ObsCounts[i] += 1 << 62
+			}
+		}},
+		// Counters whose sum with the rows wraps to an empty funnel.
+		{"funnel wraps", func(s *EngineState) {
+			s.TotalObservations, s.RawAlts = 0, nil
+			s.GrossErrors, s.Duplicates = math.MaxInt, math.MaxInt-len(s.Epochs)+2
+		}},
+		{"infinite dst hour", func(s *EngineState) { s.Wx[len(s.Wx)/2] = math.Inf(-1) }},
+		{"weather start without weather", func(s *EngineState) { s.Wx = nil }},
 	}
 	for _, tc := range corrupt {
 		st := e.State() // fresh deep copy every time

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -61,7 +62,6 @@ type RiskView struct {
 	Deviations       int         `json:"deviations"`
 	Onsets           int         `json:"onsets"`
 	ActiveStorm      *RiskStorm  `json:"active_storm,omitempty"`
-	TriggerActive    bool        `json:"trigger_active"`
 	Decaying         []RiskEntry `json:"decaying,omitempty"`
 }
 
@@ -202,14 +202,13 @@ func (f *Feed) Risk() RiskView {
 		Events:          len(e.events),
 		Deviations:      e.devCount,
 		Onsets:          len(e.onsets),
-		TriggerActive:   e.trig.Active(),
 	}
 	if wm := e.WeatherWatermark(); !wm.IsZero() {
 		v.WeatherWatermark = wm.Unix()
 	}
-	if e.inRun {
+	if run, open := e.scan.Run(); open {
 		v.Storms++
-		v.ActiveStorm = &RiskStorm{Start: e.cur.Start.Unix(), Hours: e.cur.Hours, PeakNT: float64(e.cur.Peak)}
+		v.ActiveStorm = &RiskStorm{Start: run.Start.Unix(), Hours: run.Hours, PeakNT: float64(run.Peak)}
 	}
 	entries := make([]RiskEntry, 0, len(e.onsets))
 	for cat, on := range e.onsets {
@@ -394,7 +393,11 @@ func (f *Feed) handleDst(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading dst body: "+err.Error(), code)
 		return
 	}
 	fields := strings.Fields(string(body))

@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"cosmicdance/internal/core"
@@ -382,6 +385,34 @@ func TestDstEndpointReadings(t *testing.T) {
 				t.Fatalf("first delta %+v, want the storm closing at %s with peak -70", first, dstNext)
 			}
 			checkDstState(t, f)
+		})
+	}
+}
+
+// TestDstEndpointBodyErrors pins the status of a body POST /v1/dst cannot
+// read whole: 413 for one over the 1 MiB bound, 400 for any other read
+// error. Either applies nothing.
+func TestDstEndpointBodyErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		code int
+	}{
+		{"over 1 MiB", strings.NewReader(strings.Repeat("-10 ", 1<<18+1)), http.StatusRequestEntityTooLarge},
+		{"fails mid-read", io.MultiReader(strings.NewReader("-10 -20 "), iotest.ErrReader(errors.New("connection reset"))), http.StatusBadRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := dstFeed(t)
+			before := f.Risk()
+			req := httptest.NewRequest(http.MethodPost, "/v1/dst?start="+url.QueryEscape(dstNext.Format(time.RFC3339)), c.body)
+			rec := httptest.NewRecorder()
+			f.Handler().ServeHTTP(rec, req)
+			if rec.Code != c.code {
+				t.Fatalf("status %d (%s), want %d", rec.Code, strings.TrimSpace(rec.Body.String()), c.code)
+			}
+			if after := f.Risk(); after.Version != before.Version || after.Seq != before.Seq {
+				t.Fatalf("refused body moved version/seq from %d/%d to %d/%d", before.Version, before.Seq, after.Version, after.Seq)
+			}
 		})
 	}
 }

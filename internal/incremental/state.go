@@ -2,13 +2,11 @@ package incremental
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"cosmicdance/internal/core"
-	"cosmicdance/internal/dst"
-	"cosmicdance/internal/trigger"
-	"cosmicdance/internal/units"
 )
 
 // EngineState is the engine's complete resumable state in columnar form:
@@ -16,8 +14,8 @@ import (
 // observation histories flattened into parallel columns (the shape the
 // artifact codec packs section by section). Everything derived — cleaned
 // tracks, the storm machine, events, deviations, onsets — is deliberately
-// absent: FromState re-derives it, so a snapshot can never disagree with
-// the data it carries.
+// absent: FromState replays the streams to re-derive it, so a snapshot can
+// never disagree with the data it carries.
 type EngineState struct {
 	// WxStart is the Unix second of the first Dst hour (0 when Wx is empty).
 	WxStart int64
@@ -43,10 +41,6 @@ type EngineState struct {
 	// Seq and Version resume the delta stream and the staleness check.
 	Seq     uint64
 	Version uint64
-	// Trigger is the hysteresis machine position (refractory state included,
-	// which is not derivable from the Dst stream alone once MinGap trims an
-	// onset).
-	Trigger trigger.State
 }
 
 // State snapshots the engine. The returned state shares nothing with the
@@ -62,7 +56,6 @@ func (e *Engine) State() EngineState {
 		ObsCounts:         make([]int, len(e.cats)),
 		Seq:               e.seq,
 		Version:           e.version,
-		Trigger:           e.trig.State(),
 	}
 	if len(e.wx) > 0 {
 		st.WxStart = e.wxStart.Unix()
@@ -88,19 +81,23 @@ func (e *Engine) State() EngineState {
 	return st
 }
 
-// FromState rebuilds an engine from a snapshot. The storm machine, events,
-// tracks, onsets and the association join are re-derived from the snapshot's
-// raw streams — silently, without emitting deltas, so a restored feed
-// resumes at Seq exactly where the snapshotted one stopped. It validates the
-// columnar invariants and fails closed on any violation.
+// FromState restores an engine from a snapshot by replaying it. After
+// checking the columnar invariants, and failing closed on any violation, it
+// feeds the snapshot's Dst stream and histories through IngestDst and
+// IngestObservations on an engine with no delta sink, so the storm machine,
+// events, tracks, onsets and the association join are exactly what a live
+// engine derives from the same streams. It then takes the funnel counters,
+// the raw-altitude column, Seq and Version from the snapshot: the replay is
+// silent, and the restored feed resumes at Seq exactly where the
+// snapshotted one stopped.
 func FromState(cfg Config, st EngineState) (*Engine, error) {
 	if len(st.Cats) != len(st.ObsCounts) {
 		return nil, fmt.Errorf("incremental: state has %d catalogs but %d history lengths", len(st.Cats), len(st.ObsCounts))
 	}
 	n := 0
 	for i, c := range st.ObsCounts {
-		if c <= 0 {
-			return nil, fmt.Errorf("incremental: state catalog %d has non-positive history length %d", st.Cats[i], c)
+		if c <= 0 || c > len(st.Epochs)-n {
+			return nil, fmt.Errorf("incremental: state catalog %d has history length %d, %d rows left", st.Cats[i], c, len(st.Epochs)-n)
 		}
 		n += c
 	}
@@ -108,116 +105,55 @@ func FromState(cfg Config, st EngineState) (*Engine, error) {
 		return nil, fmt.Errorf("incremental: state history columns disagree: %d counted, %d/%d/%d/%d stored",
 			n, len(st.Epochs), len(st.Alts), len(st.BStars), len(st.Incls))
 	}
-	if want := n + st.GrossErrors + st.Duplicates; st.TotalObservations != want {
-		return nil, fmt.Errorf("incremental: state funnel disagrees: %d total, %d rows + %d gross + %d duplicates",
-			st.TotalObservations, n, st.GrossErrors, st.Duplicates)
-	}
 	if len(st.RawAlts) != st.TotalObservations {
 		return nil, fmt.Errorf("incremental: state has %d raw altitudes for %d observations", len(st.RawAlts), st.TotalObservations)
 	}
+	// Both counters are bounded by the total before they are summed, so the
+	// sum cannot wrap.
+	if st.GrossErrors < 0 || st.Duplicates < 0 || st.GrossErrors > st.TotalObservations || st.Duplicates > st.TotalObservations ||
+		st.TotalObservations != n+st.GrossErrors+st.Duplicates {
+		return nil, fmt.Errorf("incremental: state funnel disagrees: %d total, %d rows + %d gross + %d duplicates",
+			st.TotalObservations, n, st.GrossErrors, st.Duplicates)
+	}
+	if len(st.Wx) == 0 && st.WxStart != 0 {
+		return nil, fmt.Errorf("incremental: state has a weather start %d but no weather", st.WxStart)
+	}
+	for i, v := range st.Wx {
+		if math.IsInf(v, 0) {
+			return nil, fmt.Errorf("incremental: state Dst hour %d is %v", i, v)
+		}
+	}
+	batch := make([]core.Observation, n)
+	off := 0
+	for i, cat := range st.Cats {
+		if i > 0 && cat <= st.Cats[i-1] {
+			return nil, fmt.Errorf("incremental: state catalogs out of order at %d (%d after %d)", i, cat, st.Cats[i-1])
+		}
+		for j := off; j < off+st.ObsCounts[i]; j++ {
+			o := core.Observation{Catalog: cat, Epoch: st.Epochs[j], AltKm: st.Alts[j], BStar: st.BStars[j], Incl: st.Incls[j]}
+			if o.AltKm > cfg.Core.MaxValidAltKm || o.AltKm < cfg.Core.MinValidAltKm {
+				return nil, fmt.Errorf("incremental: state catalog %d carries gross-error altitude %.3f", cat, o.AltKm)
+			}
+			if j > off && o.Epoch <= batch[j-1].Epoch {
+				return nil, fmt.Errorf("incremental: state catalog %d history not strictly epoch-ascending", cat)
+			}
+			batch[j] = o
+		}
+		off += st.ObsCounts[i]
+	}
 
 	e := New(cfg)
-	e.wx = slices.Clone(st.Wx)
-	if len(e.wx) > 0 {
-		e.wxStart = time.Unix(st.WxStart, 0).UTC()
+	if len(st.Wx) > 0 {
+		if _, err := e.IngestDst(time.Unix(st.WxStart, 0).UTC(), st.Wx); err != nil {
+			return nil, err
+		}
 	}
+	e.IngestObservations(batch)
 	e.totalObs = st.TotalObservations
 	e.grossErr = st.GrossErrors
 	e.dupRows = st.Duplicates
 	e.rawAlts = slices.Clone(st.RawAlts)
 	e.seq = st.Seq
 	e.version = st.Version
-	e.trig.Restore(st.Trigger)
-
-	// Rebuild the storm machine by scanning the weather once: closed storms,
-	// then the trailing open run, if any, becomes the live machine position.
-	if len(e.wx) > 0 {
-		weather, err := e.Weather()
-		if err != nil {
-			return nil, err
-		}
-		all := weather.Storms(units.StormThreshold)
-		if len(all) > 0 {
-			last := all[len(all)-1]
-			if last.End().Equal(e.WeatherWatermark()) {
-				e.inRun = true
-				e.cur = last
-				e.curQual = e.qualifies(last)
-				all = all[:len(all)-1]
-			}
-		}
-		e.storms = all
-		for _, s := range e.Storms() {
-			if e.qualifies(s) {
-				e.events = append(e.events, s.Start)
-			}
-		}
-	}
-
-	// Rebuild the per-track state and the derived joins.
-	off := 0
-	prev := 0
-	for i, cat := range st.Cats {
-		if i > 0 && cat <= prev {
-			return nil, fmt.Errorf("incremental: state catalogs out of order at %d (%d after %d)", i, cat, prev)
-		}
-		prev = cat
-		count := st.ObsCounts[i]
-		obs := make([]core.Observation, count)
-		var lastEpoch int64
-		for j := 0; j < count; j++ {
-			o := core.Observation{
-				Catalog: cat,
-				Epoch:   st.Epochs[off+j],
-				AltKm:   st.Alts[off+j],
-				BStar:   st.BStars[off+j],
-				Incl:    st.Incls[off+j],
-			}
-			if o.AltKm > cfg.Core.MaxValidAltKm || o.AltKm < cfg.Core.MinValidAltKm {
-				return nil, fmt.Errorf("incremental: state catalog %d carries gross-error altitude %.3f", cat, o.AltKm)
-			}
-			if j > 0 && o.Epoch <= lastEpoch {
-				return nil, fmt.Errorf("incremental: state catalog %d history not strictly epoch-ascending", cat)
-			}
-			lastEpoch = o.Epoch
-			obs[j] = o
-			if o.Epoch > e.lastEpoch {
-				e.lastEpoch = o.Epoch
-			}
-		}
-		off += count
-		ts := &trackState{obs: obs, devs: make(map[int64]core.Deviation)}
-		e.tracks[cat] = ts
-		e.cats = append(e.cats, cat)
-		e.rebuildDerived(cat)
-	}
 	return e, nil
-}
-
-// rebuildDerived recomputes one catalog's cleaned track, onset and
-// association row without emitting deltas — the restore-time mirror of
-// refreshTrack.
-func (e *Engine) rebuildDerived(cat int) {
-	ts := e.tracks[cat]
-	res := core.CleanTrack(cat, ts.obs, e.cfg.Core)
-	ts.track = res.Track
-	if ts.track == nil {
-		return
-	}
-	e.opCount++
-	if on, ok := core.TrackDecayOnset(ts.track, e.cfg.Core.DecayFilterKm, e.cfg.MinDropKm); ok {
-		e.onsets[cat] = on
-	}
-	for _, start := range e.events {
-		if d, ok := core.AssociateTrack(e.cfg.Core, eventAt(start), ts.track, e.cfg.WindowDays); ok {
-			ts.devs[start.Unix()] = d
-			e.devCount++
-		}
-	}
-}
-
-// eventAt is the association identity of an event: only its start instant
-// matters to AssociateTrack.
-func eventAt(start time.Time) core.Event {
-	return core.Event{Storm: dst.Storm{Start: start}}
 }

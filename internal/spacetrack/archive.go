@@ -32,6 +32,8 @@ type Archive interface {
 	GroupVersion(group string) (version uint64, lastMod time.Time, ok bool)
 	// HistoryEach calls yield for each element set of catalog with epoch in
 	// [from, to], ascending. A yield error aborts the walk and is returned.
+	// yield must not keep or modify the set after it returns: the walk may
+	// reuse it for the next one.
 	HistoryEach(catalog int, from, to time.Time, yield func(*tle.TLE) error) error
 	// Ingest merges sets into group at service time at and returns how many
 	// (catalog, epoch) pairs were new.
@@ -92,22 +94,27 @@ func (a *ResultArchive) GroupLatest(group string, at time.Time) []*tle.TLE {
 	return out
 }
 
-// History returns the sets of one satellite with epochs in [from, to],
+// window returns the samples of one satellite with epochs in [from, to],
 // ascending.
-func (a *ResultArchive) History(catalog int, from, to time.Time) []*tle.TLE {
+func (a *ResultArchive) window(catalog int, from, to time.Time) []constellation.Sample {
 	samples := a.series[catalog]
 	lo := sort.Search(len(samples), func(i int) bool { return samples[i].Epoch >= from.Unix() })
 	hi := sort.Search(len(samples), func(i int) bool { return samples[i].Epoch > to.Unix() })
 	if lo >= hi {
 		return nil
 	}
-	out := make([]*tle.TLE, 0, hi-lo)
-	for _, s := range samples[lo:hi] {
-		t, err := s.TLE(a.names[catalog])
-		if err != nil {
-			continue
+	return samples[lo:hi]
+}
+
+// History returns the sets of one satellite with epochs in [from, to],
+// ascending, each materialized on its own: the referee the catalog tests
+// compare HistoryEach against.
+func (a *ResultArchive) History(catalog int, from, to time.Time) []*tle.TLE {
+	var out []*tle.TLE
+	for _, s := range a.window(catalog, from, to) {
+		if t, err := s.TLE(a.names[catalog]); err == nil {
+			out = append(out, t)
 		}
-		out = append(out, t)
 	}
 	return out
 }

@@ -134,46 +134,46 @@ func (c *Catalog) GroupLatest(group string, at time.Time) []*tle.TLE {
 
 // HistoryEach implements Archive: a two-pointer merge of the base window
 // and the delta window, ascending by epoch and deduplicated by epoch with
-// the delta winning, yielding without materializing the union.
+// the delta winning, yielding without materializing the union. The base
+// window's sets are filled in turn into one TLE reused for the whole walk.
 func (c *Catalog) HistoryEach(catalog int, from, to time.Time, yield func(*tle.TLE) error) error {
-	base := c.base.History(catalog, from, to)
+	samples := c.base.window(catalog, from, to)
+	name := c.base.names[catalog]
 	c.mu.RLock()
 	all := c.delta[catalog]
 	c.mu.RUnlock()
 	lo := sort.Search(len(all), func(i int) bool { return !all[i].Epoch.Before(from) })
 	hi := sort.Search(len(all), func(i int) bool { return all[i].Epoch.After(to) })
 	delta := all[lo:hi]
-	bi, di := 0, 0
-	for bi < len(base) || di < len(delta) {
-		switch {
-		case bi == len(base):
-			if err := yield(delta[di]); err != nil {
-				return err
+	var set tle.TLE
+	// next fills set with the next base sample that converts; false once
+	// the base window is spent.
+	next := func() bool {
+		for len(samples) > 0 {
+			s := samples[0]
+			samples = samples[1:]
+			if s.FillTLE(&set, name) == nil {
+				return true
 			}
-			di++
-		case di == len(delta):
-			if err := yield(base[bi]); err != nil {
-				return err
-			}
-			bi++
-		case base[bi].Epoch.Before(delta[di].Epoch):
-			if err := yield(base[bi]); err != nil {
-				return err
-			}
-			bi++
-		case delta[di].Epoch.Before(base[bi].Epoch):
-			if err := yield(delta[di]); err != nil {
-				return err
-			}
-			di++
-		default:
-			// Same epoch in both tiers: the ingested set supersedes.
-			if err := yield(delta[di]); err != nil {
-				return err
-			}
-			bi++
-			di++
 		}
+		return false
+	}
+	for have := next(); have || len(delta) > 0; {
+		if have && (len(delta) == 0 || set.Epoch.Before(delta[0].Epoch)) {
+			if err := yield(&set); err != nil {
+				return err
+			}
+			have = next()
+			continue
+		}
+		if have && set.Epoch.Equal(delta[0].Epoch) {
+			// Same epoch in both tiers: the ingested set supersedes.
+			have = next()
+		}
+		if err := yield(delta[0]); err != nil {
+			return err
+		}
+		delta = delta[1:]
 	}
 	return nil
 }

@@ -22,12 +22,14 @@ func cloneSet(template *tle.TLE, catalog int, epoch time.Time) *tle.TLE {
 	return &c
 }
 
-// history collects the window an archive's HistoryEach yields.
+// history collects copies of the sets an archive's HistoryEach yields,
+// which the walk may reuse.
 func history(a Archive, catalog int, from, to time.Time) []*tle.TLE {
 	var out []*tle.TLE
 	// A walk whose yield never errors returns nil.
 	_ = a.HistoryEach(catalog, from, to, func(t *tle.TLE) error {
-		out = append(out, t)
+		c := *t
+		out = append(out, &c)
 		return nil
 	})
 	return out
@@ -170,13 +172,7 @@ func TestCatalogHistoryEachMatchesHistory(t *testing.T) {
 	// The referee: the base window with the batch merged in by epoch.
 	want := append(archive.History(existing, stStart, end), batch...)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].Epoch.Before(want[j].Epoch) })
-	var got []*tle.TLE
-	if err := cat.HistoryEach(existing, stStart, end, func(s *tle.TLE) error {
-		got = append(got, s)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := history(cat, existing, stStart, end)
 	if len(got) != len(want) {
 		t.Fatalf("HistoryEach yielded %d, want %d", len(got), len(want))
 	}

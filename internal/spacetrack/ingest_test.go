@@ -107,6 +107,36 @@ func TestIngestRejectsUnservableSets(t *testing.T) {
 	}
 }
 
+// TestIngestCreatesServedGroup pins group GETs against the catalog's
+// group index: a group that exists only because an ingest created it is
+// served, with validators from its own version, and a group nobody
+// ingested into is 404.
+func TestIngestCreatesServedGroup(t *testing.T) {
+	archive, _, end := buildArchive(t, 5)
+	template := archive.GroupLatest("starlink", end)[0]
+	h := NewServer(NewCatalog(archive, end), end).Handler()
+	l1, l2, err := cloneSet(template, 70001, end.Add(-time.Minute)).Format()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := serve(h, http.MethodPost, "/ingest?group=oneweb", "ONEWEB-1\n"+l1+"\n"+l2+"\n", false); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+	}
+	rec := serve(h, http.MethodGet, "/NORAD/elements/gp.php?GROUP=oneweb", "", true)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingested group: %d %s", rec.Code, rec.Body)
+	}
+	if sets := decodeSets(t, rec.Body.Bytes()); len(sets) != 1 || sets[0].CatalogNumber != 70001 {
+		t.Fatalf("ingested group served %+v, want catalog 70001 alone", sets)
+	}
+	if etag := rec.Header().Get("ETag"); !strings.HasPrefix(etag, `"oneweb-v1-`) {
+		t.Fatalf("ingested group ETag %s, want version 1", etag)
+	}
+	if rec := serve(h, http.MethodGet, "/NORAD/elements/gp.php?GROUP=iridium", "", true); rec.Code != http.StatusNotFound {
+		t.Fatalf("unknown group: %d, want 404", rec.Code)
+	}
+}
+
 // TestIngestBodyBounded pins POST /ingest's body bound: a batch of valid
 // sets just over maxIngestBody is refused whole with 413 and applies
 // nothing, while the same batch less its last set is accepted. Before the

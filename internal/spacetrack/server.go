@@ -421,13 +421,13 @@ func (s *Server) refuse(w http.ResponseWriter, endpoint string, trace obs.TraceI
 // whichever comes first.
 const validatorGranularity = time.Hour
 
-// validators computes a group's conditional-fetch validators: the ETag folds
-// in the group's version and the clock quantum (new samples become visible
-// as the service clock advances, even without ingest), and Last-Modified is
-// the later of the group's last mutation and the quantum boundary.
-func (s *Server) validators(group string) (etag string, lastMod time.Time) {
+// validators computes a group's conditional-fetch validators from its
+// version and last mutation: the ETag folds in the version and the clock
+// quantum (new samples become visible as the service clock advances, even
+// without ingest), and Last-Modified is the later of the last mutation and
+// the quantum boundary.
+func (s *Server) validators(group string, version uint64, mod time.Time) (etag string, lastMod time.Time) {
 	cut := s.Now().Truncate(validatorGranularity)
-	version, mod, _ := s.archive.GroupVersion(group) // handleGroup has checked the group
 	if mod.Before(cut) {
 		mod = cut
 	}
@@ -540,18 +540,12 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unsupported FORMAT %q", format), http.StatusBadRequest)
 		return
 	}
-	known := false
-	for _, g := range s.archive.Groups() {
-		if g == group {
-			known = true
-			break
-		}
-	}
-	if !known {
+	version, mod, ok := s.archive.GroupVersion(group)
+	if !ok {
 		http.Error(w, fmt.Sprintf("unknown group %q", group), http.StatusNotFound)
 		return
 	}
-	etag, lastMod := s.validators(group)
+	etag, lastMod := s.validators(group, version, mod)
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
 	if notModified(r, etag, lastMod) {

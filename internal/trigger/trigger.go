@@ -128,41 +128,6 @@ func (e *Engine) Feed(at time.Time, v units.NanoTesla) {
 	}
 }
 
-// State is the engine's resumable position in the Dst stream: everything
-// Feed consults besides its arguments. Capturing it mid-storm and feeding
-// the same suffix after Restore fires exactly the events the uninterrupted
-// engine would have (handlers are not part of the state — a restored engine
-// starts with none).
-type State struct {
-	Active     bool
-	Peak       units.NanoTesla
-	Category   units.GScale
-	ClearedAt  time.Time
-	HasCleared bool
-}
-
-// State snapshots the machine for a later Restore.
-func (e *Engine) State() State {
-	return State{
-		Active:     e.active,
-		Peak:       e.peak,
-		Category:   e.category,
-		ClearedAt:  e.clearedAt,
-		HasCleared: e.hasCleared,
-	}
-}
-
-// Restore rewinds the machine to a snapshotted position. Thresholds and
-// MinGap are construction parameters, not state — the caller rebuilds the
-// engine with New and the same configuration first.
-func (e *Engine) Restore(s State) {
-	e.active = s.Active
-	e.peak = s.Peak
-	e.category = s.Category
-	e.clearedAt = s.ClearedAt
-	e.hasCleared = s.HasCleared
-}
-
 // Replay feeds an entire Dst index through the engine and returns the fired
 // events (handlers also run).
 func (e *Engine) Replay(x *dst.Index) []Event {
