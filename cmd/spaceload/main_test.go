@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"cosmicdance/internal/testkit"
 )
 
 // TestDoubleRunByteIdentical is the CLI-level determinism gate: two
@@ -71,6 +73,20 @@ func TestSLOReportText(t *testing.T) {
 	if strings.Contains(text, "\"schema\"") {
 		t.Fatal("-slo-report still emitted the JSON report")
 	}
+}
+
+// TestReportGolden pins the serving plane's traffic: the report of verify.sh's
+// spaceload run (seed 42, ten virtual minutes over a ten-day archive, the
+// 429/reset fault schedule). Any change to admission, the catalog, the
+// incremental feed or the client's retries that moves a status, a latency or
+// a delta shows up here; -update regenerates it for a deliberate change.
+func TestReportGolden(t *testing.T) {
+	args := []string{"-seed", "42", "-duration", "10m", "-days", "10", "-faults", "429:1/31,reset:1/37"}
+	var out bytes.Buffer
+	if err := run(context.Background(), args, &out); err != nil {
+		t.Fatal(err)
+	}
+	testkit.Golden(t, "report_seed42.golden", out.Bytes())
 }
 
 func TestRunWritesFile(t *testing.T) {
