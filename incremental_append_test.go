@@ -10,6 +10,7 @@ import (
 	"cosmicdance/internal/core"
 	"cosmicdance/internal/dst"
 	"cosmicdance/internal/incremental"
+	"cosmicdance/internal/units"
 )
 
 // appendWorld simulates a mega-constellation over a short window with one
@@ -47,7 +48,7 @@ func coldRebuild(tb testing.TB, cfg incremental.Config, start time.Time, vals []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	events := d.Events(cfg.MaxPeak, cfg.MinHours, cfg.MaxHours)
+	events := d.Events(units.StormThreshold, 1, 0)
 	d.Associate(context.Background(), events, cfg.WindowDays)
 	d.DecayOnsets(cfg.MinDropKm)
 }

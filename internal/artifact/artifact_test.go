@@ -544,6 +544,74 @@ func TestFingerprintParallelismInvariant(t *testing.T) {
 	if FingerprintFleet(FingerprintWeather(wcfg2), fcfg) == FingerprintFleet(wfp, fcfg) {
 		t.Fatal("fleet fingerprint ignores the weather fingerprint")
 	}
+
+	// Perturbing any other leaf field, or any slice's count, must move the
+	// fingerprint too.
+	everyLeafMoves(t, testWeatherCfg, FingerprintWeather)
+	everyLeafMoves(t, testFleetCfg, func(c constellation.Config) Fingerprint { return FingerprintFleet(wfp, c) })
+	everyLeafMoves(t, core.DefaultConfig, func(c core.Config) Fingerprint { return FingerprintDataset(ffp, c) })
+}
+
+// everyLeafMoves perturbs, one at a time on a fresh config from mk, every
+// leaf field fp must see — every field but Parallelism, each slice through
+// its first element — and each slice's count, and fails if fp does not move.
+func everyLeafMoves[C any](t *testing.T, mk func() C, fp func(C) Fingerprint) {
+	t.Helper()
+	type leaf struct {
+		path string
+		at   func(reflect.Value) reflect.Value
+	}
+	var leaves []leaf
+	var walk func(v reflect.Value, path string, at func(reflect.Value) reflect.Value)
+	walk = func(v reflect.Value, path string, at func(reflect.Value) reflect.Value) {
+		switch {
+		case v.Type() == reflect.TypeFor[time.Time]():
+			leaves = append(leaves, leaf{path, at})
+		case v.Kind() == reflect.Struct:
+			for i := range v.NumField() {
+				name := v.Type().Field(i).Name
+				if name != "Parallelism" {
+					walk(v.Field(i), path+"."+name, func(r reflect.Value) reflect.Value { return at(r).Field(i) })
+				}
+			}
+		case v.Kind() == reflect.Slice:
+			leaves = append(leaves, leaf{path + ".len", at})
+			if v.Len() > 0 {
+				walk(v.Index(0), path+"[0]", func(r reflect.Value) reflect.Value { return at(r).Index(0) })
+			}
+		default:
+			leaves = append(leaves, leaf{path, at})
+		}
+	}
+	base := mk()
+	walk(reflect.ValueOf(base), reflect.TypeOf(base).Name(), func(r reflect.Value) reflect.Value { return r })
+	want := fp(base)
+	for _, l := range leaves {
+		c := mk()
+		v := l.at(reflect.ValueOf(&c).Elem())
+		switch {
+		case v.Type() == reflect.TypeFor[time.Time]():
+			v.Set(reflect.ValueOf(v.Interface().(time.Time).Add(time.Hour)))
+		case v.Kind() == reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		case v.CanInt():
+			v.SetInt(v.Int() + 1)
+		case v.CanFloat():
+			v.SetFloat(v.Float() + 1)
+		case v.Kind() == reflect.Bool:
+			v.SetBool(!v.Bool())
+		case v.Kind() == reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Fatalf("%s: no perturbation for a %s", l.path, v.Type())
+		}
+		if fp(c) == want {
+			t.Errorf("fingerprint ignores %s", l.path)
+		}
+	}
+	if len(leaves) < 5 {
+		t.Fatalf("walked only %d leaves of a %T", len(leaves), base)
+	}
 }
 
 // --- cache ---

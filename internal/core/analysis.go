@@ -35,18 +35,11 @@ func (d *Dataset) Events(maxPeak units.NanoTesla, minHours, maxHours int) []Even
 func WeatherEvents(weather *dst.Index, maxPeak units.NanoTesla, minHours, maxHours int) []Event {
 	var out []Event
 	for _, s := range weather.Storms(units.StormThreshold) {
-		if Qualifies(s, maxPeak, minHours, maxHours) {
+		if s.Peak <= maxPeak && s.Hours >= minHours && (maxHours <= 0 || s.Hours <= maxHours) {
 			out = append(out, Event{Storm: s})
 		}
 	}
 	return out
-}
-
-// Qualifies is the event gate: whether storm s has peak intensity at or
-// below maxPeak and lasts at least minHours and, when maxHours > 0, at most
-// maxHours. WeatherEvents and the live engine both select events with it.
-func Qualifies(s dst.Storm, maxPeak units.NanoTesla, minHours, maxHours int) bool {
-	return s.Peak <= maxPeak && s.Hours >= minHours && (maxHours <= 0 || s.Hours <= maxHours)
 }
 
 // EventsAbovePercentile selects storms whose peak intensity exceeds the

@@ -45,6 +45,14 @@ type Config struct {
 	Parallelism int
 }
 
+// GrossError reports whether an observed altitude is a tracking error the
+// cleaning funnel drops before anything else: one outside [MinValidAltKm,
+// MaxValidAltKm], or NaN. It is the one gross-error cut; the batch builder,
+// the live engine's ingest and its snapshot restore all apply it.
+func (c Config) GrossError(altKm float64) bool {
+	return !(altKm >= c.MinValidAltKm && altKm <= c.MaxValidAltKm)
+}
+
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
 	return Config{

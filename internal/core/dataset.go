@@ -32,7 +32,7 @@ var (
 // paper's §3 "Cleaning the data" discussion and Fig 10.
 type CleaningStats struct {
 	TotalObservations int
-	GrossErrors       int // altitude outside [MinValidAltKm, MaxValidAltKm]
+	GrossErrors       int // altitude outside [MinValidAltKm, MaxValidAltKm], or NaN
 	RaisingRemoved    int // orbit-raising prefix points
 	NonOperational    int // tracks that never reached an operational shell
 	Duplicates        int // repeated (catalog, epoch) observations dropped
@@ -170,7 +170,7 @@ func buildPartial(ctx context.Context, cfg Config, obs []Observation) (*ChunkPar
 	valid := 0
 	for _, o := range obs {
 		p.RawAlts = append(p.RawAlts, o.AltKm)
-		if o.AltKm > cfg.MaxValidAltKm || o.AltKm < cfg.MinValidAltKm {
+		if cfg.GrossError(o.AltKm) {
 			p.Stats.GrossErrors++
 			continue
 		}
@@ -194,7 +194,7 @@ func buildPartial(ctx context.Context, cfg Config, obs []Observation) (*ChunkPar
 	}
 	byCat := make(map[int][]Observation, len(cats))
 	for _, o := range obs {
-		if o.AltKm > cfg.MaxValidAltKm || o.AltKm < cfg.MinValidAltKm {
+		if cfg.GrossError(o.AltKm) {
 			continue
 		}
 		i := cursor[o.Catalog]

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"cosmicdance/internal/units"
 )
 
 // TestDeltaStreamPinned pins the full JSON delta stream of one seeded run by
@@ -24,7 +26,7 @@ func TestDeltaStreamPinned(t *testing.T) {
 	wx := slices.Clone(weather.Values())
 	hourOf := func(at time.Time) int { return int(at.Sub(start) / time.Hour) }
 
-	storms := weather.Storms(cfg.MaxPeak)
+	storms := weather.Storms(units.StormThreshold)
 	if len(storms) < 3 {
 		t.Fatalf("%d storms in the generated weather, want at least 3", len(storms))
 	}

@@ -15,8 +15,9 @@
 // onset detection reuses core.TrackDecayOnset, and materialization feeds one
 // ChunkPartial through the same PartialAssembler as Build. Storms are
 // dst.Storms because the engine steps the scanner dst.Storms loops over, and
-// events pass core.Qualifies, the gate core.WeatherEvents applies. Restoring
-// a snapshot (FromState) is a prefix replay through the same ingest paths.
+// every storm is an event from its first hour, as core.WeatherEvents selects
+// at the storm threshold. Restoring a snapshot (FromState) is a prefix replay
+// through the same ingest paths.
 package incremental
 
 import (
@@ -43,31 +44,25 @@ var (
 	metricDeltas    = obs.Default().Counter("incremental_delta_events_total")
 )
 
-// Config parameterizes the engine. Event selection is fixed-threshold (the
-// storm-detection threshold plus duration/peak gates) rather than
-// percentile-based: a percentile over the whole weather history changes with
-// every appended hour, which would make every Dst ingest O(world). The
-// defaults select exactly the detected storms.
+// Config parameterizes the engine. Its events are its storms: every run of
+// Dst hours at or below the storm threshold is an event from its first hour.
+// Selection is fixed-threshold rather than percentile-based because a
+// percentile over the whole weather history changes with every appended
+// hour, which would make every Dst ingest O(world).
 type Config struct {
 	// Core is the batch pipeline configuration the engine must agree with.
 	Core core.Config
-	// MaxPeak, MinHours, MaxHours are the core.WeatherEvents selection knobs.
-	MaxPeak  units.NanoTesla
-	MinHours int
-	MaxHours int // <= 0 means unbounded
 	// WindowDays is the happens-closely-after association window in days.
 	WindowDays int
 	// MinDropKm is the decay-onset detection floor (core.TrackDecayOnset).
 	MinDropKm float64
 }
 
-// DefaultConfig matches the batch gates: every detected storm is an event,
-// 30-day association windows, 5 km onset floor.
+// DefaultConfig is the paper's configuration: 30-day association windows,
+// 5 km onset floor.
 func DefaultConfig() Config {
 	return Config{
 		Core:       core.DefaultConfig(),
-		MaxPeak:    units.StormThreshold,
-		MinHours:   1,
 		WindowDays: 30,
 		MinDropKm:  5,
 	}
@@ -77,15 +72,13 @@ func DefaultConfig() Config {
 type Kind string
 
 // Delta kinds, in the order a consumer typically sees them: track lifecycle,
-// storm machine transitions, event (re)qualification, association and onset
-// maintenance.
+// storm machine transitions, association and onset maintenance.
 const (
 	KindTrackNew        Kind = "track_new"        // catalog first survived cleaning
 	KindTrackDrop       Kind = "track_drop"       // catalog no longer survives cleaning
 	KindStormOpen       Kind = "storm_open"       // Dst crossed the storm threshold
 	KindStormClose      Kind = "storm_close"      // Dst recovered; storm frozen
-	KindEventOpen       Kind = "event_open"       // storm passed the event-selection gates
-	KindEventRetract    Kind = "event_retract"    // open storm outgrew MaxHours
+	KindEventOpen       Kind = "event_open"       // storm opened as an event
 	KindDeviationNew    Kind = "deviation_new"    // (event, track) pair joined
 	KindDeviationUpdate Kind = "deviation_update" // pair's deviation changed
 	KindDeviationClear  Kind = "deviation_clear"  // pair no longer qualifies
@@ -142,9 +135,8 @@ type Engine struct {
 	wxStart time.Time
 	wx      []float64
 	scan    dst.RunScan
-	curQual bool        // whether the open storm currently passes the event gates
 	storms  []dst.Storm // closed storms, time-ascending
-	events  []time.Time // qualified storm starts, time-ascending
+	events  []time.Time // storm starts, the open storm's included, time-ascending
 
 	// Track state.
 	cats      []int // catalogs with >= 1 valid observation, ascending
@@ -254,7 +246,7 @@ func (e *Engine) IngestObservations(batch []core.Observation) IngestStats {
 	for _, o := range batch {
 		e.totalObs++
 		e.rawAlts = append(e.rawAlts, o.AltKm)
-		if o.AltKm > e.cfg.Core.MaxValidAltKm || o.AltKm < e.cfg.Core.MinValidAltKm {
+		if e.cfg.Core.GrossError(o.AltKm) {
 			e.grossErr++
 			st.GrossErrors++
 			continue
@@ -352,8 +344,10 @@ func (e *Engine) IngestDst(start time.Time, vals []float64) (IngestStats, error)
 }
 
 // feedHour steps the storm machine by one reading and emits its
-// transitions: a storm opening or closing, and the open storm passing or
-// failing the event gates as it grows.
+// transitions. A storm's first hour opens it as an event too, and runs the
+// engine's only O(world) sweep: the association of the new event against
+// every track. It is rare (once per storm) and is exactly the work the batch
+// pipeline redoes for every event on every rebuild. A closed storm is frozen.
 func (e *Engine) feedHour(at time.Time, v float64) {
 	ended := e.scan.Step(v)
 	run, open := e.scan.Run()
@@ -361,55 +355,15 @@ func (e *Engine) feedHour(at time.Time, v float64) {
 	case ended:
 		e.storms = append(e.storms, run)
 		e.emit(Delta{Kind: KindStormClose, Event: run.Start.Unix(), At: at.Unix(), Hours: run.Hours, PeakNT: float64(run.Peak)})
-	case open:
-		if run.Hours == 1 {
-			e.curQual = false
-			e.emit(Delta{Kind: KindStormOpen, Event: run.Start.Unix(), At: at.Unix(), Hours: 1, PeakNT: float64(run.Peak)})
-		}
-		e.syncOpenEvent(run)
-	}
-}
-
-// qualifies applies the configured event gates to a storm.
-func (e *Engine) qualifies(s dst.Storm) bool {
-	return core.Qualifies(s, e.cfg.MaxPeak, e.cfg.MinHours, e.cfg.MaxHours)
-}
-
-// syncOpenEvent reconciles the open storm cur against the event gates.
-// While a storm is open its duration grows and its peak deepens, so it can
-// qualify (reaching MinHours or MaxPeak) or disqualify (outgrowing MaxHours)
-// — and only the open storm can: closed storms are frozen. Qualification
-// triggers the only O(world) sweep in the engine, a one-time association of
-// the new event against every track; it is rare (once per storm) and is
-// exactly the work the batch pipeline redoes for every event on every
-// rebuild.
-func (e *Engine) syncOpenEvent(cur dst.Storm) {
-	q := e.qualifies(cur)
-	if q == e.curQual {
-		return
-	}
-	start := cur.Start
-	if q {
-		e.curQual = true
-		e.events = append(e.events, start)
-		e.emit(Delta{Kind: KindEventOpen, Event: start.Unix(), Hours: cur.Hours, PeakNT: float64(cur.Peak)})
-		ev := core.Event{Storm: dst.Storm{Start: start}}
+	case open && run.Hours == 1:
+		e.emit(Delta{Kind: KindStormOpen, Event: run.Start.Unix(), At: at.Unix(), Hours: 1, PeakNT: float64(run.Peak)})
+		e.events = append(e.events, run.Start)
+		e.emit(Delta{Kind: KindEventOpen, Event: run.Start.Unix(), Hours: 1, PeakNT: float64(run.Peak)})
+		ev := core.Event{Storm: dst.Storm{Start: run.Start}}
 		for _, cat := range e.cats {
 			e.refreshPair(ev, cat)
 		}
-		return
 	}
-	e.curQual = false
-	e.events = e.events[:len(e.events)-1]
-	key := start.Unix()
-	for _, cat := range e.cats {
-		ts := e.tracks[cat]
-		if _, ok := ts.devs[key]; ok {
-			delete(ts.devs, key)
-			e.devCount--
-		}
-	}
-	e.emit(Delta{Kind: KindEventRetract, Event: key, Hours: cur.Hours, PeakNT: float64(cur.Peak)})
 }
 
 // refreshTrack re-cleans one catalog after its watermark advanced, then
@@ -496,14 +450,13 @@ func (e *Engine) Storms() []dst.Storm {
 	return out
 }
 
-// Events returns the qualified events at the current watermark, in storm
-// order — exactly core.WeatherEvents over the ingested stream.
+// Events returns one event per storm at the current watermark, in storm
+// order — exactly core.WeatherEvents at the storm threshold over the
+// ingested stream.
 func (e *Engine) Events() []core.Event {
 	var out []core.Event
 	for _, s := range e.Storms() {
-		if e.qualifies(s) {
-			out = append(out, core.Event{Storm: s})
-		}
+		out = append(out, core.Event{Storm: s})
 	}
 	return out
 }

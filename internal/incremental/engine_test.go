@@ -13,6 +13,7 @@ import (
 	"cosmicdance/internal/dst"
 	"cosmicdance/internal/spaceweather"
 	"cosmicdance/internal/testkit"
+	"cosmicdance/internal/units"
 )
 
 // batchRun is the batch-pipeline reference: Build over the concatenated
@@ -32,7 +33,7 @@ func runBatch(t testing.TB, cfg Config, weather *dst.Index, obs []core.Observati
 	if err != nil {
 		t.Fatalf("batch build: %v", err)
 	}
-	events := core.WeatherEvents(weather, cfg.MaxPeak, cfg.MinHours, cfg.MaxHours)
+	events := core.WeatherEvents(weather, units.StormThreshold, 1, 0)
 	return batchRun{
 		dataset: d,
 		devs:    d.Associate(context.Background(), events, cfg.WindowDays),
@@ -139,8 +140,8 @@ func TestPrefixReplayMatchesBatch(t *testing.T) {
 
 // TestStormMachineMatchesBatchScan drives hand-crafted weather through the
 // online machine one hour at a time and checks, at every watermark, that the
-// storm list (trailing open run included) and the qualified event list equal
-// the batch scan over the same prefix — including watermarks landing exactly
+// storm list (trailing open run included) and the event list equal the batch
+// scan over the same prefix — including watermarks landing exactly
 // on a storm onset and exactly on the recovery boundary.
 func TestStormMachineMatchesBatchScan(t *testing.T) {
 	start := time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -151,16 +152,14 @@ func TestStormMachineMatchesBatchScan(t *testing.T) {
 		-30, -51, -20, // storm 2: exactly one hour
 		-40, -60, -70, // storm 3: open at the watermark
 	}
-	cfg := DefaultConfig()
-	cfg.MinHours = 2 // make qualification a transition, not a given
-	e := New(cfg)
+	e := New(DefaultConfig())
 	for i, v := range wx {
 		at := start.Add(time.Duration(i) * time.Hour)
 		if _, err := e.IngestDst(at, []float64{v}); err != nil {
 			t.Fatal(err)
 		}
 		prefix := dst.FromValues(start, wx[:i+1])
-		wantStorms := prefix.Storms(cfg.MaxPeak)
+		wantStorms := prefix.Storms(units.StormThreshold)
 		gotStorms := e.Storms()
 		if len(wantStorms) != len(gotStorms) {
 			t.Fatalf("hour %d: storm count: batch %d, engine %d", i, len(wantStorms), len(gotStorms))
@@ -171,7 +170,7 @@ func TestStormMachineMatchesBatchScan(t *testing.T) {
 				t.Fatalf("hour %d: storm %d: batch %+v, engine %+v", i, j, wantStorms[j], gotStorms[j])
 			}
 		}
-		wantEvents := core.WeatherEvents(prefix, cfg.MaxPeak, cfg.MinHours, cfg.MaxHours)
+		wantEvents := core.WeatherEvents(prefix, units.StormThreshold, 1, 0)
 		gotEvents := e.Events()
 		if len(wantEvents) != len(gotEvents) {
 			t.Fatalf("hour %d: event count: batch %d, engine %d", i, len(wantEvents), len(gotEvents))
@@ -185,39 +184,6 @@ func TestStormMachineMatchesBatchScan(t *testing.T) {
 	// The final storm must still be open (watermark inside a storm).
 	if _, open := e.scan.Run(); len(e.Storms()) == 0 || !open {
 		t.Fatal("expected an open storm at the watermark")
-	}
-}
-
-// TestEventRetractionOnMaxHours exercises the only disqualification
-// transition: an open storm outgrowing MaxHours retracts its event and drops
-// its deviations, matching the batch filter at every watermark.
-func TestEventRetractionOnMaxHours(t *testing.T) {
-	start := time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC)
-	cfg := DefaultConfig()
-	cfg.MaxHours = 3
-	e := New(cfg)
-	var retracted, opened int
-	e.OnDelta(func(d Delta) {
-		switch d.Kind {
-		case KindEventOpen:
-			opened++
-		case KindEventRetract:
-			retracted++
-		}
-	})
-	wx := []float64{-10, -60, -70, -80, -90, -95, -10}
-	for i, v := range wx {
-		if _, err := e.IngestDst(start.Add(time.Duration(i)*time.Hour), []float64{v}); err != nil {
-			t.Fatal(err)
-		}
-		prefix := dst.FromValues(start, wx[:i+1])
-		want := core.WeatherEvents(prefix, cfg.MaxPeak, cfg.MinHours, cfg.MaxHours)
-		if got := e.Events(); len(want) != len(got) {
-			t.Fatalf("hour %d: event count: batch %d, engine %d", i, len(want), len(got))
-		}
-	}
-	if opened != 1 || retracted != 1 {
-		t.Fatalf("want 1 open + 1 retract, got %d + %d", opened, retracted)
 	}
 }
 
@@ -319,7 +285,7 @@ func TestSnapshotRestoreMidStorm(t *testing.T) {
 
 	// Find an hour index that lands strictly inside a storm.
 	cut := -1
-	for _, s := range weather.Storms(cfg.MaxPeak) {
+	for _, s := range weather.Storms(units.StormThreshold) {
 		if s.Hours >= 2 {
 			cut = int(s.Start.Sub(weather.Start())/time.Hour) + 1
 			break
@@ -348,7 +314,7 @@ func TestSnapshotRestoreMidStorm(t *testing.T) {
 	if r.Seq() != e.Seq() || r.Version() != e.Version() {
 		t.Fatalf("restore lost counters: seq %d/%d version %d/%d", r.Seq(), e.Seq(), r.Version(), e.Version())
 	}
-	if rCur, rOpen := r.scan.Run(); !rOpen || rCur != eCur || r.curQual != e.curQual {
+	if rCur, rOpen := r.scan.Run(); !rOpen || rCur != eCur {
 		t.Fatalf("restore lost the open storm: open=%v cur=%+v", rOpen, rCur)
 	}
 
@@ -403,6 +369,7 @@ func TestStateFailsClosed(t *testing.T) {
 		{"catalog order", func(s *EngineState) { s.Cats[0], s.Cats[1] = s.Cats[1], s.Cats[0] }},
 		{"epoch order", func(s *EngineState) { s.Epochs[0], s.Epochs[1] = s.Epochs[1], s.Epochs[0] }},
 		{"gross error row", func(s *EngineState) { s.Alts[0] = 9999 }},
+		{"nan altitude row", func(s *EngineState) { s.Alts[0] = math.NaN() }},
 		{"zero history", func(s *EngineState) { s.ObsCounts[0] = 0 }},
 		// Four lengths past the columns whose sum wraps back to the rows.
 		{"history lengths wrap", func(s *EngineState) {
@@ -425,6 +392,71 @@ func TestStateFailsClosed(t *testing.T) {
 			t.Errorf("%s: corrupted state accepted", tc.name)
 		}
 	}
+}
+
+// TestNaNAltitudeIsGrossError feeds a 40-row history with one NaN altitude
+// through the batch builder and through the engine. Both must count the NaN
+// row as a gross error and keep every other row: no cleaned point is NaN.
+func TestNaNAltitudeIsGrossError(t *testing.T) {
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	const rows = 40
+	batch := make([]core.Observation, rows)
+	for i := range batch {
+		batch[i] = core.Observation{
+			Catalog: 44713,
+			Epoch:   start.Add(time.Duration(i) * 12 * time.Hour).Unix(),
+			AltKm:   550 + 0.1*float64(i%3),
+			BStar:   1e-4,
+			Incl:    53,
+		}
+	}
+	batch[17].AltKm = math.NaN()
+	wx := make([]float64, rows*12)
+	for i := range wx {
+		wx[i] = -10
+	}
+	weather := dst.FromValues(start, wx)
+
+	check := func(label string, d *core.Dataset) {
+		t.Helper()
+		if got := d.Cleaning().GrossErrors; got != 1 {
+			t.Errorf("%s: %d gross errors, want 1", label, got)
+		}
+		tr := d.Track(44713)
+		if tr == nil {
+			t.Fatalf("%s: the track did not survive cleaning", label)
+		}
+		if len(tr.Points)+tr.RaisingRemoved != rows-1 {
+			t.Errorf("%s: %d points + %d raising, want %d rows kept", label, len(tr.Points), tr.RaisingRemoved, rows-1)
+		}
+		for _, p := range tr.Points {
+			if math.IsNaN(float64(p.AltKm)) {
+				t.Fatalf("%s: cleaned track holds a NaN point at %d", label, p.Epoch)
+			}
+		}
+	}
+
+	cfg := DefaultConfig()
+	b := core.NewBuilder(cfg.Core, weather)
+	b.AddObservations(batch)
+	d, err := b.Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("batch", d)
+
+	e := New(cfg)
+	if st := e.IngestObservations(batch); st.GrossErrors != 1 || st.Applied != rows-1 {
+		t.Errorf("engine ingest: %+v, want 1 gross error and %d applied", st, rows-1)
+	}
+	if _, err := e.IngestDst(start, wx); err != nil {
+		t.Fatal(err)
+	}
+	d, err = e.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("engine", d)
 }
 
 // TestDeltaStreamShape pins the delta vocabulary on a small scripted run:

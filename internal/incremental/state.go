@@ -131,7 +131,7 @@ func FromState(cfg Config, st EngineState) (*Engine, error) {
 		}
 		for j := off; j < off+st.ObsCounts[i]; j++ {
 			o := core.Observation{Catalog: cat, Epoch: st.Epochs[j], AltKm: st.Alts[j], BStar: st.BStars[j], Incl: st.Incls[j]}
-			if o.AltKm > cfg.Core.MaxValidAltKm || o.AltKm < cfg.Core.MinValidAltKm {
+			if cfg.Core.GrossError(o.AltKm) {
 				return nil, fmt.Errorf("incremental: state catalog %d carries gross-error altitude %.3f", cat, o.AltKm)
 			}
 			if j > off && o.Epoch <= batch[j-1].Epoch {

@@ -52,8 +52,6 @@ type Config struct {
 	// ArchiveDays sizes the simulated archive backing the server
 	// (default 30).
 	ArchiveDays int
-	// PerRequest and PerByte override the transport's transfer-time model.
-	PerRequest, PerByte time.Duration
 }
 
 // group is the single constellation group the backing archive serves.
@@ -201,13 +199,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		injector = faultline.New(handler, sched, cfg.Seed)
 		handler = injector
 	}
-	transport := &Transport{
-		Handler:    handler,
-		Clock:      clock,
-		PerRequest: cfg.PerRequest,
-		PerByte:    cfg.PerByte,
-		Flight:     flight,
-	}
+	transport := &Transport{Handler: handler, Clock: clock, Flight: flight}
 
 	s := &sim{
 		cfg:       cfg,

@@ -18,9 +18,17 @@ import (
 // in-process shape of a torn TCP connection.
 var errReset = errors.New("loadsim: connection reset by server")
 
+// The transport's transfer-time model: every round trip costs perRequest of
+// virtual time, plus perByte for each wire byte of the response body
+// (about 2 MB/s).
+const (
+	perRequest = 2 * time.Millisecond
+	perByte    = 500 * time.Nanosecond
+)
+
 // Transport is an http.RoundTripper that invokes an http.Handler directly
-// and charges virtual transfer time to the shared clock: PerRequest for the
-// round trip plus PerByte for every wire byte of the response body. It
+// and charges virtual transfer time to the shared clock: perRequest for the
+// round trip plus perByte for every wire byte of the response body. It
 // negotiates gzip like a real HTTP stack — wire bytes are counted
 // compressed, the caller sees the inflated body — and it reproduces the two
 // transport-level fault shapes the fault injector emits: aborted handlers
@@ -31,10 +39,8 @@ var errReset = errors.New("loadsim: connection reset by server")
 // loop serializes every request, which is what makes its counters and the
 // virtual timeline reproducible.
 type Transport struct {
-	Handler    http.Handler
-	Clock      *Clock
-	PerRequest time.Duration // per round trip (default 2ms)
-	PerByte    time.Duration // per wire byte (default 500ns, ~2 MB/s)
+	Handler http.Handler
+	Clock   *Clock
 
 	// Flight, when set, records injector-origin rejections — 429/503s the
 	// fault injector short-circuits before the server's admission layer ever
@@ -102,7 +108,7 @@ func (t *Transport) RoundTrip(req *http.Request) (resp *http.Response, err error
 				panic(r)
 			}
 			t.resets++
-			t.Clock.Advance(t.perRequest())
+			t.Clock.Advance(perRequest)
 			resp, err = nil, errReset
 		}
 	}()
@@ -110,7 +116,7 @@ func (t *Transport) RoundTrip(req *http.Request) (resp *http.Response, err error
 
 	wire := rec.body.Len()
 	t.wireBytes += int64(wire)
-	t.Clock.Advance(t.perRequest() + time.Duration(wire)*t.perByte())
+	t.Clock.Advance(perRequest + time.Duration(wire)*perByte)
 	if t.statuses == nil {
 		t.statuses = make(map[int]int64)
 	}
@@ -193,18 +199,4 @@ func endpointOf(path string) string {
 		return "group"
 	}
 	return "other"
-}
-
-func (t *Transport) perRequest() time.Duration {
-	if t.PerRequest > 0 {
-		return t.PerRequest
-	}
-	return 2 * time.Millisecond
-}
-
-func (t *Transport) perByte() time.Duration {
-	if t.PerByte > 0 {
-		return t.PerByte
-	}
-	return 500 * time.Nanosecond
 }

@@ -108,10 +108,6 @@ type Server struct {
 	// RatePerSec disables per-client limiting.
 	RatePerSec float64
 	Burst      float64
-	// MaxClients bounds the tracked per-client buckets (default 4096).
-	// Overflow evicts refilled-to-full buckets, which is semantics-
-	// preserving: a full bucket is indistinguishable from a fresh one.
-	MaxClients int
 
 	// CapacityPerSec and CapacityBurst configure the global admission
 	// bucket; zero CapacityPerSec disables it.
@@ -279,16 +275,15 @@ func (s *Server) admitClient(key string) (bool, time.Duration) {
 	return b.take(now, s.RatePerSec, s.Burst)
 }
 
-// evictLocked drops refilled-to-full buckets once the tracked-client bound
-// is hit. A full bucket carries no throttling state — it behaves exactly
+// maxClients bounds the tracked per-client buckets.
+const maxClients = 4096
+
+// evictLocked drops refilled-to-full buckets once maxClients buckets are
+// tracked. A full bucket carries no throttling state — it behaves exactly
 // like the fresh bucket its client would otherwise get — so eviction never
 // changes a limiting decision.
 func (s *Server) evictLocked(now time.Time) {
-	max := s.MaxClients
-	if max <= 0 {
-		max = 4096
-	}
-	if len(s.clients) < max {
+	if len(s.clients) < maxClients {
 		return
 	}
 	for key, b := range s.clients {

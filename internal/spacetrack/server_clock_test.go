@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,7 +174,7 @@ func TestPerClientBucketsIsolate(t *testing.T) {
 }
 
 // TestBucketEvictionIsLossless fills the tracked-client table past
-// MaxClients and checks that only refilled-to-full buckets were dropped —
+// maxClients and checks that only refilled-to-full buckets were dropped —
 // an evicted client's next request behaves exactly as if its bucket had
 // been kept.
 func TestBucketEvictionIsLossless(t *testing.T) {
@@ -181,22 +182,21 @@ func TestBucketEvictionIsLossless(t *testing.T) {
 	srv := NewServer(NewCatalog(archive, end), end)
 	srv.RatePerSec = 1
 	srv.Burst = 2
-	srv.MaxClients = 4
 	var offset atomic.Int64
 	srv.Now = func() time.Time { return end.Add(time.Duration(offset.Load())) }
 
-	for i := 0; i < 4; i++ {
-		if ok, _ := srv.admitClient(string(rune('a' + i))); !ok {
+	for i := 0; i < maxClients; i++ {
+		if ok, _ := srv.admitClient(strconv.Itoa(i)); !ok {
 			t.Fatalf("client %d denied its burst", i)
 		}
 	}
 	// Everyone is 1 token below full; nothing is evictable, so the table
 	// grows past the bound rather than dropping live state.
-	if ok, _ := srv.admitClient("e"); !ok {
+	if ok, _ := srv.admitClient("overflow"); !ok {
 		t.Fatal("overflow client denied")
 	}
-	if len(srv.clients) != 5 {
-		t.Fatalf("tracked %d clients, want 5 (no lossy eviction)", len(srv.clients))
+	if len(srv.clients) != maxClients+1 {
+		t.Fatalf("tracked %d clients, want %d (no lossy eviction)", len(srv.clients), maxClients+1)
 	}
 	// After the buckets refill, the next newcomer sweeps them out.
 	offset.Store(int64(10 * time.Second))

@@ -12,6 +12,7 @@ import (
 	"cosmicdance/internal/incremental"
 	"cosmicdance/internal/spaceweather"
 	"cosmicdance/internal/testkit"
+	"cosmicdance/internal/units"
 )
 
 // pipelineRun is everything the equivalence suite compares: the built
@@ -123,7 +124,7 @@ func runIncrementalPrefix(t *testing.T, weather *dst.Index, obs []core.Observati
 	if err != nil {
 		t.Fatalf("prefix %d/%d: batch build: %v", nObs, nHours, err)
 	}
-	events := bd.Events(cfg.MaxPeak, cfg.MinHours, cfg.MaxHours)
+	events := bd.Events(units.StormThreshold, 1, 0)
 	ref = pipelineRun{
 		dataset: bd,
 		devs:    bd.Associate(context.Background(), events, cfg.WindowDays),
