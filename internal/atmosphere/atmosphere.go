@@ -74,35 +74,77 @@ func (m Model) Enhancement(d units.NanoTesla) float64 {
 // Density returns the atmospheric density (kg/m³) at altitude alt under
 // geomagnetic conditions d.
 func (m Model) Density(alt units.Kilometers, d units.NanoTesla) float64 {
+	return m.density(alt, m.Enhancement(d))
+}
+
+// density is Density for a reading whose enhancement is enh.
+func (m *Model) density(alt units.Kilometers, enh float64) float64 {
 	profile := math.Exp((m.RefAltitudeKm - float64(alt)) / m.ScaleHeightKm)
-	return m.RefDensity * profile * m.Enhancement(d)
+	return m.RefDensity * profile * enh
 }
 
 // DecayRate returns the uncompensated circular-orbit decay rate (km/day,
 // positive downward) at altitude alt under conditions d. It scales with
 // density, and with orbital velocity relative to the reference altitude.
 func (m Model) DecayRate(alt units.Kilometers, d units.NanoTesla) float64 {
-	if alt <= 0 {
-		return 0
-	}
-	h := m.DecayScaleHeightKm
-	if h <= 0 {
-		h = m.ScaleHeightKm
-	}
-	profile := math.Exp((m.RefAltitudeKm - float64(alt)) / h)
-	// Velocity grows weakly as orbits decay; include the v² drag scaling
-	// relative to reference so low altitudes decay slightly faster still.
-	vRef := velocity(m.RefAltitudeKm)
-	v := velocity(float64(alt))
-	return m.BaseDecayKmPerDay * profile * m.Enhancement(d) * (v * v) / (vRef * vRef)
+	k := m.Kernel()
+	return k.DecayRate(alt, m.Enhancement(d))
 }
 
 // BStar returns the TLE drag term (1/Earth radii) a tracking fit would report
 // for a satellite with drag factor satFactor (1 = nominal cross-section) at
 // altitude alt under conditions d.
 func (m Model) BStar(alt units.Kilometers, d units.NanoTesla, satFactor float64) float64 {
-	densityRatio := m.Density(alt, d) / m.Density(units.Kilometers(m.RefAltitudeKm), 0)
-	return m.BaseBStar * densityRatio * satFactor
+	k := m.Kernel()
+	return k.BStar(alt, m.Enhancement(d), satFactor)
+}
+
+// Kernel is a Model resolved for repeated evaluation, the one form of its
+// decay-rate and B* formulas. What depends on the model alone is computed
+// once: the decay profile's e-folding distance, the reference orbital speed
+// squared and B*'s quiet reference density. The storm enhancement depends on
+// the Dst hour alone, so it is an argument, and a caller stepping many
+// satellites through one hour computes it once. Every float operation keeps
+// the operands and the order of the unresolved formula, so a Kernel agrees
+// with the Model methods bit for bit.
+type Kernel struct {
+	m        Model
+	decayH   float64 // e-folding distance of the decay-rate profile
+	vRef2    float64 // circular orbital speed at RefAltitudeKm, squared
+	quietRef float64 // Density(RefAltitudeKm, 0), B*'s reference: RefDensity·exp(0)·Enhancement(0)
+}
+
+// Kernel resolves m.
+func (m Model) Kernel() Kernel {
+	h := m.DecayScaleHeightKm
+	if h <= 0 {
+		h = m.ScaleHeightKm
+	}
+	vRef := velocity(m.RefAltitudeKm)
+	return Kernel{
+		m:        m,
+		decayH:   h,
+		vRef2:    vRef * vRef,
+		quietRef: m.density(units.Kilometers(m.RefAltitudeKm), m.Enhancement(0)),
+	}
+}
+
+// DecayRate is Model.DecayRate for a reading whose Enhancement is enh.
+func (k *Kernel) DecayRate(alt units.Kilometers, enh float64) float64 {
+	if alt <= 0 {
+		return 0
+	}
+	profile := math.Exp((k.m.RefAltitudeKm - float64(alt)) / k.decayH)
+	// Velocity grows weakly as orbits decay; include the v² drag scaling
+	// relative to reference so low altitudes decay slightly faster still.
+	v := velocity(float64(alt))
+	return k.m.BaseDecayKmPerDay * profile * enh * (v * v) / k.vRef2
+}
+
+// BStar is Model.BStar for a reading whose Enhancement is enh.
+func (k *Kernel) BStar(alt units.Kilometers, enh, satFactor float64) float64 {
+	densityRatio := k.m.density(alt, enh) / k.quietRef
+	return k.m.BaseBStar * densityRatio * satFactor
 }
 
 // velocity is the circular orbital speed (km/s) at the given altitude.

@@ -34,9 +34,10 @@ func (m Model) TimeToReentry(startAlt units.Kilometers, ambient units.NanoTesla,
 	if alt <= ReentryAltitudeKm {
 		return ReentryEstimate{Reenters: true, Duration: 0}
 	}
+	k, enh := m.Kernel(), m.Enhancement(ambient)
 	maxHours := int(ReentryHorizon / time.Hour)
 	for h := 1; h <= maxHours; h++ {
-		alt -= (m.DecayRate(units.Kilometers(alt), ambient)*dragFactor + deorbitKmPerDay) / 24
+		alt -= (k.DecayRate(units.Kilometers(alt), enh)*dragFactor + deorbitKmPerDay) / 24
 		if alt <= ReentryAltitudeKm {
 			return ReentryEstimate{Reenters: true, Duration: time.Duration(h) * time.Hour}
 		}

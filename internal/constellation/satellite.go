@@ -205,31 +205,30 @@ type SatInfo struct {
 // sat is the mutable simulation state (internal). Each satellite owns its
 // RNG stream (seeded from the run seed and its catalog number) and is
 // touched by exactly one worker per step, so the struct needs no locking.
+// The fields every step reads come first, so they share cache lines.
 type sat struct {
-	info        SatInfo
-	src         stream // the satellite's own source, behind rng
-	rng         *rand.Rand
-	phase       Phase
-	altKm       float64
-	incl        float64
-	raan        float64
-	argp        float64
-	meanAnomaly float64
-	ecc         float64
-
-	safeUntil    time.Time
-	episodeDrag  float64 // extra drag multiplier while in safe mode
-	stagedUntil  time.Time
-	nextSample   time.Time
-	deorbitKmDay float64
+	phase        Phase
+	altKm        float64
+	raan         float64
+	meanAnomaly  float64
+	raanRate     float64 // J2 nodal regression, deg/hour
+	maRate       float64 // mean-anomaly advance, deg/hour
 	scriptCursor int
 	scripts      []ScriptedEvent // events targeting this satellite
-	lifespanEnd  time.Time
-	raanRate     float64 // cached deg/hour
-	maRate       float64 // cached deg/hour
 
-	// pending buffers the sample emitted this step until the coordinator's
-	// ordered collection pass (see simState.step).
-	pending    Sample
-	hasPending bool
+	// Deadlines in unix seconds on the step clock (see dueUnix): the
+	// satellite leaves staging, leaves safe mode or retires once the clock
+	// passes them, and samples once it reaches nextSample.
+	stagedUntil, safeUntil, lifespanEnd, nextSample int64
+
+	stagingBudget float64 // quiet-time staging decay per hour, which checkout thrust cancels
+	episodeDrag   float64 // extra drag multiplier while in safe mode
+	deorbitKmDay  float64
+
+	info SatInfo
+	src  stream // the satellite's own source, behind rng
+	rng  *rand.Rand
+	incl float64
+	argp float64
+	ecc  float64
 }

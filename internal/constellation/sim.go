@@ -115,7 +115,8 @@ type Result struct {
 }
 
 // Run simulates the constellation over cfg.Hours hourly steps, driven by the
-// Dst index (hours outside the index are treated as quiet).
+// Dst index (hours outside the index, and missing hours inside it, are
+// treated as quiet).
 //
 // The hourly physics step fans out across satellites on a worker pool
 // bounded by cfg.Parallelism. Every satellite owns an RNG stream derived
@@ -202,27 +203,26 @@ func (sc *schedule) simulate(ctx context.Context, weather *dst.Index, lo, hi, wi
 		lo:       sc.firstCat + lo,
 		hi:       sc.firstCat + hi,
 		result:   &Result{Start: sc.start, Hours: sc.cfg.Hours},
+		kern:     sc.cfg.Atmosphere.Kernel(),
+		raise:    sc.cfg.RaiseRateKmPerDay / 24,
 	}
 	defer st.pool.Flush() // publish pool telemetry even on a failed run
-	st.stepFn = func(i int) error {
-		st.stepSat(st.sats[i], st.stepNow, st.stepD, st.stepStorm, st.stepDuck, st.stepIntensity)
-		return nil
-	}
+	st.stepFn = st.stepBlock
 
+	// Growing the archive by append re-copies it at every 1.25× step: the
+	// paper fleet's 3M samples allocated 5.4× their bytes that way.
+	st.result.Samples = make([]Sample, 0, st.expectedSamples())
 	next := sc.firstCat + sc.initial // catalog of the first launched satellite
-	// Size the archive for the window's initial fleet at the mean tracking
-	// cadence: growing a chunk's ~57k samples by append re-copies them at
-	// every 1.25× step.
-	initial := max(min(next, st.hi)-st.lo, 0)
-	st.result.Samples = make([]Sample, 0, initial*int(float64(sc.cfg.Hours)/sc.cfg.MeanTLEIntervalHours))
 	for cat := st.lo; cat < min(next, st.hi); cat++ {
 		st.seedInitialSat(cat)
 	}
 	launchIdx := 0
 	for h := 0; h < sc.cfg.Hours; h++ {
 		now := sc.start.Add(time.Duration(h) * time.Hour)
-		d := units.NanoTesla(-10) // quiet default outside the index
-		if v, ok := weather.At(now); ok {
+		// Quiet outside the index, and for a missing hour (NaN) inside it:
+		// a NaN enhancement would make every live altitude NaN for good.
+		d := units.NanoTesla(-10)
+		if v, ok := weather.At(now); ok && !math.IsNaN(float64(v)) {
 			d = v
 		}
 		for launchIdx < len(sc.launches) && !sc.launches[launchIdx].At.After(now) {
@@ -235,6 +235,32 @@ func (sc *schedule) simulate(ctx context.Context, weather *dst.Index, lo, hi, wi
 	}
 	st.finalize()
 	return st.result, nil
+}
+
+// expectedSamples sizes the window's archive at the mean tracking cadence:
+// each satellite samples about once per MeanTLEIntervalHours from the hour
+// the loop creates it to the end of the run.
+func (st *simState) expectedSamples() int {
+	perSat := func(hours int) int { return int(float64(hours) / st.cfg.MeanTLEIntervalHours) }
+	next := st.firstCat + st.initial
+	n := max(min(next, st.hi)-st.lo, 0) * perSat(st.cfg.Hours)
+	for _, l := range st.launches {
+		// The loop creates l's batch at its first hour at or after l.At.
+		h := 0
+		if d := l.At.Sub(st.start); d > 0 {
+			h = int(d / time.Hour)
+			if d%time.Hour != 0 {
+				h++
+			}
+		}
+		if h >= st.cfg.Hours {
+			break
+		}
+		end := next + max(l.Count, 0)
+		n += max(min(end, st.hi)-max(next, st.lo), 0) * perSat(st.cfg.Hours-h)
+		next = end
+	}
+	return n
 }
 
 // validateConfig is the precondition check behind Run and PlanChunks.
@@ -273,16 +299,43 @@ type simState struct {
 	sats   []*sat
 	result *Result
 
-	// stepFn is the per-satellite worker body, built once per run. The
-	// hourly fan-out reuses it so the hot loop does not allocate a fresh
-	// closure every step; the step parameters travel via the step* fields,
-	// which the coordinator writes before the fan-out and workers only read.
-	stepFn        func(i int) error
-	stepNow       time.Time
-	stepD         units.NanoTesla
-	stepStorm     bool
-	stepDuck      bool
-	stepIntensity float64
+	kern  atmosphere.Kernel // the run's atmosphere, resolved once
+	raise float64           // orbit-raising climb per hour (km)
+
+	// stepFn is stepBlock as a method value, built once per run so the
+	// hourly fan-out does not allocate a closure every step. The step's
+	// inputs travel in hour, which the coordinator writes before the
+	// fan-out and workers only read; block b's worker alone writes
+	// emitted[b], the samples its satellites emit this hour.
+	stepFn  func(b int) error
+	hour    hour
+	emitted [][]Sample
+}
+
+// hour is one step's inputs. Each depends on the hour alone, so the
+// coordinator resolves it once rather than every satellite per hour.
+type hour struct {
+	now   time.Time
+	unix  int64 // now in unix seconds: the clock satellite deadlines compare against
+	clock int   // now.Hour(), decommissionDue's daily stride
+	enh   float64
+	// casualties: storm safe modes and failures are sampled this hour (a
+	// storm, and no proactive mitigation), scaled by intensity.
+	casualties bool
+	intensity  float64
+	duck       bool
+	boost      float64 // station-keeping authority per hour (km)
+}
+
+// The step clock is whole unix seconds: every step time is the
+// hour-truncated start plus whole hours. Against such a clock a deadline t
+// compares as an integer, exactly: now.After(t) is now > t.Unix(), and
+// !now.Before(t) is now >= dueUnix(t).
+func dueUnix(t time.Time) int64 {
+	if t.Nanosecond() > 0 {
+		return t.Unix() + 1
+	}
+	return t.Unix()
 }
 
 // seedInitialSat creates initial-fleet satellite cat already on station.
@@ -296,10 +349,10 @@ func (st *simState) seedInitialSat(cat int) {
 	// time and lifespan must reflect it.
 	age := time.Duration(s.rng.Float64() * 3 * 365 * 24 * float64(time.Hour))
 	s.info.LaunchedAt = st.start.Add(-age)
-	s.lifespanEnd = s.info.LaunchedAt.Add(time.Duration(st.cfg.LifespanYears * 365.25 * 24 * float64(time.Hour)))
+	s.lifespanEnd = s.info.LaunchedAt.Add(time.Duration(st.cfg.LifespanYears * 365.25 * 24 * float64(time.Hour))).Unix()
 	s.phase = PhaseOperational
 	s.altKm = shell.AltitudeKm - s.rng.Float64()*st.cfg.DeadbandKm
-	s.nextSample = st.start.Add(time.Duration(s.rng.Float64()*st.cfg.MeanTLEIntervalHours) * time.Hour)
+	s.nextSample = dueUnix(st.start.Add(time.Duration(s.rng.Float64()*st.cfg.MeanTLEIntervalHours) * time.Hour))
 	st.sats = append(st.sats, s)
 }
 
@@ -323,8 +376,11 @@ func (st *simState) launch(l Launch, now time.Time, first int) int {
 		s := st.newSat(cat, shellIdx, now, stagingAlt)
 		s.phase = PhaseStaging
 		s.altKm = stagingAlt
-		s.stagedUntil = now.Add(time.Duration(stagingDays*24) * time.Hour)
-		s.nextSample = now.Add(time.Duration(s.rng.Float64()*st.cfg.MeanTLEIntervalHours) * time.Hour)
+		s.stagedUntil = now.Add(time.Duration(stagingDays*24) * time.Hour).Unix()
+		// Checkout thrusting compensates quiet-time staging drag but has
+		// limited authority: the quiet-time rate is the budget.
+		s.stagingBudget = st.kern.DecayRate(units.Kilometers(stagingAlt), st.cfg.Atmosphere.Enhancement(0)) / 24 * s.info.DragFactor
+		s.nextSample = dueUnix(now.Add(time.Duration(s.rng.Float64()*st.cfg.MeanTLEIntervalHours) * time.Hour))
 		st.sats = append(st.sats, s)
 	}
 	return end
@@ -346,7 +402,7 @@ func (st *simState) newSat(cat, shellIdx int, launchedAt time.Time, stagingAlt f
 			TargetAltKm:  shell.AltitudeKm,
 		},
 		scripts:     st.scripts[cat],
-		lifespanEnd: launchedAt.Add(time.Duration(st.cfg.LifespanYears*365.25*24) * time.Hour),
+		lifespanEnd: launchedAt.Add(time.Duration(st.cfg.LifespanYears*365.25*24) * time.Hour).Unix(),
 	}
 	s.src.Seed(childSeed(st.cfg.Seed, cat))
 	s.rng = rand.New(&s.src)
@@ -357,13 +413,20 @@ func (st *simState) newSat(cat, shellIdx int, launchedAt time.Time, stagingAlt f
 	s.argp = s.rng.Float64() * 360
 	s.meanAnomaly = s.rng.Float64() * 360
 	s.ecc = 0.0001 + s.rng.Float64()*0.0002
+	// The plane's J2 regression and mean-anomaly advance vary weakly with
+	// altitude over a satellite's life, so both come from the target shell.
+	s.raanRate = orbit.RAANRateDegPerDay(units.Kilometers(shell.AltitudeKm), units.Degrees(s.incl), s.ecc) / 24
+	if n, err := orbit.MeanMotionFromAltitude(units.Kilometers(shell.AltitudeKm)); err == nil {
+		s.maRate = float64(n) * 360 / 24
+	}
 	return s
 }
 
 // step advances every satellite by one hour under Dst reading d. Satellites
-// are updated independently on the worker pool (each owns its state and its
-// RNG stream); the coordinator then collects the samples emitted this hour
-// in satellite order, so the archive layout is identical at every width.
+// are updated independently on the worker pool, a block at a time (each
+// owns its state and its RNG stream); the coordinator then collects the
+// samples emitted this hour in satellite order, so the archive layout is
+// identical at every width.
 func (st *simState) step(ctx context.Context, now time.Time, d units.NanoTesla) error {
 	enh := st.cfg.Atmosphere.Enhancement(d)
 	stormActive := d <= units.StormThreshold
@@ -376,97 +439,129 @@ func (st *simState) step(ctx context.Context, now time.Time, d units.NanoTesla) 
 		i := -float64(d) / 100
 		intensityScale = i * i
 	}
-
-	st.stepNow, st.stepD = now, d
-	st.stepStorm, st.stepDuck, st.stepIntensity = stormActive, duck, intensityScale
-	if err := st.pool.ForEach(ctx, len(st.sats), st.stepFn); err != nil {
+	boost := st.cfg.BoostKmPerDay / 24
+	if duck {
+		boost *= 2 // attentive operational response
+	}
+	st.hour = hour{
+		now: now, unix: now.Unix(), clock: now.Hour(), enh: enh,
+		casualties: stormActive && !st.cfg.ProactiveDragMitigation, intensity: intensityScale,
+		duck: duck, boost: boost,
+	}
+	blocks := (len(st.sats) + stepBlockSats - 1) / stepBlockSats
+	for len(st.emitted) < blocks {
+		st.emitted = append(st.emitted, nil)
+	}
+	if err := st.pool.ForEach(ctx, blocks, st.stepFn); err != nil {
 		return err
 	}
-
-	// Ordered merge of this hour's emissions (at most one per satellite).
-	for _, s := range st.sats {
-		if s.hasPending {
-			s.hasPending = false
-			st.result.Samples = append(st.result.Samples, s.pending)
-		}
+	// Blocks in order, each in satellite order: the archive's order.
+	for _, out := range st.emitted[:blocks] {
+		st.result.Samples = append(st.result.Samples, out...)
 	}
 	return nil
 }
 
-// stepSat advances one satellite by one hour. It touches only s (state and
-// RNG stream) plus read-only run configuration, which is what makes the
-// per-step fan-out race-free and schedule-independent.
-func (st *simState) stepSat(s *sat, now time.Time, d units.NanoTesla, stormActive, duck bool, intensityScale float64) {
-	cfg := &st.cfg
-	atm := cfg.Atmosphere
+// stepBlockSats is how many satellites one fan-out item steps.
+const stepBlockSats = 256
+
+// stepBlock advances block b of the fleet by one hour. The block's drag
+// decays come first, in a pass of their own: each is a chain of exp, sqrt
+// and divisions independent of every other satellite's, and with nothing
+// else between them the CPU overlaps neighbouring chains.
+func (st *simState) stepBlock(b int) error {
+	sats := st.sats[b*stepBlockSats : min((b+1)*stepBlockSats, len(st.sats))]
+	var decay [stepBlockSats]float64
+	for i, s := range sats {
+		decay[i] = st.hourlyDecay(s)
+	}
+	out := st.emitted[b][:0]
+	for i, s := range sats {
+		if st.stepSat(s, decay[i]) {
+			out = append(out, st.sample(s))
+		}
+	}
+	st.emitted[b] = out
+	return nil
+}
+
+// hourlyDecay fires s's scripted events due this hour and returns its
+// uncompensated drag decay for the hour (km). Like stepSat it touches only
+// s plus read-only run state.
+func (st *simState) hourlyDecay(s *sat) float64 {
 	if s.phase == PhaseReentered {
-		return
+		return 0
 	}
 	if s.scriptCursor < len(s.scripts) {
-		st.applyScripts(s, now)
+		st.applyScripts(s, st.hour.now)
 	}
-
-	// Uncompensated drag decay for this hour.
 	drag := s.info.DragFactor
 	if s.phase == PhaseSafeMode {
 		drag *= s.episodeDrag
 	}
-	if duck {
+	if st.hour.duck {
 		// Knife-edge "duck" attitude sheds drag during extreme storms.
 		drag *= 0.6
 	}
-	decay := atm.DecayRate(units.Kilometers(s.altKm), d) / 24 * drag
+	return st.kern.DecayRate(units.Kilometers(s.altKm), st.hour.enh) / 24 * drag
+}
+
+// stepSat advances one satellite by one hour, given its drag decay for the
+// hour, and reports whether a tracking sample is due. It touches only s
+// (state and RNG stream) plus read-only run configuration, which is what
+// makes the per-step fan-out race-free and schedule-independent.
+func (st *simState) stepSat(s *sat, decay float64) bool {
+	if s.phase == PhaseReentered {
+		return false
+	}
+	cfg := &st.cfg
+	h := &st.hour
+	casualties := h.casualties && len(s.scripts) == 0
 
 	switch s.phase {
 	case PhaseStaging:
-		// Checkout thrusting compensates quiet-time staging drag but has
-		// limited authority: the quiet-time rate is the budget.
-		budget := atm.DecayRate(units.Kilometers(s.info.StagingAltKm), 0) / 24 * s.info.DragFactor
-		net := decay - budget
+		net := decay - s.stagingBudget
 		if net > 0 {
 			s.altKm -= net
 		}
 		if s.altKm < s.info.StagingAltKm-12 {
 			// Drag has won; the batch is written off (Feb 2022 pattern).
-			st.beginDeorbit(s, now)
+			st.beginDeorbit(s, h.now)
 			break
 		}
-		if now.After(s.stagedUntil) {
+		if h.unix > s.stagedUntil {
 			s.phase = PhaseRaising
 		}
-		st.maybeStormEvent(s, now, stormActive && !cfg.ProactiveDragMitigation && len(s.scripts) == 0, intensityScale)
+		st.maybeStormEvent(s, casualties)
 	case PhaseRaising:
-		s.altKm += (cfg.RaiseRateKmPerDay)/24 - decay
+		s.altKm += st.raise - decay
 		if s.altKm >= s.info.TargetAltKm {
 			s.altKm = s.info.TargetAltKm
 			s.phase = PhaseOperational
 		}
-		st.maybeStormEvent(s, now, stormActive && !cfg.ProactiveDragMitigation && len(s.scripts) == 0, intensityScale)
+		st.maybeStormEvent(s, casualties)
 	case PhaseOperational:
 		s.altKm -= decay
 		deficit := s.info.TargetAltKm - s.altKm
 		if deficit > cfg.DeadbandKm {
-			boost := cfg.BoostKmPerDay / 24
-			if duck {
-				boost *= 2 // attentive operational response
-			}
+			boost := h.boost
 			if boost > deficit {
 				boost = deficit
 			}
 			s.altKm += boost
 		}
-		if now.After(s.lifespanEnd) {
-			st.beginDeorbit(s, now)
+		if h.unix > s.lifespanEnd {
+			st.beginDeorbit(s, h.now)
 			break
 		}
-		if s.decommissionDue(st, now) {
-			st.beginDeorbit(s, now)
+		if s.decommissionDue(st) {
+			st.beginDeorbit(s, h.now)
 			break
 		}
-		st.maybeStormEvent(s, now, stormActive && !cfg.ProactiveDragMitigation && len(s.scripts) == 0, intensityScale)
+		st.maybeStormEvent(s, casualties)
 	case PhaseSafeMode:
 		s.altKm -= decay
-		if now.After(s.safeUntil) {
+		if h.unix > s.safeUntil {
 			// Recovery: far below the shell (the storm hit during orbit
 			// raising) the ion thrusters resume the raise at full
 			// authority; a station-keeping-scale excursion recovers at
@@ -487,30 +582,28 @@ func (st *simState) stepSat(s *sat, now time.Time, d units.NanoTesla, stormActiv
 	if s.altKm <= atmosphere.ReentryAltitudeKm {
 		s.phase = PhaseReentered
 		s.info.Fate = PhaseReentered
-		s.info.FateAt = now
-		return
+		s.info.FateAt = h.now
+		return false
 	}
 
 	// Plane geometry: J2 nodal regression and mean-anomaly advance.
-	s.raan += s.raanRatePerHour()
+	s.raan += s.raanRate
 	if s.raan < 0 {
 		s.raan += 360
 	} else if s.raan >= 360 {
 		s.raan -= 360
 	}
-	s.meanAnomaly += s.maRatePerHour()
+	s.meanAnomaly += s.maRate
 	for s.meanAnomaly >= 360 {
 		s.meanAnomaly -= 360
 	}
 
-	if !now.Before(s.nextSample) {
-		st.emitSample(s, now, d)
-	}
+	return h.unix >= s.nextSample
 }
 
 // decommissionDue samples the random early-decommission process. Satellites
 // with scripted fates are exempt so presets stay deterministic.
-func (s *sat) decommissionDue(st *simState, now time.Time) bool {
+func (s *sat) decommissionDue(st *simState) bool {
 	if st.cfg.DecommissionPerYear <= 0 {
 		return false
 	}
@@ -520,31 +613,33 @@ func (s *sat) decommissionDue(st *simState, now time.Time) bool {
 	// Sampled lazily at low rate; one uniform draw per satellite-hour would
 	// dominate the run, so the per-hour probability is only evaluated on a
 	// 1-in-24 hour stride (daily), scaled accordingly.
-	if now.Hour() != int(uint(s.info.Catalog)%24) {
+	if st.hour.clock != int(uint(s.info.Catalog)%24) {
 		return false
 	}
 	return s.rng.Float64() < st.cfg.DecommissionPerYear/365.25
 }
 
-// maybeStormEvent samples safe-mode entry or permanent failure during storms.
-func (st *simState) maybeStormEvent(s *sat, now time.Time, active bool, intensityScale float64) {
-	if !active || intensityScale == 0 {
+// maybeStormEvent samples safe-mode entry or permanent failure during storms
+// when active.
+func (st *simState) maybeStormEvent(s *sat, active bool) {
+	h := &st.hour
+	if !active || h.intensity == 0 {
 		return
 	}
 	r := s.rng.Float64()
-	pSafe := st.cfg.SafeModeProbPerStormHour * intensityScale
-	pFail := st.cfg.FailProbPerStormHour * intensityScale
+	pSafe := st.cfg.SafeModeProbPerStormHour * h.intensity
+	pFail := st.cfg.FailProbPerStormHour * h.intensity
 	switch {
 	case r < pFail:
-		st.beginUncontrolledDecay(s, now)
+		st.beginUncontrolledDecay(s, h.now)
 	case r < pFail+pSafe:
-		st.enterSafeMode(s, now, st.cfg.SafeModeMinDays+s.rng.Float64()*(st.cfg.SafeModeMaxDays-st.cfg.SafeModeMinDays), 0)
+		st.enterSafeMode(s, h.now, st.cfg.SafeModeMinDays+s.rng.Float64()*(st.cfg.SafeModeMaxDays-st.cfg.SafeModeMinDays), 0)
 	}
 }
 
 func (st *simState) enterSafeMode(s *sat, now time.Time, days float64, dragFactor float64) {
 	s.phase = PhaseSafeMode
-	s.safeUntil = now.Add(time.Duration(days * 24 * float64(time.Hour)))
+	s.safeUntil = now.Add(time.Duration(days * 24 * float64(time.Hour))).Unix()
 	if dragFactor > 0 {
 		s.episodeDrag = dragFactor
 	} else {
@@ -596,32 +691,11 @@ func (st *simState) applyScripts(s *sat, now time.Time) {
 	}
 }
 
-// raanRatePerHour returns the J2 regression rate. The rate varies weakly with
-// altitude over a satellite's life, so it is computed from the target shell.
-func (s *sat) raanRatePerHour() float64 {
-	if s.raanRate == 0 {
-		s.raanRate = orbit.RAANRateDegPerDay(units.Kilometers(s.info.TargetAltKm), units.Degrees(s.incl), s.ecc) / 24
-	}
-	return s.raanRate
-}
-
-// maRatePerHour returns the mean-anomaly advance per hour at the target
-// altitude (≈225°/hour for the 550 km shell).
-func (s *sat) maRatePerHour() float64 {
-	if s.maRate == 0 {
-		n, err := orbit.MeanMotionFromAltitude(units.Kilometers(s.info.TargetAltKm))
-		if err != nil {
-			return 0
-		}
-		s.maRate = float64(n) * 360 / 24
-	}
-	return s.maRate
-}
-
-// emitSample buffers one tracking observation for the coordinator's ordered
-// collection at the end of the step, and schedules the next.
-func (st *simState) emitSample(s *sat, now time.Time, d units.NanoTesla) {
+// sample takes s's tracking observation for this hour and schedules the
+// next.
+func (st *simState) sample(s *sat) Sample {
 	cfg := &st.cfg
+	h := &st.hour
 	alt := s.altKm + s.rng.NormFloat64()*cfg.AltNoiseKm
 	if cfg.GrossErrorProb > 0 && s.rng.Float64() < cfg.GrossErrorProb {
 		// Tracking mis-fit: a wildly wrong altitude, log-uniform up to the
@@ -633,18 +707,17 @@ func (st *simState) emitSample(s *sat, now time.Time, d units.NanoTesla) {
 	if s.phase == PhaseSafeMode || s.phase == PhaseDeorbiting {
 		drag *= 2.2
 	}
-	s.pending = Sample{
+	obs := Sample{
 		Catalog:      int32(s.info.Catalog),
-		Epoch:        now.Unix(),
+		Epoch:        h.unix,
 		AltKm:        float32(alt),
-		BStar:        float32(cfg.Atmosphere.BStar(units.Kilometers(s.altKm), d, drag)),
+		BStar:        float32(st.kern.BStar(units.Kilometers(s.altKm), h.enh, drag)),
 		Inclination:  float32(s.incl + s.rng.NormFloat64()*0.003),
 		RAAN:         float32(s.raan),
 		Eccentricity: float32(s.ecc + s.rng.Float64()*1e-5),
 		ArgPerigee:   float32(s.argp),
 		MeanAnomaly:  float32(s.meanAnomaly),
 	}
-	s.hasPending = true
 	// Refresh cadence: exponential around the mean, clamped to the observed
 	// <1 h .. 154 h range.
 	iv := s.rng.ExpFloat64() * cfg.MeanTLEIntervalHours
@@ -654,7 +727,8 @@ func (st *simState) emitSample(s *sat, now time.Time, d units.NanoTesla) {
 	if iv > cfg.MaxTLEIntervalHours {
 		iv = cfg.MaxTLEIntervalHours
 	}
-	s.nextSample = now.Add(time.Duration(iv * float64(time.Hour)))
+	s.nextSample = dueUnix(h.now.Add(time.Duration(iv * float64(time.Hour))))
+	return obs
 }
 
 // finalize copies terminal ground truth into the result.

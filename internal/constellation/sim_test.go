@@ -3,9 +3,12 @@ package constellation
 import (
 	"bytes"
 	"context"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cosmicdance/internal/dst"
 	"cosmicdance/internal/spaceweather"
@@ -631,5 +634,61 @@ func TestWriteTLEsMatchesFormat(t *testing.T) {
 		if got.String() != want.String() {
 			t.Fatalf("names=%v: WriteTLEs wrote %d bytes, Format %d, and they differ", withNames, got.Len(), want.Len())
 		}
+	}
+}
+
+// TestMissingDstHourIsQuiet: a missing hour inside the index (NaN, WDC's
+// 9999) steps as the quiet default, exactly as an hour outside the index
+// does. Passed on as NaN, its enhancement made every live altitude NaN for
+// the rest of the run.
+func TestMissingDstHourIsQuiet(t *testing.T) {
+	cfg := smallConfig(30 * 24)
+	cfg.Launches = nil
+	cfg.InitialFleet = 20
+	missing := stormIndex(cfg.Hours, 200, -150)
+	quiet := stormIndex(cfg.Hours, 200, -150)
+	missing.Values()[100] = math.NaN()
+	quiet.Values()[100] = -10
+
+	got, err := Run(context.Background(), cfg, missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(context.Background(), cfg, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffResults(t, "missing hour vs quiet hour", got, want)
+	for _, s := range got.Samples {
+		if math.IsNaN(float64(s.AltKm)) || math.IsNaN(float64(s.BStar)) {
+			t.Fatalf("sample %+v carries NaN", s)
+		}
+	}
+}
+
+// TestPaperFleetAllocation is an exact memory gate on the simulator: a
+// paper-fleet run allocates under 1.5× its archive's bytes, because the
+// archive is sized from the launch schedule up front. Grown from zero by
+// append, the same archive (3,012,426 samples, 144.6 MB) allocated 5.4×.
+func TestPaperFleetAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full fleet run in -short mode")
+	}
+	weather, err := spaceweather.Generate(spaceweather.Paper2020to2024())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(context.Background(), PaperFleet(42), weather)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archive := float64(len(res.Samples)) * float64(unsafe.Sizeof(Sample{}))
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / archive
+	t.Logf("%d samples, %.1f MB archive, %.2f× allocated", len(res.Samples), archive/1e6, ratio)
+	if ratio >= 1.5 {
+		t.Fatalf("Run(PaperFleet(42)) allocated %.2f× its archive bytes, want < 1.5×", ratio)
 	}
 }

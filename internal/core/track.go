@@ -3,6 +3,8 @@ package core
 import (
 	"sort"
 	"time"
+
+	"cosmicdance/internal/stats"
 )
 
 // TrackPoint is one cleaned trajectory observation.
@@ -100,7 +102,9 @@ func operationalAltitude(points []TrackPoint, bandKm float64) float64 {
 	for i, p := range points {
 		alts[i] = float64(p.AltKm)
 	}
-	sort.Float64s(alts)
+	// Gross errors, NaN among them, are cut before cleaning, so the sort
+	// kernel's fixed order for NaN and ±0 is sort.Float64s's order here.
+	stats.SortFloat64s(alts)
 	p75 := alts[(len(alts)*3)/4]
 	lo := sort.SearchFloat64s(alts, p75-bandKm)
 	hi := sort.SearchFloat64s(alts, p75+bandKm)

@@ -339,8 +339,8 @@ func protect(fn func(int) error, i int) (err error) {
 
 // sequential runs fn(0) … fn(n-1) in order on the calling goroutine under
 // one deferred recover for the whole batch: the width-1 simulator step runs
-// every satellite of every hour through here, 16.8M items in a week of a
-// 100k-satellite fleet, so a recover per item is paid millions of times.
+// every block of satellites of every hour through here, about 66k items in a
+// week of a 100k-satellite fleet, so a recover per item is paid many times.
 func sequential(ctx context.Context, n int, fn func(int) error) (err error) {
 	defer catch(&err)
 	for i := 0; i < n; i++ {
