@@ -209,8 +209,8 @@ func (sc *schedule) simulate(ctx context.Context, weather *dst.Index, lo, hi, wi
 	defer st.pool.Flush() // publish pool telemetry even on a failed run
 	st.stepFn = st.stepBlock
 
-	// Growing the archive by append re-copies it at every 1.25× step: the
-	// paper fleet's 3M samples allocated 5.4× their bytes that way.
+	// Sized up front: grown by append, the archive is re-copied at every
+	// 1.25× step, and the paper fleet's 3M samples allocate 5.4× their bytes.
 	st.result.Samples = make([]Sample, 0, st.expectedSamples())
 	next := sc.firstCat + sc.initial // catalog of the first launched satellite
 	for cat := st.lo; cat < min(next, st.hi); cat++ {
@@ -306,19 +306,30 @@ type simState struct {
 	// hourly fan-out does not allocate a closure every step. The step's
 	// inputs travel in hour, which the coordinator writes before the
 	// fan-out and workers only read; block b's worker alone writes
-	// emitted[b], the samples its satellites emit this hour.
-	stepFn  func(b int) error
-	hour    hour
-	emitted [][]Sample
+	// blocks[b].
+	stepFn func(b int) error
+	hour   hour
+	blocks []block
+}
+
+// stepBlockSats is how many satellites one fan-out item steps.
+const stepBlockSats = 256
+
+// block is one fan-out item's scratch, kept for the run so no hour
+// allocates or clears it: its satellites' decays this hour, and the
+// samples they emit.
+type block struct {
+	decay [stepBlockSats]float64
+	out   []Sample
 }
 
 // hour is one step's inputs. Each depends on the hour alone, so the
 // coordinator resolves it once rather than every satellite per hour.
 type hour struct {
 	now   time.Time
-	unix  int64 // now in unix seconds: the clock satellite deadlines compare against
-	clock int   // now.Hour(), decommissionDue's daily stride
-	enh   float64
+	unix  int64   // now in unix seconds: the clock satellite deadlines compare against
+	clock int     // now.Hour(), decommissionDue's daily stride
+	enh   float64 // the storm's density enhancement
 	// casualties: storm safe modes and failures are sampled this hour (a
 	// storm, and no proactive mitigation), scaled by intensity.
 	casualties bool
@@ -327,10 +338,10 @@ type hour struct {
 	boost      float64 // station-keeping authority per hour (km)
 }
 
-// The step clock is whole unix seconds: every step time is the
-// hour-truncated start plus whole hours. Against such a clock a deadline t
-// compares as an integer, exactly: now.After(t) is now > t.Unix(), and
-// !now.Before(t) is now >= dueUnix(t).
+// dueUnix returns the first whole unix second at or after t. The step clock
+// is whole unix seconds, every step time being the hour-truncated start plus
+// whole hours, so against it a deadline compares exactly as an integer:
+// now.After(t) is now > t.Unix(), and !now.Before(t) is now >= dueUnix(t).
 func dueUnix(t time.Time) int64 {
 	if t.Nanosecond() > 0 {
 		return t.Unix() + 1
@@ -448,22 +459,19 @@ func (st *simState) step(ctx context.Context, now time.Time, d units.NanoTesla) 
 		casualties: stormActive && !st.cfg.ProactiveDragMitigation, intensity: intensityScale,
 		duck: duck, boost: boost,
 	}
-	blocks := (len(st.sats) + stepBlockSats - 1) / stepBlockSats
-	for len(st.emitted) < blocks {
-		st.emitted = append(st.emitted, nil)
+	n := (len(st.sats) + stepBlockSats - 1) / stepBlockSats
+	for len(st.blocks) < n {
+		st.blocks = append(st.blocks, block{})
 	}
-	if err := st.pool.ForEach(ctx, blocks, st.stepFn); err != nil {
+	if err := st.pool.ForEach(ctx, len(st.blocks), st.stepFn); err != nil {
 		return err
 	}
 	// Blocks in order, each in satellite order: the archive's order.
-	for _, out := range st.emitted[:blocks] {
-		st.result.Samples = append(st.result.Samples, out...)
+	for i := range st.blocks {
+		st.result.Samples = append(st.result.Samples, st.blocks[i].out...)
 	}
 	return nil
 }
-
-// stepBlockSats is how many satellites one fan-out item steps.
-const stepBlockSats = 256
 
 // stepBlock advances block b of the fleet by one hour. The block's drag
 // decays come first, in a pass of their own: each is a chain of exp, sqrt
@@ -471,17 +479,17 @@ const stepBlockSats = 256
 // else between them the CPU overlaps neighbouring chains.
 func (st *simState) stepBlock(b int) error {
 	sats := st.sats[b*stepBlockSats : min((b+1)*stepBlockSats, len(st.sats))]
-	var decay [stepBlockSats]float64
+	blk := &st.blocks[b]
 	for i, s := range sats {
-		decay[i] = st.hourlyDecay(s)
+		blk.decay[i] = st.hourlyDecay(s)
 	}
-	out := st.emitted[b][:0]
+	out := blk.out[:0]
 	for i, s := range sats {
-		if st.stepSat(s, decay[i]) {
+		if st.stepSat(s, blk.decay[i]) {
 			out = append(out, st.sample(s))
 		}
 	}
-	st.emitted[b] = out
+	blk.out = out
 	return nil
 }
 

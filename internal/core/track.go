@@ -102,8 +102,8 @@ func operationalAltitude(points []TrackPoint, bandKm float64) float64 {
 	for i, p := range points {
 		alts[i] = float64(p.AltKm)
 	}
-	// Gross errors, NaN among them, are cut before cleaning, so the sort
-	// kernel's fixed order for NaN and ±0 is sort.Float64s's order here.
+	// CleanTrack's callers cut gross errors first, so no NaN and no zero
+	// reaches this sort: the kernel's order is sort.Float64s's, bit for bit.
 	stats.SortFloat64s(alts)
 	p75 := alts[(len(alts)*3)/4]
 	lo := sort.SearchFloat64s(alts, p75-bandKm)

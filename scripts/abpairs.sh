@@ -45,8 +45,9 @@ on && /"better"/ { v = $0; sub(/.*"better": *"/, "", v); sub(/".*/, "", v); prin
 
 root=$PWD
 base="$root/.bench_build/abpairs"
-parent="$base/parent-$(git rev-parse --short "$rev")"
-rm -rf "$parent"
+# Re-extracting over an earlier extraction of the same revision rewrites
+# every file it tracked and keeps that tree's build cache.
+parent="$base/parent-$(git rev-parse "$rev")"
 mkdir -p "$parent"
 git archive "$rev" | tar -x -C "$parent"
 tsv="$base/$workload.tsv"
