@@ -29,7 +29,7 @@ lint-fix:
 # internal/obs >= 88%, internal/spacetrack >= 80%, internal/loadsim >= 80%,
 # internal/constellation >= 80%, internal/core >= 80%,
 # internal/incremental >= 80%, internal/tle >= 80%, internal/dst >= 90%,
-# module total >= 70%.
+# internal/stats >= 95%, internal/parallel >= 95%, module total >= 70%.
 cover:
 	./scripts/cover.sh
 

@@ -16,6 +16,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cosmicdance/internal/constellation"
 	"cosmicdance/internal/core"
@@ -262,17 +263,23 @@ func perDecodeAlloc(n int, decode func()) float64 {
 }
 
 // TestDecodeAllocation gates the decoders' heap use on 400 satellites over
-// 45 days: 34,589 samples, cleaned to 34,582 track points. A decoder
-// allocates the payloads it reads and the records it returns, with no
-// typed copy of a column in between: at most 72 B per point for a segment
-// and 110 B per sample for an archive. Decoding through typed columns took
-// 83.6 and 133.1.
+// 45 days: 34,589 samples, cleaned to 34,582 track points. Column values
+// decode straight from the read buffer into the records a decoder returns,
+// so it allocates those records, its record sections and one read buffer:
+// at most 40 B per point for a segment and 60 B per sample for an archive,
+// each its measurement (35.0 and 52.5) plus 15%. Decoding each column
+// through a payload of its own took 63.2 and 92.8, and through typed
+// columns 83.6 and 133.1. A dataset decode allocates at most 1.15 times
+// the bytes the dataset keeps of its body (its point arena, raw-altitude
+// column and track directory); through payloads it allocated about 2.15
+// times.
 func TestDecodeAllocation(t *testing.T) {
 	cfg := testFleetCfg()
 	cfg.InitialFleet = 400
 	cfg.Launches = nil
 	cfg.Scripted = nil
-	res, err := constellation.Run(context.Background(), cfg, testWeather(t))
+	weather := testWeather(t)
+	res, err := constellation.Run(context.Background(), cfg, weather)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,13 +305,27 @@ func TestDecodeAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}) / float64(len(res.Samples))
-	t.Logf("segment: %.1f B per point over %d points; archive: %.1f B per sample over %d samples",
-		perPoint, points, perSample, len(res.Samples))
-	if perPoint > 72 {
-		t.Errorf("DecodeSegment allocates %.1f B per point, want <= 72", perPoint)
+
+	d := testDataset(t, weather, res)
+	set := encodeDatasetBytes(t, d)
+	kept := float64(points)*float64(unsafe.Sizeof(core.TrackPoint{})) +
+		float64(len(d.Partial().RawAlts))*8 +
+		float64(len(d.Tracks()))*float64(unsafe.Sizeof(core.Track{})+8)
+	perKept := perDecodeAlloc(10, func() {
+		if _, err := DecodeDataset(bytes.NewReader(set), ccfg); err != nil {
+			t.Fatal(err)
+		}
+	}) / kept
+	t.Logf("segment: %.1f B per point over %d points; archive: %.1f B per sample over %d samples; dataset: %.3f times the %.0f bytes it keeps",
+		perPoint, points, perSample, len(res.Samples), perKept, kept)
+	if perPoint > 40 {
+		t.Errorf("DecodeSegment allocates %.1f B per point, want <= 40", perPoint)
 	}
-	if perSample > 110 {
-		t.Errorf("DecodeArchive allocates %.1f B per sample, want <= 110", perSample)
+	if perSample > 60 {
+		t.Errorf("DecodeArchive allocates %.1f B per sample, want <= 60", perSample)
+	}
+	if perKept > 1.15 {
+		t.Errorf("DecodeDataset allocates %.3f times the bytes it keeps, want <= 1.15", perKept)
 	}
 }
 
@@ -314,17 +335,32 @@ func decodeAny(kind Kind, data []byte) error {
 	return decodeFrom(kind, bytes.NewReader(data))
 }
 
-// TestEveryByteFlipFailsClosed corrupts each byte of a weather snapshot in
-// turn; no flip may decode successfully. Weather is small enough for the
-// exhaustive sweep; the framing is shared by all three kinds.
+// TestEveryByteFlipFailsClosed corrupts each byte of a weather snapshot and
+// of a small segment in turn, read from a source that can say how many
+// bytes remain and from one that cannot; no flip may decode. A column's
+// values land in their destination before its CRC is checked, so the
+// sweep covers both the framing and a body's columns: a damaged column must
+// fail the decode, never reach the caller partly filled.
 func TestEveryByteFlipFailsClosed(t *testing.T) {
-	w := testWeather(t)
-	enc := encodeWeatherBytes(t, w)
-	for i := range enc {
-		bad := bytes.Clone(enc)
-		bad[i] ^= 0x5a
-		if err := decodeAny(KindWeather, bad); err == nil {
-			t.Fatalf("flip at byte %d/%d decoded successfully", i, len(enc))
+	for _, c := range []struct {
+		kind Kind
+		enc  []byte
+	}{
+		{KindWeather, encodeWeatherBytes(t, testWeather(t))},
+		{KindSegment, encodeSegmentBytes(t, 0, tinyPartial())},
+	} {
+		for i := range c.enc {
+			bad := bytes.Clone(c.enc)
+			bad[i] ^= 0x5a
+			for _, r := range []io.Reader{bytes.NewReader(bad), struct{ io.Reader }{bytes.NewReader(bad)}} {
+				err := decodeFrom(c.kind, r)
+				if err == nil {
+					t.Fatalf("%s: flip at byte %d/%d decoded successfully", c.kind, i, len(c.enc))
+				}
+				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersionSkew) {
+					t.Fatalf("%s: flip at byte %d: unexpected error class: %v", c.kind, i, err)
+				}
+			}
 		}
 	}
 }
@@ -449,6 +485,64 @@ func TestSectionClaimAllocatesAsBytesArrive(t *testing.T) {
 			}
 		}
 	}
+
+	// A point count sizes the arena only from a source that holds every
+	// column it implies; from any other the arena grows as epochs arrive.
+	// Each forgery claims n points in its meta and an epoch column of 8n
+	// bytes, then ends 16 KiB into that column. 2^31 points, the meta's
+	// bound, is a column past the largest section; 2^28 is a column of
+	// exactly the largest section, 2 GiB, whose values start to arrive.
+	for _, points := range []int64{1 << 31, 1 << 28} {
+		for _, kind := range bodyKinds {
+			forged := forgedPoints(t, kind, points)
+			for _, src := range []struct {
+				name string
+				r    io.Reader
+			}{
+				{"sized", bytes.NewReader(forged)},
+				{"unsized", struct{ io.Reader }{bytes.NewReader(forged)}},
+			} {
+				var err error
+				n := allocated(func() { err = decodeFrom(kind, src.r) })
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s %s: %d points claimed in %d bytes: got %v, want ErrCorrupt", kind, src.name, points, len(forged), err)
+				}
+				if n >= 1<<20 {
+					t.Fatalf("%s %s: %d points claimed in %d bytes allocated %d bytes, want < 1 MiB", kind, src.name, points, len(forged), n)
+				}
+			}
+		}
+	}
+}
+
+// forgedPoints is the start of a segment or dataset whose body claims n
+// points and n raw altitudes over no tracks, then the header of an 8n-byte
+// epoch column and 16 KiB of it: a stream cut short inside the column.
+func forgedPoints(t *testing.T, kind Kind, n int64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := newSectionWriter(&buf, kind)
+	base := uint32(0)
+	if kind == KindDataset {
+		writeWeather(sw, dst.FromValues(time.Date(2024, 5, 10, 0, 0, 0, 0, time.UTC), []float64{-20}))
+		base = datasetPartialBase
+	}
+	var meta recordBuf
+	meta.i64(0) // chunk
+	meta.u32(0) // tracks
+	meta.i64(n) // points
+	meta.i64(n) // raw altitudes
+	for range 5 {
+		meta.i64(0) // cleaning counters
+	}
+	sw.section(base, meta.buf)
+	sw.section(base+1, nil)
+	sw.putU32(base + 2)
+	if err := sw.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out := binary.LittleEndian.AppendUint64(buf.Bytes(), uint64(8*n))
+	return append(out, make([]byte, 16<<10)...)
 }
 
 // forgedClaim is a well-framed snapshot of kind (archive, segment or

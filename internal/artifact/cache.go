@@ -67,7 +67,9 @@ func (c *Cache) load(kind Kind, fp Fingerprint, decode func(io.Reader) error) bo
 		countKind(metricMisses, kind)
 		return false
 	}
-	cr := &countingReader{r: bufio.NewReaderSize(f, 1<<20), size: st.Size()}
+	// The decoder's read buffer is the only buffered layer: it reads the
+	// file through the counter in runs of its own size.
+	cr := &countingReader{r: f, size: st.Size()}
 	err = decode(cr)
 	_ = f.Close()
 	metricBytesRead.Add(cr.n)

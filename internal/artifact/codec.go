@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Container framing constants.
@@ -18,7 +19,7 @@ const (
 	// maxSectionBytes bounds a single section's claimed length. The largest
 	// real section is a float64 column over a paper-scale archive (~3 M
 	// observations). The reader never allocates by the claim alone (see
-	// sectionReader.payload).
+	// sectionReader.payload and capFor).
 	maxSectionBytes = 1 << 31
 )
 
@@ -92,6 +93,14 @@ func (sw *sectionWriter) close() error {
 // the first error, and every read after it returns a zero value (nil for a
 // payload), so a decoder reads straight through, checks err only before a
 // decoded value sizes an allocation, and takes the error from close.
+//
+// A record section (meta, a track directory, a satellite table) is read
+// whole into a payload buffer. A column section is never buffered: column
+// hands its values to the decoder in runs straight from the read buffer,
+// updating the CRC as they pass, so each value lands in its destination
+// before the section's CRC has been checked. A decoder therefore returns
+// nothing once the reader has failed, and no caller sees a destination a
+// failed section has partly filled.
 type sectionReader struct {
 	br   *bufio.Reader
 	src  lenReader // br's source, when it can say how many bytes remain
@@ -107,9 +116,13 @@ type lenReader interface{ Len() int }
 // le is the byte order of every integer and float in a snapshot.
 var le = binary.LittleEndian
 
+// readBufBytes is the read buffer's size: a column's values arrive in runs
+// of at most this many bytes.
+const readBufBytes = 1 << 16
+
 // newSectionReader validates the header and checks the kind and versions.
 func newSectionReader(r io.Reader, kind Kind) *sectionReader {
-	sr := &sectionReader{br: bufio.NewReaderSize(r, 1<<16)}
+	sr := &sectionReader{br: bufio.NewReaderSize(r, readBufBytes)}
 	sr.src, _ = r.(lenReader)
 	if magic := sr.u32(); magic != containerMagic {
 		sr.fail(ErrCorrupt, "not a CDAS snapshot (magic %#x)", magic)
@@ -152,9 +165,9 @@ func (sr *sectionReader) u16() uint16 { return le.Uint16(sr.read(2)) }
 func (sr *sectionReader) u32() uint32 { return le.Uint32(sr.read(4)) }
 func (sr *sectionReader) u64() uint64 { return le.Uint64(sr.read(8)) }
 
-// section reads the next section, which must carry the expected id, and
-// returns its CRC-verified payload.
-func (sr *sectionReader) section(id uint32) []byte {
+// header reads the id and length that open the next section, which must
+// carry the expected id, and returns the length.
+func (sr *sectionReader) header(id uint32) uint64 {
 	if got := sr.u32(); got != id || got != sr.next {
 		sr.fail(ErrCorrupt, "section id %d, want %d", got, id)
 	}
@@ -163,6 +176,13 @@ func (sr *sectionReader) section(id uint32) []byte {
 	if n > maxSectionBytes {
 		sr.fail(ErrCorrupt, "section %d claims %d bytes", id, n)
 	}
+	return n
+}
+
+// section reads the next section, which must carry the expected id, and
+// returns its CRC-verified payload.
+func (sr *sectionReader) section(id uint32) []byte {
+	n := sr.header(id)
 	if sr.err != nil {
 		return nil
 	}
@@ -177,24 +197,6 @@ func (sr *sectionReader) section(id uint32) []byte {
 		return nil
 	}
 	return payload
-}
-
-// anyLen is the count that lets column take every value its section holds.
-const anyLen = -1
-
-// column reads section id as a column of width-byte values and returns its
-// raw payload, which must hold exactly count values (any whole number of
-// them for anyLen). Decoders turn it into their records in one pass.
-func (sr *sectionReader) column(id uint32, width, count int) []byte {
-	b := sr.section(id)
-	if count == anyLen {
-		count = len(b) / width
-	}
-	if len(b) != width*count {
-		sr.fail(ErrCorrupt, "section %d has %d bytes, want %d values of %d bytes", id, len(b), count, width)
-		return nil
-	}
-	return b
 }
 
 // record reads section id as a fixed-order record.
@@ -214,7 +216,7 @@ const payloadStep = 1 << 20
 func (sr *sectionReader) payload(n uint64) ([]byte, error) {
 	size := min(n, payloadStep)
 	if sr.src != nil {
-		if n > uint64(sr.src.Len()+sr.br.Buffered()) {
+		if n > sr.remaining() {
 			return nil, io.ErrUnexpectedEOF
 		}
 		size = n
@@ -235,6 +237,112 @@ func (sr *sectionReader) payload(n uint64) ([]byte, error) {
 	}
 }
 
+// remaining is the number of unread bytes of a sized source, those in the
+// read buffer included.
+func (sr *sectionReader) remaining() uint64 {
+	return uint64(sr.src.Len() + sr.br.Buffered())
+}
+
+// capFor is the capacity a destination of count values may take before
+// they arrive: count from a source known to hold the need bytes they and
+// the columns read with them take, and 0 from a source that cannot say, so
+// that the destination grows as values arrive. A sized source that holds
+// fewer bytes is truncated, and the reader fails.
+func (sr *sectionReader) capFor(count int, need uint64) int {
+	if sr.err != nil || sr.src == nil {
+		return 0
+	}
+	if have := sr.remaining(); need > have {
+		sr.fail(ErrCorrupt, "snapshot truncated: %d values need %d bytes, %d remain", count, need, have)
+		return 0
+	}
+	return count
+}
+
+// anyLen is the count that lets a column take every value its section
+// holds.
+const anyLen = -1
+
+// columnLen reads the header of section id as a column of width-byte values
+// and returns how many it holds: exactly count, or any whole number of them
+// for anyLen.
+func (sr *sectionReader) columnLen(id uint32, width, count int) int {
+	n := sr.header(id)
+	if count == anyLen {
+		count = int(n) / width
+	}
+	if sr.err == nil && n != uint64(width*count) {
+		sr.fail(ErrCorrupt, "section %d has %d bytes, want %d values of %d bytes", id, n, count, width)
+	}
+	if sr.err != nil {
+		return 0
+	}
+	return count
+}
+
+// columnValues streams the n width-byte values of the column section id
+// whose header columnLen read. put(i, vals) receives values i, i+1, … back
+// to back, len(vals)/width of them, straight from the read buffer; vals is
+// valid only during the call. The CRC covers every run and is checked after
+// the last one. put is never called once the reader has failed, so it sees
+// only values at indices below n.
+func (sr *sectionReader) columnValues(id uint32, width, n int, put func(i int, vals []byte)) {
+	crc := uint32(0)
+	for i, left := 0, width*n; left > 0 && sr.err == nil; {
+		run, err := sr.br.Peek(min(left, readBufBytes))
+		run = run[:len(run)-len(run)%width]
+		if len(run) == 0 {
+			sr.fail(ErrCorrupt, "section %d truncated: %v", id, err)
+			break
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, run)
+		put(i, run)
+		i += len(run) / width
+		left -= len(run)
+		_, _ = sr.br.Discard(len(run))
+	}
+	if sum := sr.u32(); sum != crc {
+		sr.fail(ErrCorrupt, "section %d checksum mismatch", id)
+	}
+}
+
+// column reads section id as a column of count width-byte values (any
+// whole number of them for anyLen) and streams them to put as columnValues
+// does. It suits a destination that already holds a slot per value.
+func (sr *sectionReader) column(id uint32, width, count int, put func(i int, vals []byte)) {
+	sr.columnValues(id, width, sr.columnLen(id, width, count), put)
+}
+
+// f64s reads section id as a column of count float64 values (anyLen: every
+// value it holds) straight into a new slice, allocated once from a source
+// known to hold them and grown as they arrive from any other.
+func (sr *sectionReader) f64s(id uint32, count int) []float64 {
+	n := sr.columnLen(id, 8, count)
+	out := make([]float64, 0, sr.capFor(n, 8*uint64(n)))
+	sr.columnValues(id, 8, n, func(_ int, vals []byte) {
+		i := len(out)
+		out = slices.Grow(out, len(vals)/8)[:i+len(vals)/8]
+		for k := range out[i:] {
+			out[i+k] = math.Float64frombits(le.Uint64(vals[8*k:]))
+		}
+	})
+	return out
+}
+
+// i64s is f64s for a column of int64 values.
+func i64s[T int | int64](sr *sectionReader, id uint32, count int) []T {
+	n := sr.columnLen(id, 8, count)
+	out := make([]T, 0, sr.capFor(n, 8*uint64(n)))
+	sr.columnValues(id, 8, n, func(_ int, vals []byte) {
+		i := len(out)
+		out = slices.Grow(out, len(vals)/8)[:i+len(vals)/8]
+		for k := range out[i:] {
+			out[i+k] = T(le.Uint64(vals[8*k:]))
+		}
+	})
+	return out
+}
+
 // close consumes the trailer, requires clean EOF after it, and returns the
 // first error the reader met.
 func (sr *sectionReader) close() error {
@@ -252,9 +360,9 @@ func (sr *sectionReader) close() error {
 // --- columns ---
 //
 // A column section is count fixed-width values back to back. Encoders fill
-// the payload straight from their records and decoders read their records
-// straight from it; floats travel as IEEE-754 bit patterns, so the round
-// trip is exact for every value, NaN payloads included.
+// the payload straight from their records and decoders fill their records
+// straight from the read buffer; floats travel as IEEE-754 bit patterns, so
+// the round trip is exact for every value, NaN payloads included.
 
 func getF32(col []byte, i int) float32    { return math.Float32frombits(le.Uint32(col[4*i:])) }
 func putF32(col []byte, i int, v float32) { le.PutUint32(col[4*i:], math.Float32bits(v)) }
@@ -269,15 +377,6 @@ func f64Column(vals []float64) []byte {
 	return col
 }
 
-// f64s decodes a whole float64 column.
-func f64s(col []byte) []float64 {
-	out := make([]float64, len(col)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(le.Uint64(col[8*i:]))
-	}
-	return out
-}
-
 // i64Column encodes a whole integer slice as an int64 column.
 func i64Column[T int | int64](vals []T) []byte {
 	col := make([]byte, 8*len(vals))
@@ -285,15 +384,6 @@ func i64Column[T int | int64](vals []T) []byte {
 		le.PutUint64(col[8*i:], uint64(v))
 	}
 	return col
-}
-
-// i64s decodes a whole int64 column.
-func i64s[T int | int64](col []byte) []T {
-	out := make([]T, len(col)/8)
-	for i := range out {
-		out[i] = T(le.Uint64(col[8*i:]))
-	}
-	return out
 }
 
 // recordBuf accumulates a small heterogeneous section (run metadata, config

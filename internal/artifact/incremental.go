@@ -61,14 +61,14 @@ func DecodeEngineState(r io.Reader) (*incremental.EngineState, error) {
 	st.TotalObservations = int(total)
 	st.GrossErrors = int(gross)
 	st.Duplicates = int(dups)
-	st.Wx = f64s(sr.column(1, 8, anyLen))
-	st.RawAlts = f64s(sr.column(2, 8, anyLen))
-	st.Cats = i64s[int](sr.column(3, 8, anyLen))
-	st.ObsCounts = i64s[int](sr.column(4, 8, anyLen))
-	st.Epochs = i64s[int64](sr.column(5, 8, anyLen))
-	st.Alts = f64s(sr.column(6, 8, anyLen))
-	st.BStars = f64s(sr.column(7, 8, anyLen))
-	st.Incls = f64s(sr.column(8, 8, anyLen))
+	st.Wx = sr.f64s(1, anyLen)
+	st.RawAlts = sr.f64s(2, anyLen)
+	st.Cats = i64s[int](sr, 3, anyLen)
+	st.ObsCounts = i64s[int](sr, 4, anyLen)
+	st.Epochs = i64s[int64](sr, 5, anyLen)
+	st.Alts = sr.f64s(6, anyLen)
+	st.BStars = sr.f64s(7, anyLen)
+	st.Incls = sr.f64s(8, anyLen)
 	if err := sr.close(); err != nil {
 		return nil, err
 	}

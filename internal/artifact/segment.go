@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"io"
+	"slices"
 
 	"cosmicdance/internal/core"
 )
@@ -49,16 +50,19 @@ func DecodeSegment(r io.Reader) (int, *core.ChunkPartial, error) {
 // count, operational altitude and raising-removed count.
 const dirEntryBytes = 20
 
+// pointBytes is the size of one track point across the body's four point
+// columns: the epoch and three float32 columns.
+const pointBytes = 8 + 3*4
+
 // segmentBytes is the exact length of p's segment: the container header and
 // trailer, seven framed sections, the meta record, a directory entry per
 // track, the four column values per point and one float64 per raw
 // altitude. It sizes a segment's buffer before the first byte is written.
 func segmentBytes(p *core.ChunkPartial) int {
 	const (
-		container  = 12 + 4          // header, trailer
-		framing    = 7 * (4 + 8 + 4) // each section's id, length and CRC
-		metaBytes  = 8 + 4 + 7*8     // chunk, track count, seven int64 counts
-		pointBytes = 8 + 3*4         // epoch, three float32 columns
+		container = 12 + 4          // header, trailer
+		framing   = 7 * (4 + 8 + 4) // each section's id, length and CRC
+		metaBytes = 8 + 4 + 7*8     // chunk, track count, seven int64 counts
 	)
 	n := container + framing + metaBytes + dirEntryBytes*len(p.Tracks) + 8*len(p.RawAlts)
 	for _, tr := range p.Tracks {
@@ -105,9 +109,10 @@ func writePartial(sw *sectionWriter, base uint32, chunk int, p *core.ChunkPartia
 
 	// The five columns share one buffer, filled straight from the records
 	// one column at a time, so an encode holds a single column beside the
-	// bytes it has written; readPartial likewise holds one payload at a
-	// time. Holding every column at once raised the peak RSS of chunked
-	// runs, whose heaps are a few MB, through the collector's pacing.
+	// bytes it has written; readPartial holds none, decoding each column
+	// straight into its records. Holding every column at once raised the
+	// peak RSS of chunked runs, whose heaps are a few MB, through the
+	// collector's pacing.
 	col := make([]byte, 8*max(nPoints, len(p.RawAlts)))
 	for k, width := range [4]int{8, 4, 4, 4} {
 		i := 0
@@ -151,36 +156,45 @@ func readPartial(sr *sectionReader, base uint32) (int, *core.ChunkPartial) {
 	if chunk < 0 || chunk > 1<<31 || nTracks > 1<<24 || nPoints < 0 || nPoints > 1<<31 || nRaw < 0 || nRaw > 1<<31 {
 		sr.fail(ErrCorrupt, "partial claims chunk %d, %d tracks, %d points", chunk, nTracks, nPoints)
 	}
-	// Every count sizes an allocation only once the section it counts has
-	// arrived whole: the directory holds exactly nTracks entries and each
-	// column exactly nPoints (or nRaw) values.
-	dir := sr.column(base+1, dirEntryBytes, int(nTracks))
-	// One flat point arena, sliced per track: a single allocation for the
-	// whole body, sized once the epoch column has arrived. Each column is
-	// decoded into it as it arrives, so the body holds one column payload
-	// at a time beside the arena.
-	epochs := sr.column(base+2, 8, int(nPoints))
-	if sr.err != nil {
-		return 0, nil
+	// A count sizes an allocation only once the source is known to hold
+	// what it counts: the directory is a record that must have arrived
+	// whole with exactly nTracks entries, and the point arena and raw
+	// column are sized up front only from a source that holds all five of
+	// their columns. From any other source they grow as values arrive.
+	dir := sr.section(base + 1)
+	if sr.err == nil && len(dir) != dirEntryBytes*int(nTracks) {
+		sr.fail(ErrCorrupt, "partial directory has %d bytes, want %d entries of %d bytes", len(dir), nTracks, dirEntryBytes)
 	}
-	points := make([]core.TrackPoint, nPoints)
-	for i := range points {
-		points[i].Epoch = int64(le.Uint64(epochs[8*i:]))
-	}
-	alts := sr.column(base+3, 4, int(nPoints))
-	for i := range len(alts) / 4 {
-		points[i].AltKm = getF32(alts, i)
-	}
-	bstars := sr.column(base+4, 4, int(nPoints))
-	for i := range len(bstars) / 4 {
-		points[i].BStar = getF32(bstars, i)
-	}
-	incls := sr.column(base+5, 4, int(nPoints))
-	for i := range len(incls) / 4 {
-		points[i].Incl = getF32(incls, i)
-	}
+	// One flat point arena, sliced per track. The epoch column appends the
+	// points and the three float32 columns fill them in place, each run
+	// straight from the read buffer, so the body holds no column payload.
+	np := sr.columnLen(base+2, 8, int(nPoints))
+	points := make([]core.TrackPoint, 0, sr.capFor(np, pointBytes*uint64(nPoints)+8*uint64(nRaw)))
+	sr.columnValues(base+2, 8, np, func(_ int, vals []byte) {
+		i := len(points)
+		points = slices.Grow(points, len(vals)/8)[:i+len(vals)/8]
+		for k := range points[i:] {
+			points[i+k] = core.TrackPoint{Epoch: int64(le.Uint64(vals[8*k:]))}
+		}
+	})
+	pts := points
+	sr.column(base+3, 4, np, func(i int, vals []byte) {
+		for k := range len(vals) / 4 {
+			pts[i+k].AltKm = getF32(vals, k)
+		}
+	})
+	sr.column(base+4, 4, np, func(i int, vals []byte) {
+		for k := range len(vals) / 4 {
+			pts[i+k].BStar = getF32(vals, k)
+		}
+	})
+	sr.column(base+5, 4, np, func(i int, vals []byte) {
+		for k := range len(vals) / 4 {
+			pts[i+k].Incl = getF32(vals, k)
+		}
+	})
 	p := &core.ChunkPartial{
-		RawAlts: f64s(sr.column(base+6, 8, int(nRaw))),
+		RawAlts: sr.f64s(base+6, int(nRaw)),
 		Stats: core.CleaningStats{
 			TotalObservations: int(stats[0]),
 			GrossErrors:       int(stats[1]),
@@ -188,6 +202,9 @@ func readPartial(sr *sectionReader, base uint32) (int, *core.ChunkPartial) {
 			NonOperational:    int(stats[3]),
 			Duplicates:        int(stats[4]),
 		},
+	}
+	if sr.err != nil {
+		return 0, nil
 	}
 	if !core.RawAltsCanonical(p.RawAlts) {
 		sr.fail(ErrCorrupt, "partial raw altitudes not in canonical order")

@@ -3,6 +3,7 @@ package artifact
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"cosmicdance/internal/constellation"
@@ -48,14 +49,14 @@ func readWeather(sr *sectionReader) *dst.Index {
 	startUnix := meta.i64()
 	n := int(meta.u32())
 	meta.done()
-	values := sr.column(1, 8, n)
+	values := sr.f64s(1, n)
 	if n == 0 {
 		sr.fail(ErrCorrupt, "empty weather series")
 	}
 	if sr.err != nil {
 		return nil
 	}
-	return dst.FromValues(time.Unix(startUnix, 0).UTC(), f64s(values))
+	return dst.FromValues(time.Unix(startUnix, 0).UTC(), values)
 }
 
 // --- archive (constellation.Result) ---
@@ -66,6 +67,10 @@ func readWeather(sr *sectionReader) *dst.Index {
 // minSatBytes is the smallest satellite record in an archive's table: the
 // fixed fields around an empty name.
 const minSatBytes = 68
+
+// sampleBytes is the size of one sample across the archive's nine sample
+// columns: catalog, epoch and seven float32 elements.
+const sampleBytes = 4 + 8 + 7*4
 
 // EncodeArchive writes a constellation-run snapshot.
 func EncodeArchive(w io.Writer, res *constellation.Result) error {
@@ -186,30 +191,51 @@ func DecodeArchive(r io.Reader) (*constellation.Result, error) {
 	}
 	sats.done()
 
-	n := int(nSamples)
-	cats := sr.column(2, 4, n)
-	epochs := sr.column(3, 8, n)
-	var elems [7][]byte
-	for k := range elems {
-		elems[k] = sr.column(uint32(4+k), 4, n)
+	// The catalog column appends the samples, sized up front only from a
+	// source that holds all nine sample columns, and the other eight fill
+	// them in place.
+	n := sr.columnLen(2, 4, int(nSamples))
+	samples := make([]constellation.Sample, 0, sr.capFor(n, sampleBytes*uint64(nSamples)))
+	sr.columnValues(2, 4, n, func(_ int, vals []byte) {
+		i := len(samples)
+		samples = slices.Grow(samples, len(vals)/4)[:i+len(vals)/4]
+		for k := range samples[i:] {
+			samples[i+k] = constellation.Sample{Catalog: int32(le.Uint32(vals[4*k:]))}
+		}
+	})
+	s := samples
+	sr.column(3, 8, n, func(i int, vals []byte) {
+		for k := range len(vals) / 8 {
+			s[i+k].Epoch = int64(le.Uint64(vals[8*k:]))
+		}
+	})
+	for k := range 7 {
+		sr.column(uint32(4+k), 4, n, func(i int, vals []byte) {
+			for j := range len(vals) / 4 {
+				v, sm := getF32(vals, j), &s[i+j]
+				switch k {
+				case 0:
+					sm.AltKm = v
+				case 1:
+					sm.BStar = v
+				case 2:
+					sm.Inclination = v
+				case 3:
+					sm.RAAN = v
+				case 4:
+					sm.Eccentricity = v
+				case 5:
+					sm.ArgPerigee = v
+				default:
+					sm.MeanAnomaly = v
+				}
+			}
+		})
 	}
 	if err := sr.close(); err != nil {
 		return nil, err
 	}
-	res.Samples = make([]constellation.Sample, n)
-	for i := range res.Samples {
-		res.Samples[i] = constellation.Sample{
-			Catalog:      int32(le.Uint32(cats[4*i:])),
-			Epoch:        int64(le.Uint64(epochs[8*i:])),
-			AltKm:        getF32(elems[0], i),
-			BStar:        getF32(elems[1], i),
-			Inclination:  getF32(elems[2], i),
-			RAAN:         getF32(elems[3], i),
-			Eccentricity: getF32(elems[4], i),
-			ArgPerigee:   getF32(elems[5], i),
-			MeanAnomaly:  getF32(elems[6], i),
-		}
-	}
+	res.Samples = samples
 	return res, nil
 }
 

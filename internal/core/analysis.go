@@ -301,23 +301,26 @@ type Deviation struct {
 //
 // The fan-out unit is a track: each task sweeps every event over one track
 // while its points are in cache, and writes each (event, track) outcome to
-// its own index-addressed slot. The merge reads the slots in (event, track)
-// order, so the deviation list is identical at every Parallelism setting.
+// its own index-addressed slot. A slot keeps only what the merge cannot
+// rebuild — the two maxima and whether the pair qualified — and the merge
+// reads the slots in (event, track) order, taking each deviation's event
+// and catalog from events[e] and the track, so the deviation list is
+// identical at every Parallelism setting.
 func (d *Dataset) Associate(ctx context.Context, events []Event, windowDays int) []Deviation {
 	nt := len(d.tracks)
 	if len(events) == 0 || nt == 0 {
 		return nil
 	}
-	type pairResult struct {
-		dev Deviation
-		ok  bool
+	type slot struct {
+		maxDev, maxDrag float64
+		ok              bool
 	}
-	results := make([]pairResult, len(events)*nt)
+	slots := make([]slot, len(events)*nt)
 	err := parallel.ForEach(ctx, d.cfg.Parallelism, nt, func(t int) error {
 		tr := d.tracks[t]
 		for e, ev := range events {
-			dev, ok := AssociateTrack(d.cfg, ev, tr, windowDays)
-			results[e*nt+t] = pairResult{dev, ok}
+			s := &slots[e*nt+t]
+			s.maxDev, s.maxDrag, s.ok = associate(d.cfg, ev.Epoch(), tr, windowDays)
 		}
 		return nil
 	})
@@ -326,10 +329,21 @@ func (d *Dataset) Associate(ctx context.Context, events []Event, windowDays int)
 		// re-panicking preserves the pre-parallel contract of this API.
 		panic(err)
 	}
-	var out []Deviation
-	for _, r := range results {
-		if r.ok {
-			out = append(out, r.dev)
+	n := 0
+	for _, s := range slots {
+		if s.ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Deviation, 0, n)
+	for e, ev := range events {
+		for t, s := range slots[e*nt : (e+1)*nt] {
+			if s.ok {
+				out = append(out, Deviation{Event: ev.Epoch(), Catalog: d.tracks[t].Catalog, MaxDevKm: s.maxDev, MaxDrag: s.maxDrag})
+			}
 		}
 	}
 	return out
@@ -341,30 +355,39 @@ func (d *Dataset) Associate(ctx context.Context, events []Event, windowDays int)
 // tracks as they arrive. Results across chunks, taken in (event, track)
 // order per chunk and track-major across chunks, reproduce Associate's
 // ordering per track.
-//
+func AssociateTrack(cfg Config, ev Event, tr *Track, windowDays int) (Deviation, bool) {
+	epoch := ev.Epoch()
+	maxDev, maxDrag, ok := associate(cfg, epoch, tr, windowDays)
+	if !ok {
+		return Deviation{}, false
+	}
+	return Deviation{Event: epoch, Catalog: tr.Catalog, MaxDevKm: maxDev, MaxDrag: maxDrag}, true
+}
+
+// associate is one (event, track) pair's outcome: the largest altitude
+// change and drag increase in the window, and whether the pair qualifies.
 // One binary search finds the baseline (the last point at or before the
 // event); the window [event, event+windowDays] starts at or just after it,
 // so a forward scan from there finds its end.
-func AssociateTrack(cfg Config, ev Event, tr *Track, windowDays int) (Deviation, bool) {
-	epoch := ev.Epoch()
+func associate(cfg Config, epoch time.Time, tr *Track, windowDays int) (maxDev, maxDrag float64, ok bool) {
 	ts := epoch.Unix()
 	i := tr.after(ts)
 	if i == 0 {
-		return Deviation{}, false
+		return 0, 0, false
 	}
 	base := tr.Points[i-1]
 	if epoch.Sub(base.Time()) > cfg.BaselineStaleness {
-		return Deviation{}, false
+		return 0, 0, false
 	}
 	if math.Abs(float64(base.AltKm)-tr.OperationalAltKm) > cfg.DecayFilterKm {
-		return Deviation{}, false // already decaying before the event
+		return 0, 0, false // already decaying before the event
 	}
 	lo := i
 	for lo > 0 && tr.Points[lo-1].Epoch == ts {
 		lo--
 	}
 	end := epoch.Add(time.Duration(windowDays) * 24 * time.Hour).Unix()
-	maxDev, maxDrag, n := 0.0, 0.0, 0
+	n := 0
 	for _, p := range tr.Points[lo:] {
 		if p.Epoch > end {
 			break
@@ -380,9 +403,9 @@ func AssociateTrack(cfg Config, ev Event, tr *Track, windowDays int) (Deviation,
 		}
 	}
 	if n == 0 {
-		return Deviation{}, false
+		return 0, 0, false
 	}
-	return Deviation{Event: epoch, Catalog: tr.Catalog, MaxDevKm: maxDev, MaxDrag: maxDrag}, true
+	return maxDev, maxDrag, true
 }
 
 // AssociateQuiet runs the same association against quiet control epochs
@@ -401,7 +424,7 @@ func DeviationCDF(devs []Deviation) (*stats.CDF, error) {
 	for i, dv := range devs {
 		vals[i] = dv.MaxDevKm
 	}
-	return stats.NewCDF(vals)
+	return sortedCDF(vals)
 }
 
 // DragChangeCDF folds associations into the drag-change CDF of Fig 5c/6c.
@@ -410,5 +433,12 @@ func DragChangeCDF(devs []Deviation) (*stats.CDF, error) {
 	for i, dv := range devs {
 		vals[i] = dv.MaxDrag
 	}
-	return stats.NewCDF(vals)
+	return sortedCDF(vals)
+}
+
+// sortedCDF sorts vals, which the caller built for the CDF, and hands them
+// to it without the copy NewCDF makes.
+func sortedCDF(vals []float64) (*stats.CDF, error) {
+	stats.SortFloat64s(vals)
+	return stats.NewSortedCDF(vals)
 }

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cosmicdance/internal/dst"
+	"cosmicdance/internal/stats"
 	"cosmicdance/internal/units"
 )
 
@@ -471,5 +475,164 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if _, err := d.TimeSeries(4, c0.Add(-100*24*time.Hour), c0.Add(-99*24*time.Hour)); err == nil {
 		t.Error("empty window accepted")
+	}
+}
+
+// TestAssociateAllocation gates Associate's heap use per (event, track)
+// pair beyond the deviation list it returns: a slot holds the two maxima
+// and a flag, 24 B, and the list is sized once. Slots holding a whole
+// Deviation and a flag were 56 B, and the list grew by append.
+func TestAssociateAllocation(t *testing.T) {
+	weather := stormyWeather(70, -120, 8)
+	cfg := DefaultConfig()
+	cfg.Parallelism = 1
+	b := NewBuilder(cfg, weather)
+	for cat := 1; cat <= 400; cat++ {
+		steadyTrack(b, cat, c0.Add(time.Duration(cat%40)*24*time.Hour), 30, 550)
+	}
+	d, err := b.Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []Event
+	for day := 5; day < 65; day += 6 {
+		events = append(events, Event{Storm: dst.Storm{Start: c0.Add(time.Duration(day)*24*time.Hour + 3*time.Hour)}})
+	}
+	var devs []Deviation
+	n := allocatedBytes(func() { devs = d.Associate(context.Background(), events, 30) })
+	pairs := len(events) * len(d.Tracks())
+	if len(devs) == 0 || len(devs) == pairs {
+		t.Fatalf("%d deviations from %d pairs: the fixture exercises no filter", len(devs), pairs)
+	}
+	perPair := (float64(n) - float64(len(devs))*float64(unsafe.Sizeof(Deviation{}))) / float64(pairs)
+	t.Logf("%d B for %d pairs and %d deviations: %.1f B per pair beyond the list", n, pairs, len(devs), perPair)
+	if perPair > 32 {
+		t.Errorf("Associate allocates %.1f B per pair beyond its deviations, want <= 32", perPair)
+	}
+}
+
+// allocatedBytes returns the heap bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// superStormWindowScan is SuperStorm's daily drag and tracked counts as a
+// per-day Track.Window scan of every track, with stats.NewCDF copying each
+// day's values: the form the forward cursors replaced, kept as their
+// referee.
+func superStormWindowScan(d *Dataset, from, to time.Time) (drag []DailyDrag, tracked []TimedValue) {
+	days := int(to.Sub(from) / (24 * time.Hour))
+	var scratch []float64
+	for day := 0; day < days; day++ {
+		dayStart := from.Add(time.Duration(day) * 24 * time.Hour)
+		dayEnd := dayStart.Add(24 * time.Hour)
+		scratch = scratch[:0]
+		for _, tr := range d.Tracks() {
+			for _, p := range tr.Window(dayStart, dayEnd) {
+				scratch = append(scratch, float64(p.BStar))
+			}
+		}
+		dd := DailyDrag{Day: dayStart, Samples: len(scratch)}
+		if len(scratch) > 0 {
+			cdf, _ := stats.NewCDF(scratch)
+			dd.Median, _ = cdf.Percentile(50)
+			dd.P95, _ = cdf.Percentile(95)
+			dd.Mean, _ = stats.Mean(scratch)
+		}
+		drag = append(drag, dd)
+		n := 0
+		lookback := dayEnd.Add(-72 * time.Hour)
+		for _, tr := range d.Tracks() {
+			if len(tr.Window(lookback, dayEnd)) > 0 {
+				n++
+			}
+		}
+		tracked = append(tracked, TimedValue{At: dayStart, Value: float64(n)})
+	}
+	return drag, tracked
+}
+
+// TestSuperStormMatchesWindowScan referees SuperStorm's per-track cursors
+// against the per-day Window scan, every field as float bits. The fixture
+// has points exactly at the day boundaries (which count in both days they
+// bound) and on the 72-hour lookback edge, tracks that start or end inside
+// the window, runs of days no track observes, and windows that start off
+// the hour and end between days.
+func TestSuperStormMatchesWindowScan(t *testing.T) {
+	const days = 40
+	weather := stormyWeather(days, -400, 20)
+	b := NewBuilder(DefaultConfig(), weather)
+	rng := rand.New(rand.NewSource(7))
+	gap := func(at time.Time) bool { // days 22-24: no track observes
+		return !at.Before(c0.Add(22*24*time.Hour)) && at.Before(c0.Add(25*24*time.Hour))
+	}
+	obs := func(cat int, at time.Time) {
+		if !gap(at) {
+			addObs(b, cat, at, 550+rng.Float64()-0.5, 1e-4+rng.Float64()*1e-3)
+		}
+	}
+	for cat := 1; cat <= 60; cat++ {
+		start := c0.Add(time.Duration(rng.Intn(20*24)) * time.Hour)
+		end := start.Add(time.Duration(24+rng.Intn(30*24)) * time.Hour)
+		switch cat % 4 {
+		case 0: // twice a day on the midnight and noon boundaries
+			for at := start.Truncate(24 * time.Hour); at.Before(end); at = at.Add(12 * time.Hour) {
+				obs(cat, at)
+			}
+		case 1: // a 7-hour cadence
+			for at := start; at.Before(end); at = at.Add(7 * time.Hour) {
+				obs(cat, at)
+			}
+		case 2: // sparse: one point every 2-5 days, on a boundary
+			for at := start.Truncate(24 * time.Hour); at.Before(end); at = at.Add(time.Duration(2+rng.Intn(4)) * 24 * time.Hour) {
+				obs(cat, at)
+			}
+		default: // random instants, to the second
+			for range 20 + rng.Intn(40) {
+				obs(cat, start.Add(time.Duration(rng.Int63n(int64(end.Sub(start))))).Truncate(time.Second))
+			}
+		}
+	}
+	d, err := b.Build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := math.Float64bits
+	for _, w := range []struct{ from, to time.Time }{
+		{c0.Add(3 * 24 * time.Hour), c0.Add(30 * 24 * time.Hour)},
+		{c0, c0.Add(days * 24 * time.Hour)},
+		{c0.Add(5*24*time.Hour + 90*time.Minute), c0.Add(33*24*time.Hour + 7*time.Hour)},
+		{c0.Add(-10 * 24 * time.Hour), c0.Add(2 * 24 * time.Hour)},
+		{c0.Add(20 * 24 * time.Hour), c0.Add(27 * 24 * time.Hour)},
+	} {
+		rep, err := d.SuperStorm(w.from, w.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drag, tracked := superStormWindowScan(d, w.from, w.to)
+		if len(rep.Drag) != len(drag) || len(rep.Tracked) != len(tracked) {
+			t.Fatalf("window %v–%v: %d/%d days, referee %d/%d", w.from, w.to, len(rep.Drag), len(rep.Tracked), len(drag), len(tracked))
+		}
+		empty, nonEmpty := false, false
+		for i, want := range drag {
+			got := rep.Drag[i]
+			if !got.Day.Equal(want.Day) || got.Samples != want.Samples || bits(got.Median) != bits(want.Median) ||
+				bits(got.Mean) != bits(want.Mean) || bits(got.P95) != bits(want.P95) {
+				t.Fatalf("window %v–%v, day %d: drag %+v, referee %+v", w.from, w.to, i, got, want)
+			}
+			if g, r := rep.Tracked[i], tracked[i]; !g.At.Equal(r.At) || bits(g.Value) != bits(r.Value) {
+				t.Fatalf("window %v–%v, day %d: tracked %+v, referee %+v", w.from, w.to, i, g, r)
+			}
+			empty = empty || want.Samples == 0
+			nonEmpty = nonEmpty || want.Samples > 0
+		}
+		if w.from.Equal(c0.Add(20*24*time.Hour)) && (!empty || !nonEmpty) {
+			t.Fatalf("window %v–%v: the fixture has no empty day beside observed ones", w.from, w.to)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cosmicdance/internal/constellation"
 	"cosmicdance/internal/dst"
@@ -120,7 +121,9 @@ func NewPartialAssembler(cfg Config, weather *dst.Index) *PartialAssembler {
 
 // Add folds one partial in. Partials must arrive in catalog order (chunk
 // order) with disjoint catalog ranges — exactly how the chunk planner slices
-// a fleet.
+// a fleet. The first partial's raw-altitude column is kept, not copied, so
+// a lone partial's column becomes the dataset's, and Finish canonicalizes
+// it in place; later partials are appended to it.
 func (a *PartialAssembler) Add(p *ChunkPartial) error {
 	if len(p.Tracks) > 0 {
 		first := p.Tracks[0].Catalog
@@ -130,7 +133,11 @@ func (a *PartialAssembler) Add(p *ChunkPartial) error {
 		a.lastCat = p.Tracks[len(p.Tracks)-1].Catalog
 	}
 	a.tracks = append(a.tracks, p.Tracks...)
-	a.rawAlts = append(a.rawAlts, p.RawAlts...)
+	if a.rawAlts == nil {
+		a.rawAlts = slices.Clip(p.RawAlts)
+	} else {
+		a.rawAlts = append(a.rawAlts, p.RawAlts...)
+	}
 	a.stats.TotalObservations += p.Stats.TotalObservations
 	a.stats.GrossErrors += p.Stats.GrossErrors
 	a.stats.RaisingRemoved += p.Stats.RaisingRemoved

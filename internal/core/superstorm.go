@@ -61,36 +61,57 @@ func (d *Dataset) SuperStorm(from, to time.Time) (*SuperStormReport, error) {
 		rep.Dst = append(rep.Dst, TimedValue{At: slice.TimeAt(i), Value: v})
 	}
 
-	// Daily fleet drag and tracked counts.
+	// Daily fleet drag and tracked counts. Each track keeps three cursors
+	// that only move forward as the days advance: the first point at or
+	// after the 72-hour lookback, the first at or after the day's start and
+	// the first after its end. The window is inclusive at both ends, as
+	// Track.Window is, so a point exactly at midnight falls in both days it
+	// bounds. The days are the outer loop, so each day gathers its B* values
+	// in track order and stats.Mean sums them in that order.
+	type cursor struct{ back, start, end int }
+	cursors := make([]cursor, len(d.tracks))
+	firstBack := from.Add(-48 * time.Hour).Unix() // day 0's lookback
+	for t, tr := range d.tracks {
+		i := tr.from(firstBack)
+		cursors[t] = cursor{i, i, i}
+	}
 	var scratch []float64
 	for day := 0; day < days; day++ {
 		dayStart := from.Add(time.Duration(day) * 24 * time.Hour)
 		dayEnd := dayStart.Add(24 * time.Hour)
+		lo, hi, back := dayStart.Unix(), dayEnd.Unix(), dayEnd.Add(-72*time.Hour).Unix()
 		scratch = scratch[:0]
-		for _, tr := range d.tracks {
-			for _, p := range tr.Window(dayStart, dayEnd) {
+		tracked := 0
+		for t, tr := range d.tracks {
+			c, pts := &cursors[t], tr.Points
+			for c.back < len(pts) && pts[c.back].Epoch < back {
+				c.back++
+			}
+			for c.start < len(pts) && pts[c.start].Epoch < lo {
+				c.start++
+			}
+			for c.end < len(pts) && pts[c.end].Epoch <= hi {
+				c.end++
+			}
+			for _, p := range pts[c.start:c.end] {
 				scratch = append(scratch, float64(p.BStar))
+			}
+			if c.back < c.end {
+				tracked++
 			}
 		}
 		dd := DailyDrag{Day: dayStart, Samples: len(scratch)}
 		if len(scratch) > 0 {
-			cdf, err := stats.NewCDF(scratch)
+			dd.Mean, _ = stats.Mean(scratch)
+			stats.SortFloat64s(scratch)
+			cdf, err := stats.NewSortedCDF(scratch)
 			if err != nil {
 				return nil, err
 			}
 			dd.Median, _ = cdf.Percentile(50)
 			dd.P95, _ = cdf.Percentile(95)
-			dd.Mean, _ = stats.Mean(scratch)
 		}
 		rep.Drag = append(rep.Drag, dd)
-
-		tracked := 0
-		lookback := dayEnd.Add(-72 * time.Hour)
-		for _, tr := range d.tracks {
-			if len(tr.Window(lookback, dayEnd)) > 0 {
-				tracked++
-			}
-		}
 		rep.Tracked = append(rep.Tracked, TimedValue{At: dayStart, Value: float64(tracked)})
 	}
 

@@ -106,13 +106,19 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 			cancel() // drain: workers stop claiming new items
 		})
 	}
+	// Each worker polls the Done channel with a non-blocking receive before
+	// claiming an item: ctx.Err on a cancelable context takes its mutex, and
+	// the workers claiming one small item each would contend on it.
+	done := ctx.Done()
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
+				select {
+				case <-done:
 					return
+				default:
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {

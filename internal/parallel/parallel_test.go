@@ -314,3 +314,20 @@ func TestRunnerFlushMatchesForEachTelemetry(t *testing.T) {
 		t.Fatalf("Flush deltas %+v != per-call ForEach deltas %+v", got, ref)
 	}
 }
+
+// BenchmarkForEachTrivial measures the pool's per-item cost: 100,000 items
+// that each store one byte, one worker per CPU (run it with -cpu 2), under
+// a cancelable context as the pipeline's callers pass.
+func BenchmarkForEachTrivial(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := make([]byte, 100_000)
+	for range b.N {
+		if err := ForEach(ctx, 0, len(out), func(i int) error {
+			out[i] = byte(i)
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

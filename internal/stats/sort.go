@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -149,4 +150,46 @@ func SortFloat64s(x []float64) {
 	for i, k := range keys {
 		x[i] = fromSortKey(k)
 	}
+}
+
+// selectMin is the range size below which selectKey sorts instead of
+// partitioning.
+const selectMin = 16
+
+// selectKey reorders keys so that keys[k] holds the key a sort would put
+// there, with no greater key before it and no smaller key after it. It is
+// quickselect with deterministic median-of-three pivots and a three-way
+// partition, so runs of equal keys (Dst readings are whole nanotesla) end a
+// search instead of slowing it. A range that is still large after twice
+// the partitions a balanced search needs is sorted instead.
+func selectKey(keys []uint64, k int) {
+	lo, hi := 0, len(keys)
+	for budget := 2 * bits.Len(uint(len(keys))); hi-lo > selectMin && budget > 0; budget-- {
+		a, b, c := keys[lo], keys[lo+(hi-lo)/2], keys[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// keys[lo:lt] < pivot, keys[lt:i] == pivot, keys[gt:hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := keys[i]; {
+			case v < pivot:
+				keys[lt], keys[i] = v, keys[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				keys[gt], keys[i] = v, keys[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return // keys[lt:gt] all equal the pivot, k among them
+		}
+	}
+	slices.Sort(keys[lo:hi])
 }

@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrEmpty is returned by aggregates that are undefined on empty input.
@@ -16,6 +17,9 @@ var errPercentileRange = errors.New("stats: percentile out of range [0,100]")
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of values using
 // linear interpolation between closest ranks. The input is not modified.
+// The interpolation reads two adjacent order statistics of SortFloat64s's
+// order, so Percentile selects them from the values' sort keys instead of
+// sorting a copy; the result is the sorted form's, bit for bit.
 func Percentile(values []float64, p float64) (float64, error) {
 	if len(values) == 0 {
 		return 0, ErrEmpty
@@ -23,9 +27,23 @@ func Percentile(values []float64, p float64) (float64, error) {
 	if p < 0 || p > 100 {
 		return 0, errPercentileRange
 	}
-	sorted := append([]float64(nil), values...)
-	SortFloat64s(sorted)
-	return percentileSorted(sorted, p), nil
+	n := len(values)
+	if n == 1 {
+		return values[0], nil
+	}
+	lo, hi, frac := ranks(n, p)
+	keys := make([]uint64, n)
+	for i, v := range values {
+		keys[i] = sortKey(v)
+	}
+	selectKey(keys, lo)
+	a := fromSortKey(keys[lo])
+	if lo == hi {
+		return a, nil
+	}
+	// Every key after keys[lo] is at least it, so the next order statistic
+	// is their smallest.
+	return interpolate(a, fromSortKey(slices.Min(keys[lo+1:])), frac), nil
 }
 
 // percentileSorted computes a percentile over an already-sorted slice.
@@ -34,15 +52,30 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := ranks(n, p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return interpolate(sorted[lo], sorted[hi], frac)
 }
+
+// ranks returns the closest ranks around the p-th percentile of n > 1
+// sorted values and the weight of the upper one.
+func ranks(n int, p float64) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// interpolate is the value frac of the way from a to b. It is never
+// inlined: the compiler may swap the operands of a commutative float
+// operation, which picks which NaN operand's payload the result carries, so
+// one compiled body keeps every percentile bit-identical whichever caller
+// computes it.
+//
+//go:noinline
+func interpolate(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
 
 // Median returns the 50th percentile.
 func Median(values []float64) (float64, error) { return Percentile(values, 50) }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -284,5 +285,49 @@ func TestCorrelation(t *testing.T) {
 	}
 	if _, err := Correlation([]float64{1, 1}, []float64{1, 2}); err == nil {
 		t.Error("zero variance accepted")
+	}
+}
+
+// TestPercentileMatchesSortedForm referees Percentile's selection against
+// the sort it replaced: every percentile must equal, bit for bit, the
+// interpolation over a SortFloat64s copy. The inputs mix NaNs of both
+// signs, ±0, ±Inf, subnormals and duplicates (specialValues), and runs of
+// whole numbers like Dst readings, at sizes around the selection's sort
+// cut-over, in random, sorted, reversed and constant orders.
+func TestPercentileMatchesSortedForm(t *testing.T) {
+	sortedForm := func(values []float64, p float64) float64 {
+		s := slices.Clone(values)
+		SortFloat64s(s)
+		return percentileSorted(s, p)
+	}
+	ps := []float64{0, 0.1, 1, 5, 25, 33.3, 50, 66.7, 75, 90, 95, 99, 99.9, 100}
+	for _, n := range []int{1, 2, 3, 7, 16, 17, 18, 33, 100, 1000, 4099} {
+		special := specialValues(n)
+		dst, constant := make([]float64, n), make([]float64, n)
+		for i := range dst {
+			dst[i] = float64((i*7919)%300 - 250)
+			constant[i] = -42
+		}
+		sorted := slices.Clone(special)
+		SortFloat64s(sorted)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		for _, c := range []struct {
+			name   string
+			values []float64
+		}{{"special", special}, {"dst", dst}, {"sorted", sorted}, {"reversed", reversed}, {"constant", constant}} {
+			for k, p := range append(ps, float64(n%97)+0.37) {
+				in := slices.Clone(c.values)
+				got, err := Percentile(in, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := sortedForm(c.values, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d p=%v (#%d): %v (%#x), sorted form %v (%#x)",
+						c.name, n, p, k, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				requireBitsEqual(t, "input", in, c.values)
+			}
+		}
 	}
 }

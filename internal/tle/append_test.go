@@ -3,6 +3,7 @@ package tle
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -340,4 +341,45 @@ func FuzzAppendLines(f *testing.F) {
 			RevNumber:      rev,
 		})
 	})
+}
+
+// TestAppendFMatchesStrconv is appendF's differential referee: for every
+// value and precision it writes strconv.AppendFloat(…, 'f', prec, 64)'s
+// bytes. The values cover random bit patterns, values shaped like the
+// fixed-point fields (angles, epoch days, mean motions), every power of ten
+// and its neighbours, carries past the leading digit, and exact ties, which
+// both round to even (53.03125 at 4 places is 53.0312).
+func TestAppendFMatchesStrconv(t *testing.T) {
+	check := func(v float64, prec int) {
+		t.Helper()
+		want := strconv.AppendFloat([]byte("x"), v, 'f', prec, 64)
+		if got := appendF([]byte("x"), v, prec); !bytes.Equal(got, want) {
+			t.Fatalf("appendF(%v (%#x), %d) = %q, strconv %q", v, math.Float64bits(v), prec, got, want)
+		}
+	}
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1, -1, 0.5, 0.99995, 9.99996, 99.99995, 359.99995, 999.99996, 53.03125, 53.03135,
+		2.5, 3.5, -2.5, 1.00005, 366.999999995, 15.123456785, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Nextafter(1, 0), math.Nextafter(1e14, 0), 1e14, math.Nextafter(1e14, 2e14)}
+	for k, p := range pow10 {
+		special = append(special, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), p-0.5, -p)
+		// Ties at 4 and 8 places that carry into a new integer digit.
+		special = append(special, p-0.00005, p-0.000000005, float64(k)+0.125)
+	}
+	for _, v := range special {
+		for prec := 0; prec <= 20; prec++ {
+			check(v, prec)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 100_000 {
+		check(math.Float64frombits(rng.Uint64()), rng.Intn(19))
+		check(rng.Float64()*360, 4)                  // angles
+		check(1+rng.Float64()*366, 8)                // epoch days
+		check(rng.Float64()*100, 8)                  // mean motion
+		check(float64(rng.Intn(3600000))/10000, 4)   // 4-place values exactly
+		check(float64(rng.Intn(1<<20))/(1<<15), 4)   // exact binary ties at 4 places
+		check((float64(rng.Intn(1<<30))+0.5)/1e8, 8) // near-ties at 8 places
+		check(math.Ldexp(rng.Float64(), rng.Intn(130)-10), rng.Intn(18))
+	}
 }

@@ -215,7 +215,53 @@ func appendInt(dst []byte, v, width int, pad byte) []byte {
 // positive values, so it never meets a sign or an "Inf".
 func appendFixed(dst []byte, v float64, width, prec int, pad byte) []byte {
 	start := len(dst)
-	return padLeft(strconv.AppendFloat(dst, v, 'f', prec, 64), start, width, pad)
+	return padLeft(appendF(dst, v, prec), start, width, pad)
+}
+
+// pow10 holds the powers of ten up to 10^18, each exact in a float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// appendF is strconv.AppendFloat(dst, v, 'f', prec, 64), byte for byte.
+// strconv writes 'f' at an explicit precision with multiprecision decimal
+// arithmetic; only 'e' and 'g' take its exact fixed-digit path, which
+// handles at most 18 digits. For 1 <= |v| < 10^(18-prec) the digits 'f'
+// writes are v's first d+prec significant digits, d being the digits of
+// its integer part, so appendF asks 'e' for that many, correctly rounded
+// with ties to even as 'f' rounds them, and moves the decimal point. When
+// rounding carries past the leading digit (9.99996 at 4 places is
+// 1.0000e+01) the integer part gains a digit, and the digits one zero.
+// Smaller or larger values, NaN and the infinities go to 'f' itself.
+func appendF(dst []byte, v float64, prec int) []byte {
+	a := math.Abs(v)
+	if prec >= len(pow10)-1 || !(a >= 1 && a < pow10[len(pow10)-1-prec]) {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	d := 1
+	for a >= pow10[d] {
+		d++
+	}
+	var buf [32]byte
+	e := strconv.AppendFloat(buf[:0], a, 'e', d+prec-1, 64)
+	mant, exp := e[:len(e)-4], int(e[len(e)-2]-'0')*10+int(e[len(e)-1]-'0')
+	if v < 0 {
+		dst = append(dst, '-')
+	}
+	point := len(dst) + d
+	dst = append(dst, mant[0])
+	if len(mant) > 2 {
+		dst = append(dst, mant[2:]...) // the digits after "D."
+	}
+	if exp == d {
+		dst = append(dst, '0')
+		point++
+	}
+	if prec > 0 {
+		dst = append(dst, 0)
+		copy(dst[point+1:], dst[point:])
+		dst[point] = '.'
+	}
+	return dst
 }
 
 // appendExpField writes the implied-decimal exponent notation of the B* and

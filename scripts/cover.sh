@@ -27,7 +27,11 @@
 #      covers < 80%,
 #  11. fail if internal/dst (the hourly Dst index every analysis reads,
 #      its storm detection and the WDC record codec) covers < 90%,
-#  12. fail if the module-wide total covers < 70%.
+#  12. fail if internal/stats (the float sort kernel, selection and the
+#      percentiles and CDFs every figure reads) covers < 95%,
+#  13. fail if internal/parallel (the worker pool whose index-addressed
+#      slots make every fan-out deterministic) covers < 95%,
+#  14. fail if the module-wide total covers < 70%.
 #
 # The floors are deliberately asymmetric: the linter and the codec are
 # small and pure logic, so they are held to a higher bar than the
@@ -79,6 +83,8 @@ pkgfloor internal/core 80
 pkgfloor internal/incremental 80
 pkgfloor internal/tle 80
 pkgfloor internal/dst 90
+pkgfloor internal/stats 95
+pkgfloor internal/parallel 95
 
 totalpct="$(go tool cover -func="$profile" | awk '/^total:/ {
     for (i = 1; i <= NF; i++) if ($i ~ /%$/) { sub(/%/, "", $i); print $i }
